@@ -1,13 +1,14 @@
 """Boundary conditions for point interactions and their symmetry classification.
 
-Interface matrices are plain 2x2 complex ndarrays with the entry convention
+A model is an ordered tuple of interfaces ``(position, Q)``, from its
+``interfaces()`` method.  At x = s the rank-2 2x4 complex matrix Q imposes
 
-    B = [[alpha, beta],
-         [gamma, delta]],
+    Q (psi(s+), psi'(s+), psi(s-), psi'(s-))^T = 0,
 
-linking boundary values across an interaction point x = s through
-
-    (psi(s+), psi'(s+))^T = B (psi(s-), psi'(s-))^T.
+columns in that order.  A connected condition (psi(s+), psi'(s+))^T =
+B (psi(s-), psi'(s-))^T with B = [[alpha, beta], [gamma, delta]] has
+Q = [I | -B]; separated conditions have one row per side; the condition at
+-s of a PT-symmetric pair is pt_boundary_image applied to each row of Q.
 
 A matrix defines a PT-invariant connected condition iff J conj(B) J = B^{-1}
 with J = diag(1, -1); equivalently B J conj(B) J = I.  All connected
@@ -141,6 +142,22 @@ def matrix_from_form_cd(p):
     )
 
 
+def delta_pair_matrix(u, v, variant="default"):
+    """Interface matrix of the delta-pair model at +l.
+
+    variant="default" returns [[1, 0], [1, u+iv]] (the native entry
+    assignment of this model, coupling in the lower-right entry);
+    variant="textbook" returns [[1, 0], [u+iv, 1]] (value continuity with a
+    derivative jump proportional to the value).  The two are different
+    operators and are never substituted for each other.
+    """
+    if variant == "default":
+        return np.array([[1.0, 0.0], [1.0, u + 1j * v]], dtype=complex)
+    if variant == "textbook":
+        return np.array([[1.0, 0.0], [u + 1j * v, 1.0]], dtype=complex)
+    raise InvalidParams(f"unknown delta-pair variant {variant!r}")
+
+
 def type_I_from_matrix(B, tol=DEFAULT_TOL):
     """Extract TypeIParams from a connected interface matrix.
 
@@ -231,6 +248,17 @@ def pt_boundary_image(v):
     return np.array([cw[2], -cw[3], cw[0], -cw[1]])
 
 
+def connected_condition(B):
+    """2x4 condition matrix [I | -B] of the connected condition v(s+) = B v(s-)."""
+    return np.hstack([np.eye(2), -as_matrix(B)])
+
+
+def two_point_interfaces(B, l):
+    """Interfaces of the PT-symmetric pair: B at +l, the PT image of its rows at -l."""
+    Q = connected_condition(B)
+    return ((-l, np.array([pt_boundary_image(row) for row in Q])), (l, Q))
+
+
 # Six ways of solving a rank-2 condition pair for two of the four boundary
 # values, ordered by the column-pair whose minor is used.  Boundary vector
 # components are indexed (psi+, psi'+, psi-, psi'-).
@@ -294,12 +322,20 @@ class ConnectedOrigin:
     def __post_init__(self):
         object.__setattr__(self, "B", require_nondegenerate(self.B))
 
+    def interfaces(self):
+        return ((0.0, connected_condition(self.B)),)
+
 
 @dataclass(frozen=True)
 class SeparatedOrigin:
     """Separated (decoupled half-line) conditions at the origin."""
 
     params: TypeIIParams
+
+    def interfaces(self):
+        p = self.params
+        e = p.h1 * np.exp(1j * p.theta)  # h0 psi'(0+) = e psi(0+), h0 psi'(0-) = -conj(e) psi(0-)
+        return ((0.0, np.array([[-e, p.h0, 0, 0], [0, 0, np.conj(e), p.h0]], dtype=complex)),)
 
 
 @dataclass(frozen=True)
@@ -314,6 +350,9 @@ class TwoPoint:
             raise InvalidParams(f"l must be positive, got {self.l}")
         object.__setattr__(self, "B", require_nondegenerate(self.B))
 
+    def interfaces(self):
+        return two_point_interfaces(self.B, self.l)
+
 
 @dataclass(frozen=True)
 class DeltaPair:
@@ -326,6 +365,14 @@ class DeltaPair:
     def __post_init__(self):
         if not self.l > 0:
             raise InvalidParams(f"l must be positive, got {self.l}")
+
+    @property
+    def B(self):
+        """The interface matrix at +l; singular when u = v = 0."""
+        return delta_pair_matrix(self.u, self.v)
+
+    def interfaces(self):
+        return two_point_interfaces(require_nondegenerate(self.B), self.l)
 
 
 InteractionSpec = Union[ConnectedOrigin, SeparatedOrigin, TwoPoint, DeltaPair]
@@ -360,8 +407,6 @@ def _classify_connected_matrix(B, tol):
 
 def classify(spec, tol=DEFAULT_TOL):
     """Classify an interaction: PT-invariance, self-adjointness, parameter family."""
-    from .spectra import delta_pair_matrix  # local import to avoid a cycle
-
     if isinstance(spec, ConnectedOrigin):
         pt, sa, family, params, notes = _classify_connected_matrix(spec.B, tol)
         return ClassificationReport(pt, sa, family, params, "; ".join(notes))
@@ -373,21 +418,13 @@ def classify(spec, tol=DEFAULT_TOL):
         notes = "separated conditions are PT-invariant for every theta"
         return ClassificationReport(True, bool(sa), TYPE_II, p, notes)
 
-    if isinstance(spec, TwoPoint):
-        _, sa, family, params, notes = _classify_connected_matrix(spec.B, tol)
+    if isinstance(spec, (TwoPoint, DeltaPair)):
+        try:
+            _, sa, family, params, notes = _classify_connected_matrix(spec.B, tol)
+        except Degenerate:
+            notes = "interface matrix is degenerate; connected-origin predicates unavailable"
+            return ClassificationReport(True, False, GENERAL, None, notes)
         notes.append("condition at -l is the reflected conjugate of B (never stored)")
-        return ClassificationReport(True, sa, family, params, "; ".join(notes))
-
-    if isinstance(spec, DeltaPair):
-        B = delta_pair_matrix(spec.u, spec.v)
-        notes = []
-        if abs(np.linalg.det(B)) <= tol:
-            notes.append("interface matrix is degenerate (u = v = 0); connected-origin predicates unavailable")
-            return ClassificationReport(True, False, GENERAL, None, "; ".join(notes))
-        _, sa, family, params, notes2 = _classify_connected_matrix(B, tol)
-        notes.extend(notes2)
-        if spec.v == 0:
-            notes.append("v = 0 reads formally as real couplings; predicate evaluated on the interface matrix")
         return ClassificationReport(True, sa, family, params, "; ".join(notes))
 
     raise InvalidParams(f"unknown interaction spec {type(spec).__name__}")

@@ -15,6 +15,7 @@ Exit codes: 0 success, 2 parse/validation error, 3 degenerate model,
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -28,6 +29,7 @@ from .boundary import (
     TypeIIParams,
     TypeIParams,
     classify,
+    delta_pair_matrix,
     matrix_from_type_I,
 )
 from .errors import (
@@ -73,18 +75,24 @@ def _need(doc, field, kind=float):
         raise ModelFileError(f"missing field {field!r}")
     v = doc[field]
     try:
-        return kind(v)
-    except (TypeError, ValueError):
+        x = kind(v)
+    except (TypeError, ValueError, OverflowError):
         raise ModelFileError(f"field {field!r}: expected {kind.__name__}, got {v!r}")
+    if not math.isfinite(x):
+        raise ModelFileError(f"field {field!r}: expected a finite number, got {v!r}")
+    return x
 
 
 def _parse_complex(entry, field):
     if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
         raise ModelFileError(f"field {field!r}: complex entries must be [re, im] pairs")
     try:
-        return complex(float(entry[0]), float(entry[1]))
+        z = complex(float(entry[0]), float(entry[1]))
     except (TypeError, ValueError):
         raise ModelFileError(f"field {field!r}: non-numeric [re, im] pair {entry!r}")
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise ModelFileError(f"field {field!r}: non-finite [re, im] pair {entry!r}")
+    return z
 
 
 def _parse_matrix(doc, field="B"):
@@ -123,7 +131,7 @@ def model_from_dict(doc, variant="default"):
         if variant == "textbook":
             return TwoPoint(
                 l=_need(doc, "l"),
-                B=spectra.delta_pair_matrix(_need(doc, "u"), _need(doc, "v"), variant="textbook"),
+                B=delta_pair_matrix(_need(doc, "u"), _need(doc, "v"), variant="textbook"),
             )
         return DeltaPair(u=_need(doc, "u"), v=_need(doc, "v"), l=_need(doc, "l"))
     except InvalidParams as exc:
@@ -171,10 +179,7 @@ def _spectrum_for(spec, contour=None, nodes=None):
         return spectra.discrete_spectrum_origin_connected(spec.B)
     if isinstance(spec, SeparatedOrigin):
         return spectra.discrete_spectrum_separated(spec.params)
-    if isinstance(spec, TwoPoint):
-        B, l = spec.B, spec.l
-    else:
-        B, l = spectra.delta_pair_matrix(spec.u, spec.v), spec.l
+    B, l = spec.B, spec.l
     if contour is None:
         contour = spectra.default_contour(B, l, nodes_per_side=nodes or 64)
     return spectra.two_point_spectrum(B, l, contour)
@@ -256,8 +261,8 @@ def cmd_sweep(args):
             raise ModelFileError("sweep axis: missing 'name'")
         lo, hi = _need(ax, "min"), _need(ax, "max")
         steps = _need(ax, "steps", int)
-        if steps < 2 or not (np.isfinite(lo) and np.isfinite(hi)):
-            raise ModelFileError(f"sweep axis {name!r}: need finite range and steps >= 2")
+        if steps < 2:
+            raise ModelFileError(f"sweep axis {name!r}: need steps >= 2")
         grids.append((name, np.linspace(lo, hi, steps)))
 
     names = [name for name, _ in grids]
@@ -326,18 +331,14 @@ def cmd_oracle(args):
 def cmd_eigenfunction(args):
     spec = load_model(args.model, variant=args.variant)
     k = complex(args.k[0], args.k[1])
+    if isinstance(spec, SeparatedOrigin):
+        raise ModelFileError("eigenfunction export supports connected and two-point models")
     if isinstance(spec, ConnectedOrigin):
         psi = states.eigenfunction_origin(spec.B, k)
         resid = states.interface_residual(psi, spec.B)
-    elif isinstance(spec, (TwoPoint, DeltaPair)):
-        if isinstance(spec, TwoPoint):
-            B, l = spec.B, spec.l
-        else:
-            B, l = spectra.delta_pair_matrix(spec.u, spec.v), spec.l
-        psi = states.eigenfunction_two_point(B, l, k)
-        resid = states.interface_residual(psi, B, l)
     else:
-        raise ModelFileError("eigenfunction export supports connected and two-point models")
+        psi = states.eigenfunction_two_point(spec.B, spec.l, k)
+        resid = states.interface_residual(psi, spec.B, spec.l)
     defect = states.pt_symmetry_defect(psi)
     L, N = args.grid
     x = np.linspace(-L, L, int(N))

@@ -18,21 +18,12 @@ from typing import Optional
 
 import numpy as np
 
-from .boundary import (
-    ConnectedOrigin,
-    DeltaPair,
-    SeparatedOrigin,
-    TwoPoint,
-    pt_mirror,
-)
 from .errors import (
-    Degenerate,
     EigensolverFailure,
     GridCollision,
     GridMismatch,
     InvalidParams,
 )
-from .spectra import delta_pair_matrix
 
 ROW_INTERIOR = 0
 ROW_END = 1
@@ -72,62 +63,29 @@ class OracleConfig:
         return (0.15 / self.h) ** 2
 
 
-def _interfaces(spec):
-    """List of (position, condition) pairs; condition is a 2x2 matrix mapping
-    left-side boundary values to right-side ones, or ('separated', params)."""
-    if isinstance(spec, ConnectedOrigin):
-        return [(0.0, np.asarray(spec.B, dtype=complex))]
-    if isinstance(spec, SeparatedOrigin):
-        return [(0.0, ("separated", spec.params))]
-    if isinstance(spec, TwoPoint):
-        B = np.asarray(spec.B, dtype=complex)
-        mirror = pt_mirror(B)
-        return [(-spec.l, np.linalg.inv(mirror)), (spec.l, B)]
-    if isinstance(spec, DeltaPair):
-        B = delta_pair_matrix(spec.u, spec.v)
-        if abs(np.linalg.det(B)) < 1e-14:
-            raise Degenerate("delta-pair interface matrix is degenerate (u = v = 0)")
-        mirror = pt_mirror(B)
-        return [(-spec.l, np.linalg.inv(mirror)), (spec.l, B)]
-    raise InvalidParams(f"unsupported spec {type(spec).__name__}")
-
-
-def _connected_ghosts(B, h):
+def _ghosts(Q, h):
     """Ghost-node weights (w_L, w_R) over (u_{m-1}, u_m, u_{m+1}, u_{m+2}).
 
-    Solves the connected conditions v(s+) = B v(s-) against quadratic
-    one-sided stencils with the interface midway between u_m and u_{m+1}.
+    The interface lies midway between u_m and u_{m+1}.  The left function's
+    ghost g_L at x_{m+1} and the right function's ghost g_R at x_m give the
+    boundary values through quadratic one-sided stencils,
+    v = (psi+, psi'+, psi-, psi'-) = E_g (g_L, g_R) + E_u u, and Q v = 0 is
+    solved for the two ghosts.
     """
-    a, b = B[0, 0], B[0, 1]
-    c, d = B[1, 0], B[1, 1]
-    A = np.array(
-        [[3 * a / 8 + b / h, -3 / 8], [3 * c / 8 + d / h, 1 / h]], dtype=complex
-    )
-    R = np.array(
+    E_g = np.array([[0.0, 3 / 8], [0.0, -1 / h], [3 / 8, 0.0], [1 / h, 0.0]])
+    E_u = np.array(
         [
-            [a / 8, -3 * a / 4 + b / h, 3 / 4, -1 / 8],
-            [c / 8, -3 * c / 4 + d / h, 1 / h, 0.0],
-        ],
-        dtype=complex,
+            [0.0, 0.0, 3 / 4, -1 / 8],
+            [0.0, 0.0, 1 / h, 0.0],
+            [-1 / 8, 3 / 4, 0.0, 0.0],
+            [0.0, -1 / h, 0.0, 0.0],
+        ]
     )
+    A = Q @ E_g
     if abs(np.linalg.det(A)) <= 1e-14 * max(1.0, float(np.max(np.abs(A)))) ** 2:
         raise InvalidParams("interface elimination is singular at this grid spacing; change N")
-    W = np.linalg.solve(A, R)
+    W = -np.linalg.solve(A, Q @ E_u)
     return W[0], W[1]
-
-
-def _separated_ghosts(params, h):
-    """Ghost weights for decoupled half-line conditions at the origin."""
-    h0, h1, th = params.h0, params.h1, params.theta
-    em = h1 * np.exp(-1j * th)
-    ep = h1 * np.exp(1j * th)
-    den_l = h0 / h + 3 * em / 8
-    den_r = h0 / h + 3 * ep / 8
-    if abs(den_l) <= 1e-14 or abs(den_r) <= 1e-14:
-        raise InvalidParams("interface elimination is singular at this grid spacing; change N")
-    w_l = np.array([em / 8, h0 / h - 3 * em / 4, 0.0, 0.0], dtype=complex) / den_l
-    w_r = np.array([0.0, 0.0, h0 / h - 3 * ep / 4, ep / 8], dtype=complex) / den_r
-    return w_l, w_r
 
 
 def _assemble(spec, cfg):
@@ -148,7 +106,7 @@ def _assemble(spec, cfg):
             M[j, j] = 2.0 * inv_h2
             M[j, j + 1] = -inv_h2
 
-    for s, cond in _interfaces(spec):
+    for s, Q in spec.interfaces():
         m = int(np.floor((s - x[0]) / h))
         if not (0 <= m < N - 1) or min(abs(x[m] - s), abs(x[m + 1] - s)) < h / 4:
             raise GridCollision(f"interface at {s} collides with a grid node (change N or L)")
@@ -156,21 +114,12 @@ def _assemble(spec, cfg):
             raise GridCollision(f"interface at {s} too close to the domain wall")
         if kinds[m] != ROW_INTERIOR or kinds[m + 1] != ROW_INTERIOR:
             raise GridCollision("interfaces too close together for this grid; increase N")
-        if isinstance(cond, tuple):
-            w_l, w_r = _separated_ghosts(cond[1], h)
-        else:
-            w_l, w_r = _connected_ghosts(cond, h)
+        w_l, w_r = _ghosts(Q, h)
         idx = [m - 1, m, m + 1, m + 2]
-        M[m, :] = 0.0
-        M[m, m - 1] = -inv_h2
-        M[m, m] = 2.0 * inv_h2
-        for w, i in zip(w_l, idx):
-            M[m, i] -= w * inv_h2
-        M[m + 1, :] = 0.0
-        M[m + 1, m + 1] = 2.0 * inv_h2
-        M[m + 1, m + 2] = -inv_h2
-        for w, i in zip(w_r, idx):
-            M[m + 1, i] -= w * inv_h2
+        # in each row the neighbour across the interface becomes the ghost value
+        M[m, m + 1] = M[m + 1, m] = 0.0
+        M[m, idx] -= w_l * inv_h2
+        M[m + 1, idx] -= w_r * inv_h2
         kinds[m] = kinds[m + 1] = ROW_INTERFACE
     return M, kinds
 

@@ -36,7 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-from .boundary import DEFAULT_TOL, as_matrix, require_nondegenerate
+from .boundary import DEFAULT_TOL, as_matrix, delta_pair_matrix, require_nondegenerate  # noqa: F401 (re-exported)
 from .errors import (
     ContourThroughZero,
     DegenerateIdenticallyZero,
@@ -323,22 +323,6 @@ def real_spectrum_classify_general(B, tol=DEFAULT_TOL):
     if pure_imag:
         return REAL_PURE_IMAGINARY_ROOTS
     return COMPLEX_SPECTRUM
-
-
-def delta_pair_matrix(u, v, variant="default"):
-    """Interface matrix of the delta-pair model at +l.
-
-    variant="default" returns [[1, 0], [1, u+iv]] (the native entry
-    assignment of this model, coupling in the lower-right entry);
-    variant="textbook" returns [[1, 0], [u+iv, 1]] (value continuity with a
-    derivative jump proportional to the value).  The two are different
-    operators and are never substituted for each other.
-    """
-    if variant == "default":
-        return np.array([[1.0, 0.0], [1.0, u + 1j * v]], dtype=complex)
-    if variant == "textbook":
-        return np.array([[1.0, 0.0], [u + 1j * v, 1.0]], dtype=complex)
-    raise InvalidParams(f"unknown delta-pair variant {variant!r}")
 
 
 def _bracket_coeffs(B, relation=PRINTED):

@@ -6,17 +6,12 @@ objects (PiecewiseExp); sampled functions live on staggered symmetric grids
 x = +-l fall between nodes and the node set is invariant under x -> -x.
 """
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import (
-    ConnectedOrigin,
-    SeparatedOrigin,
-    as_matrix,
-    pt_mirror,
-    require_nondegenerate,
-)
+from .boundary import connected_condition, require_nondegenerate, two_point_interfaces
 from .errors import (
     AsymmetricGrid,
     InvalidParams,
@@ -142,12 +137,41 @@ class ScatteringData:
     r_right: complex
 
 
-def _origin_matching_matrix(B, k):
-    """2x2 system [[1, -(alpha - ik beta)], [ik, -(gamma - ik delta)]]; det = dispersion."""
-    M = as_matrix(B)
-    a_ = M[0, 0] - 1j * k * M[0, 1]
-    g_ = M[1, 0] - 1j * k * M[1, 1]
-    return np.array([[1.0, -a_], [1j * k, -g_]], dtype=complex)
+def interface_system(interfaces, k):
+    """Matching system of the interface conditions at wave number k.
+
+    interfaces is a model's ordered tuple of (position, Q) pairs at
+    s_1 < ... < s_n.  Columns act on the piece coefficients of the Ansatz
+
+        c_0 e^{-ik(x-s_1)} | a_j e^{ik(x-s_j)} + b_j e^{-ik(x-s_{j+1})} | c_n e^{ik(x-s_n)}
+
+    in the order (c_0, a_1, b_1, ..., a_{n-1}, b_{n-1}, c_n); rows are the
+    two rows of each Q, interface by interface.  Each exponential has modulus
+    <= 1 on its piece when Im k >= 0, so no entry grows like e^{Im(k) (s_n - s_1)}.
+    """
+    n = len(interfaces)
+    pos = [s for s, _ in interfaces]
+    # (column, sign, anchor) of each term e^{sign ik (x - anchor)}, piece by piece
+    pieces = [[(0, -1, pos[0])]]
+    pieces += [[(2 * j - 1, 1, pos[j - 1]), (2 * j, -1, pos[j])] for j in range(1, n)]
+    pieces += [[(2 * n - 1, 1, pos[-1])]]
+    ik = 1j * k
+    rows = []
+    for j, (s, Q) in enumerate(interfaces):
+        # boundary values (psi+, psi'+, psi-, psi'-) at s of every term: psi+ from the piece on the right
+        V = np.zeros((4, 2 * n), dtype=complex)
+        for side, piece in ((0, pieces[j + 1]), (2, pieces[j])):
+            for col, sign, anchor in piece:
+                e = cmath.exp(sign * ik * (s - anchor))
+                V[side:side + 2, col] = e, sign * ik * e
+        rows.append(Q @ V)
+    return np.vstack(rows)
+
+
+def _near_singular(A, Q, k, tol):
+    """|det A| of a one-interface system at or below tol, relative to its growth in k."""
+    scale = max(1.0, abs(k)) ** 2 * max(1.0, float(np.max(np.abs(Q))))
+    return abs(np.linalg.det(A)) <= tol * scale
 
 
 def eigenfunction_origin(B, k, tol=1e-10):
@@ -160,13 +184,12 @@ def eigenfunction_origin(B, k, tol=1e-10):
     k = complex(k)
     if k.imag <= 0:
         raise NotAnEigenvalue(f"Im k must be positive, got k = {k}")
-    beta = M[0, 1]
-    tau = M[0, 0] + M[1, 1]
-    gamma = M[1, 0]
-    disp = k * k * beta + 1j * k * (tau) - gamma
-    scale = max(1.0, abs(k)) ** 2 * max(1.0, float(np.max(np.abs(M))))
-    if abs(disp) > tol * scale:
-        raise NotAnEigenvalue(f"k = {k} does not solve the dispersion relation (|D| = {abs(disp):.2e})")
+    Q = connected_condition(M)
+    A = interface_system(((0.0, Q),), k)  # det A = -(k^2 beta + ik(alpha + delta) - gamma)
+    if not _near_singular(A, Q, k, tol):
+        raise NotAnEigenvalue(
+            f"k = {k} does not solve the dispersion relation (|D| = {abs(np.linalg.det(A)):.2e})"
+        )
     c2 = M[0, 0] - 1j * k * M[0, 1]
     return PiecewiseExp(
         (
@@ -179,29 +202,6 @@ def eigenfunction_origin(B, k, tol=1e-10):
 # relative smallest singular value of the row-normalized two-point interface
 # system at or below which the system counts as singular
 KERNEL_TOL = 1e-8
-
-
-def _bounded_system(B, l, k):
-    """The two-point interface system in a basis that stays bounded for Im k >= 0.
-
-    Columns act on (c1, a, b, c4) for the Ansatz c1 e^{-ik(x+l)} |
-    a e^{ik(x+l)} + b e^{-ik(x-l)} | c4 e^{ik(x-l)}: each exponential has
-    modulus <= 1 on its piece, so no entry grows like e^{2 Im(k) l}.
-    """
-    M = as_matrix(B)
-    a, b = M[0, 0], M[0, 1]
-    g, d = M[1, 0], M[1, 1]
-    ik = 1j * k
-    q = np.exp(2 * ik * l)
-    return np.array(
-        [
-            [1.0, -np.conj(a) + ik * np.conj(b), -q * (np.conj(a) + ik * np.conj(b)), 0.0],
-            [ik, -np.conj(g) + ik * np.conj(d), -q * (np.conj(g) + ik * np.conj(d)), 0.0],
-            [0.0, q * (a + ik * b), a - ik * b, -1.0],
-            [0.0, q * (g + ik * d), g - ik * d, -ik],
-        ],
-        dtype=complex,
-    )
 
 
 def two_point_system_matrix(B, l, k):
@@ -222,7 +222,7 @@ def two_point_system_matrix(B, l, k):
         ],
         dtype=complex,
     )
-    return _bounded_system(B, l, k) @ to_bounded
+    return interface_system(two_point_interfaces(B, l), k) @ to_bounded
 
 
 def two_point_kernel(B, l, k):
@@ -231,10 +231,10 @@ def two_point_kernel(B, l, k):
     The system is taken in the bounded basis with unit rows, so the value is
     O(1) away from eigenvalues whatever Im k, and <= KERNEL_TOL at an
     eigenvalue of the operator the interface conditions define.  Returns
-    (ratio, (c1, a, b, c4)) with the coefficients of the Ansatz in
-    _bounded_system for the smallest singular value.
+    (ratio, (c1, a, b, c4)) with the coefficients of the interface_system
+    Ansatz for the smallest singular value.
     """
-    A = _bounded_system(B, l, k)
+    A = interface_system(two_point_interfaces(B, l), k)
     A = A / np.linalg.norm(A, axis=1, keepdims=True)
     _, sv, vh = np.linalg.svd(A)
     return float(sv[-1] / sv[0]), np.conj(vh[-1])
@@ -283,25 +283,14 @@ def interface_residual(psi, B, l=None):
     With l=None checks the origin condition v(0+) = B v(0-); otherwise checks
     both two-point conditions (B at +l, its mirror at -l) and returns the max.
     """
-    M = as_matrix(B)
-
-    def one(x0, mat):
-        vp = np.array(psi.side_values(x0, "+"))
-        vm = np.array(psi.side_values(x0, "-"))
-        resid = vp - mat @ vm
-        scale = max(float(np.max(np.abs(vp))), float(np.max(np.abs(mat @ vm))), 1e-300)
-        return float(np.max(np.abs(resid))) / scale
-
-    if l is None:
-        return one(0.0, M)
-    # at -l the condition maps right-side values to left-side ones
-    mirror = pt_mirror(M)
-    vp = np.array(psi.side_values(-l, "-"))
-    vm = np.array(psi.side_values(-l, "+"))
-    resid = vp - mirror @ vm
-    scale = max(float(np.max(np.abs(vp))), float(np.max(np.abs(mirror @ vm))), 1e-300)
-    left = float(np.max(np.abs(resid))) / scale
-    return max(one(float(l), M), left)
+    interfaces = ((0.0, connected_condition(B)),) if l is None else two_point_interfaces(B, float(l))
+    worst = 0.0
+    for s, Q in interfaces:
+        v = np.array(psi.side_values(s, "+") + psi.side_values(s, "-"))
+        plus, minus = Q[:, :2] @ v[:2], Q[:, 2:] @ v[2:]
+        scale = max(float(np.max(np.abs(plus))), float(np.max(np.abs(minus))), 1e-300)
+        worst = max(worst, float(np.max(np.abs(plus + minus))) / scale)
+    return worst
 
 
 def _sqrt_upper(lam):
@@ -322,7 +311,8 @@ def apply_resolvent(spec, lam, F, tol=1e-10):
     with rho_+- solved from the interface conditions; k = sqrt(lam), Im k > 0.
     Quadratures use the midpoint rule on the staggered grid (O(h^2)).
     """
-    if not isinstance(spec, (ConnectedOrigin, SeparatedOrigin)):
+    interfaces = spec.interfaces()
+    if [s for s, _ in interfaces] != [0.0]:
         raise InvalidParams("resolvent application supports origin models only")
     if not isinstance(F, GridFunction):
         raise InvalidParams("F must be a GridFunction")
@@ -340,30 +330,12 @@ def apply_resolvent(spec, lam, F, tol=1e-10):
     u0_0 = -(f_minus + f_plus) / (2j * k)
     du0_0 = -0.5 * (f_minus - f_plus)
 
-    if isinstance(spec, ConnectedOrigin):
-        M = spec.B
-        lhs = _origin_matching_matrix(M, k)
-        rhs = np.array(
-            [
-                (M[0, 0] - 1.0) * u0_0 + M[0, 1] * du0_0,
-                M[1, 0] * u0_0 + (M[1, 1] - 1.0) * du0_0,
-            ],
-            dtype=complex,
-        )
-        scale = max(1.0, abs(k)) ** 2 * max(1.0, float(np.max(np.abs(M))))
-        if abs(np.linalg.det(lhs)) <= tol * scale:
-            raise SpectrumPoint(f"lambda = {lam} is at or near a discrete eigenvalue")
-        rho_plus, rho_minus = np.linalg.solve(lhs, rhs)
-    else:
-        p = spec.params
-        h0, h1, th = p.h0, p.h1, p.theta
-        den_plus = 1j * k * h0 - h1 * np.exp(1j * th)
-        den_minus = -1j * k * h0 + h1 * np.exp(-1j * th)
-        scale = max(1.0, abs(k))
-        if abs(den_plus) <= tol * scale or abs(den_minus) <= tol * scale:
-            raise SpectrumPoint(f"lambda = {lam} is at or near a discrete eigenvalue")
-        rho_plus = (h1 * np.exp(1j * th) * u0_0 - h0 * du0_0) / den_plus
-        rho_minus = (-h1 * np.exp(-1j * th) * u0_0 - h0 * du0_0) / den_minus
+    # u0 is C^1 at the origin; the conditions fix (rho_-, rho_+) through the matching system
+    Q = interfaces[0][1]
+    lhs = interface_system(interfaces, k)
+    if _near_singular(lhs, Q, k, tol):
+        raise SpectrumPoint(f"lambda = {lam} is at or near a discrete eigenvalue")
+    rho_minus, rho_plus = np.linalg.solve(lhs, -Q @ np.array([u0_0, du0_0, u0_0, du0_0]))
 
     u = u0 + np.where(pos, rho_plus * np.exp(1j * k * x), rho_minus * np.exp(-1j * k * x))
     return GridFunction(F.L, F.N, u)
@@ -422,18 +394,11 @@ def scattering_coefficients(B, k):
     k = float(k)
     if not k > 0:
         raise InvalidParams(f"k must be a positive real number, got {k}")
-    ap = M[0, 0] - 1j * k * M[0, 1]   # alpha - ik beta
-    gp = M[1, 0] - 1j * k * M[1, 1]   # gamma - ik delta
-    am = M[0, 0] + 1j * k * M[0, 1]
-    gm = M[1, 0] + 1j * k * M[1, 1]
-    det = k * k * M[0, 1] + 1j * k * (M[0, 0] + M[1, 1]) - M[1, 0]  # dispersion at real k
-    scale = max(1.0, k) ** 2 * max(1.0, float(np.max(np.abs(M))))
-    if abs(det) <= 1e-12 * scale:
+    Q = connected_condition(M)
+    A = interface_system(((0.0, Q),), k)  # acts on (e^{-ikx} on x < 0, e^{ikx} on x > 0)
+    if _near_singular(A, Q, k, 1e-12):
         raise ResonantK(f"matching system singular at k = {k}")
-    # left: [[1, -ap], [ik, -gp]] (t, r)^T = (am, gm)^T
-    lhs = np.array([[1.0, -ap], [1j * k, -gp]], dtype=complex)
-    t_left, r_left = np.linalg.solve(lhs, np.array([am, gm], dtype=complex))
-    # right: [[ap, -1], [gp, -ik]] (t, r)^T = (1, -ik)^T
-    lhs = np.array([[ap, -1.0], [gp, -1j * k]], dtype=complex)
-    t_right, r_right = np.linalg.solve(lhs, np.array([1.0, -1j * k], dtype=complex))
+    # the incident wave enters the conditions through its boundary values on its own side
+    r_left, t_left = np.linalg.solve(A, -(Q[:, 2] + 1j * k * Q[:, 3]))
+    t_right, r_right = np.linalg.solve(A, -(Q[:, 0] - 1j * k * Q[:, 1]))
     return ScatteringData(complex(t_left), complex(r_left), complex(t_right), complex(r_right))

@@ -259,3 +259,31 @@ class TestEigenfunctionCommand:
         out = capsys.readouterr().out
         resid = float(out.split("\n")[1].split("=")[1])
         assert resid < 1e-8
+
+
+class TestNonFiniteInput:
+    def test_nan_scalar_field(self, tmp_path, capsys):
+        doc = {"type": "type_I", "theta": 0, "phi": float("nan"), "b": 1, "c": 0.5}
+        path = write_json(tmp_path / "m.json", doc)
+        assert "NaN" in (tmp_path / "m.json").read_text()
+        assert main(["spectrum", path]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert "'phi'" in captured.err and captured.out == ""
+
+    def test_infinity_matrix_entry(self, tmp_path, capsys):
+        doc = {"type": "connected_origin", "B": [[[1, 0], [0, 0]], [[float("inf"), 0], [1, 0]]]}
+        path = write_json(tmp_path / "m.json", doc)
+        assert "Infinity" in (tmp_path / "m.json").read_text()
+        assert main(["spectrum", path]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert "B[1][0]" in captured.err and captured.out == ""
+
+    def test_infinite_sweep_steps(self, tmp_path, capsys):
+        sweep = {
+            "model": DELTA_DOC,
+            "sweep": [{"name": "c", "min": -2.0, "max": 0.0, "steps": float("inf")}],
+            "output": str(tmp_path / "map.csv"),
+        }
+        path = write_json(tmp_path / "s.json", sweep)
+        assert main(["sweep", path]) == EXIT_PARSE
+        assert "'steps'" in capsys.readouterr().err
