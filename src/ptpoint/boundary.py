@@ -20,6 +20,7 @@ PT-invariant matrices form the three-parameter-per-phase family
 b >= 0, c >= -1/b, theta, phi in [0, 2pi).
 """
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -35,17 +36,24 @@ J_SIGN = np.diag([1.0, -1.0])
 # classification families
 TYPE_I = "type_I"
 TYPE_II = "type_II"
-FORM_C = "form_C"
-FORM_D = "form_D"
 GENERAL = "general"
 
 
 def as_matrix(B):
-    """Coerce to a 2x2 complex ndarray."""
+    """Coerce to a 2x2 complex ndarray with finite entries."""
     M = np.asarray(B, dtype=complex)
     if M.shape != (2, 2):
         raise InvalidParams(f"interface matrix must be 2x2, got shape {M.shape}")
+    if not np.isfinite(M).all():
+        raise InvalidParams("interface matrix entries must be finite")
     return M
+
+
+def _require_finite(**fields):
+    """Raise InvalidParams naming the first non-finite field."""
+    for name, value in fields.items():
+        if not math.isfinite(value):
+            raise InvalidParams(f"{name} must be finite, got {value}")
 
 
 def _scale(B):
@@ -70,6 +78,7 @@ class TypeIParams:
     c: float
 
     def __post_init__(self):
+        _require_finite(**vars(self))
         if self.b < 0:
             raise InvalidParams(f"b must be non-negative, got {self.b}")
         if 1.0 + self.b * self.c < 0:
@@ -95,6 +104,7 @@ class TypeIIParams:
     h1: float
 
     def __post_init__(self):
+        _require_finite(**vars(self))
         n = float(np.hypot(self.h0, self.h1))
         if n == 0.0:
             raise InvalidParams("(h0, h1) must not be (0, 0)")
@@ -346,6 +356,7 @@ class TwoPoint:
     B: np.ndarray
 
     def __post_init__(self):
+        _require_finite(l=self.l)
         if not self.l > 0:
             raise InvalidParams(f"l must be positive, got {self.l}")
         object.__setattr__(self, "B", require_nondegenerate(self.B))
@@ -363,6 +374,7 @@ class DeltaPair:
     l: float
 
     def __post_init__(self):
+        _require_finite(**vars(self))
         if not self.l > 0:
             raise InvalidParams(f"l must be positive, got {self.l}")
 

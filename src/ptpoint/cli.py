@@ -83,6 +83,17 @@ def _need(doc, field, kind=float):
     return x
 
 
+def _finite_float(text):
+    """argparse type for float flags: NaN and +-inf are usage errors (exit 2)."""
+    try:
+        x = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return x
+
+
 def _parse_complex(entry, field):
     if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
         raise ModelFileError(f"field {field!r}: complex entries must be [re, im] pairs")
@@ -374,12 +385,12 @@ def build_parser():
 
     p = sub.add_parser("classify", help="symmetry and family classification")
     p.add_argument("model")
-    p.add_argument("--tol", type=float, default=1e-10, help="algebraic predicate tolerance")
+    p.add_argument("--tol", type=_finite_float, default=1e-10, help="algebraic predicate tolerance")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("spectrum", help="discrete spectrum report")
     p.add_argument("model")
-    p.add_argument("--contour", type=float, nargs=4, metavar=("RE_MIN", "RE_MAX", "IM_MIN", "IM_MAX"))
+    p.add_argument("--contour", type=_finite_float, nargs=4, metavar=("RE_MIN", "RE_MAX", "IM_MIN", "IM_MAX"))
     p.add_argument("--nodes", type=int, default=64, help="contour nodes per side")
     p.add_argument("--out", help="also write eigenvalues as CSV")
     p.set_defaults(func=cmd_spectrum)
@@ -391,15 +402,15 @@ def build_parser():
 
     p = sub.add_parser("oracle", help="closed form vs finite-difference cross-check")
     p.add_argument("model")
-    p.add_argument("--L", type=float, default=12.0, help="truncation half-width")
+    p.add_argument("--L", type=_finite_float, default=12.0, help="truncation half-width")
     p.add_argument("--N", type=int, default=2400, help="grid nodes")
-    p.add_argument("--tol", type=float, default=1e-3, help="eigenvalue match tolerance")
+    p.add_argument("--tol", type=_finite_float, default=1e-3, help="eigenvalue match tolerance")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("eigenfunction", help="sample an eigenfunction to CSV")
     p.add_argument("model")
-    p.add_argument("--k", type=float, nargs=2, required=True, metavar=("RE", "IM"))
-    p.add_argument("--grid", type=float, nargs=2, default=(8.0, 801), metavar=("L", "N"))
+    p.add_argument("--k", type=_finite_float, nargs=2, required=True, metavar=("RE", "IM"))
+    p.add_argument("--grid", type=_finite_float, nargs=2, default=(8.0, 801), metavar=("L", "N"))
     p.add_argument("--out")
     p.set_defaults(func=cmd_eigenfunction)
     return ap

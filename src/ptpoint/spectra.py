@@ -23,8 +23,8 @@ in two forms that differ only in the sign s.  The "printed" relation
 (states.two_point_system_matrix), whose zeros are the eigenvalues of the
 operator the interface conditions define.  The two agree whenever delta = 0.
 
-Zeros inside a user contour are located by the argument principle
-(adaptive phase tracking along the rectangle), isolated by subdivision, and
+Zeros inside a user contour are located by the argument principle (adaptive
+phase tracking on all rectangle edges at once), isolated by subdivision, and
 refined by Newton iteration on an overflow-free rescaling of D.  Every
 two-point root is then certified against the interface system itself
 (states.two_point_kernel), independently of either relation's coefficients.
@@ -353,21 +353,6 @@ def _bracket_coeffs(B, relation=PRINTED):
     return p1, p2
 
 
-def two_point_dispersion_value(B, l, k, relation=PRINTED):
-    """Evaluate the two-point dispersion D(k); entire in k, vectorized over k.
-
-    relation="printed" evaluates the closed form as printed (k^2 term
-    |alpha|^2 - |delta|^2); relation="operator" evaluates the interface-system
-    determinant det two_point_system_matrix(B, l, k) (|alpha|^2 + |delta|^2).
-    """
-    if not l > 0:
-        raise InvalidParams(f"l must be positive, got {l}")
-    M = as_matrix(B)
-    p1, p2 = _bracket_coeffs(M, relation)
-    k = np.asarray(k, dtype=complex)
-    return np.sin(2.0 * k * l) * np.polyval(p1, k) + k * np.cos(2.0 * k * l) * np.polyval(p2, k)
-
-
 class _ScaledDispersion:
     """Overflow-free rescaling Dt(k) = e^{2ikl} D(k) and its derivative.
 
@@ -407,16 +392,21 @@ class _ScaledDispersion:
             + 0.5 * k * (1.0 + q) * dP2
         )
 
-    def axis_value(self, y):
-        """g(y) = Im Dt(iy); Dt is pure imaginary on the axis, so g is the real profile."""
-        return np.imag(self(1j * np.asarray(y, dtype=float)))
-
-    def axis_derivative(self, y):
-        """g'(y) = Re Dt'(iy)."""
-        return np.real(self.derivative(1j * np.asarray(y, dtype=float)))
-
     def identically_zero(self):
         return np.all(self.p1 == 0) and np.all(self.p2 == 0)
+
+
+def two_point_dispersion_value(B, l, k, relation=PRINTED):
+    """Evaluate the two-point dispersion D(k) = e^{-2ikl} Dt(k); entire in k, vectorized over k.
+
+    relation="printed" evaluates the closed form as printed (k^2 term
+    |alpha|^2 - |delta|^2); relation="operator" evaluates the interface-system
+    determinant det two_point_system_matrix(B, l, k) (|alpha|^2 + |delta|^2).
+    """
+    if not l > 0:
+        raise InvalidParams(f"l must be positive, got {l}")
+    k = np.asarray(k, dtype=complex)
+    return np.exp(-2j * k * l) * _ScaledDispersion(B, l, relation)(k)
 
 
 def default_contour(B, l, nodes_per_side=64, relation=PRINTED):
@@ -435,29 +425,26 @@ def default_contour(B, l, nodes_per_side=64, relation=PRINTED):
     return ContourSpec(-K, K, 1e-6, K, nodes_per_side=nodes_per_side)
 
 
-def _phase_track(f, za, zb, wa, wb, guard, max_segments=400_000):
-    """Total change of arg f along [za, zb] by adaptive segment bisection.
+def _phase_track(f, z, w, guard):
+    """Total change of arg f around the closed polygon z (w = f(z)), all edges in one array pass.
 
     Splits any segment whose endpoint phase difference exceeds pi/2 or whose
-    modulus ratio exceeds 8.  Raises ContourThroughZero when |f| falls under
-    ``guard`` at a node or a segment cannot be resolved.
+    modulus ratio exceeds 8; each keeps the floor of its edge.  Raises
+    ContourThroughZero when |f| falls under ``guard`` at a node or a segment
+    cannot be resolved.
     """
-    seg_a = np.array([za], dtype=complex)
-    seg_b = np.array([zb], dtype=complex)
-    val_a = np.array([wa], dtype=complex)
-    val_b = np.array([wb], dtype=complex)
+    seg_a, seg_b = z, np.roll(z, -1)
+    val_a, val_b = w, np.roll(w, -1)
+    floor = 1e-13 * np.maximum(np.abs(seg_b - seg_a), 1.0)
     total = 0.0
-    floor = 1e-13 * max(abs(zb - za), 1.0)
     for _ in range(80):
         dphi = np.angle(val_b * np.conj(val_a))
         ratio = np.abs(val_b) / np.abs(val_a)
         bad = (np.abs(dphi) > np.pi / 2) | (ratio > 8.0) | (ratio < 0.125)
+        total += float(np.sum(dphi[~bad]))
         if not np.any(bad):
-            total += float(np.sum(dphi))
             return total
-        good = ~bad
-        total += float(np.sum(dphi[good]))
-        seg_a, seg_b = seg_a[bad], seg_b[bad]
+        seg_a, seg_b, floor = seg_a[bad], seg_b[bad], floor[bad]
         val_a, val_b = val_a[bad], val_b[bad]
         if np.any(np.abs(seg_b - seg_a) < floor):
             raise ContourThroughZero("dispersion zero on or near the contour; perturb the rectangle")
@@ -469,39 +456,28 @@ def _phase_track(f, za, zb, wa, wb, guard, max_segments=400_000):
             )
         seg_a = np.concatenate([seg_a, mid])
         seg_b = np.concatenate([mid, seg_b])
+        floor = np.concatenate([floor, floor])
         val_a = np.concatenate([val_a, val_m])
         val_b = np.concatenate([val_m, val_b])
-        if len(seg_a) > max_segments:
+        if len(seg_a) > 400_000:  # live segments over the whole contour
             raise NoConvergence("phase tracking exceeded the segment budget")
     raise NoConvergence("phase tracking did not resolve the contour")
 
 
 def _winding_rectangle(f, re_min, re_max, im_min, im_max, nodes_per_side):
     """Number of zeros of f inside the rectangle, by the argument principle."""
-    corners = [
-        complex(re_min, im_min),
-        complex(re_max, im_min),
-        complex(re_max, im_max),
-        complex(re_min, im_max),
-    ]
-    nodes = []
-    for i in range(4):
-        a, b = corners[i], corners[(i + 1) % 4]
-        t = np.arange(nodes_per_side) / nodes_per_side
-        nodes.append(a + (b - a) * t)
-    z = np.concatenate(nodes)
+    corners = np.array(
+        [complex(re_min, im_min), complex(re_max, im_min), complex(re_max, im_max), complex(re_min, im_max)]
+    )
+    t = np.arange(nodes_per_side) / nodes_per_side
+    z = (corners[:, None] + (np.roll(corners, -1) - corners)[:, None] * t).ravel()
     w = f(z)
     guard = 1e-14 * float(np.max(np.abs(w)))
     if np.any(np.abs(w) <= guard):
         raise ContourThroughZero(
             "dispersion value below safety threshold at a contour node; perturb the rectangle"
         )
-    total = 0.0
-    n = len(z)
-    for i in range(n):
-        a, b = z[i], z[(i + 1) % n]
-        total += _phase_track(f, a, b, w[i], w[(i + 1) % n], guard)
-    winding = total / (2.0 * np.pi)
+    winding = _phase_track(f, z, w, guard) / (2.0 * np.pi)
     if abs(winding - round(winding)) > 0.25:
         raise NoConvergence(f"winding number did not stabilize (got {winding:.3f})")
     return int(round(winding))
@@ -533,12 +509,12 @@ def _axis_polish(disp, k, steps=4):
     """Real Newton on g(y) = Im Dt(iy) for near-axis roots; exact Re k = 0 on success."""
     y = k.imag
     for _ in range(steps):
-        g = float(disp.axis_value(y))
-        gp = float(disp.axis_derivative(y))
+        g = float(np.imag(disp(1j * y)))
+        gp = float(np.real(disp.derivative(1j * y)))
         if gp == 0.0:
             return k
         y = y - g / gp
-    if abs(disp.axis_value(y)) <= abs(disp(k)) + 1e-12 * abs(disp.derivative(k)) * abs(k.real):
+    if abs(np.imag(disp(1j * y))) <= abs(disp(k)) + 1e-12 * abs(disp.derivative(k)) * abs(k.real):
         return complex(0.0, y)
     return k
 
@@ -565,8 +541,8 @@ def two_point_spectrum(B, l, contour=None, relation=PRINTED):
     if disp.identically_zero():
         raise DegenerateIdenticallyZero("two-point dispersion vanishes identically")
 
-    def winding(re0, re1, im0, im1, nodes=None):
-        return _winding_rectangle(disp, re0, re1, im0, im1, nodes or contour.nodes_per_side)
+    def winding(re0, re1, im0, im1):
+        return _winding_rectangle(disp, re0, re1, im0, im1, contour.nodes_per_side)
 
     total = winding(contour.re_min, contour.re_max, contour.im_min, contour.im_max)
     roots = []

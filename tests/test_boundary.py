@@ -23,6 +23,7 @@ from ptpoint.boundary import (
     type_I_from_matrix,
 )
 from ptpoint.errors import Degenerate, InvalidParams, NotInFamily, RankDeficient
+from ptpoint.spectra import ContourSpec, discrete_spectrum_origin_connected, two_point_spectrum
 
 
 def random_type_I(rng, b_max=4.0, c_max=4.0):
@@ -264,3 +265,29 @@ class TestSpecValidation:
         for _ in range(50):
             B = matrix_from_type_I(random_type_I(rng))
             assert np.max(np.abs(pt_mirror(B) - np.linalg.inv(B))) < 1e-10
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: discrete_spectrum_origin_connected([[1, NAN], [0, 1]]),
+            lambda: ConnectedOrigin(np.array([[1, 0], [INF, 1]])),
+            lambda: TypeIParams(0, 0, NAN, 0),
+            lambda: TypeIParams(-INF, 0, 1, 0),
+            lambda: TypeIIParams(0, INF, 1),
+            lambda: TypeIIParams(NAN, 1, 0),
+            lambda: DeltaPair(NAN, 0, 1),
+            lambda: DeltaPair(0, 1, INF),
+            lambda: TwoPoint(INF, np.eye(2)),
+            lambda: TwoPoint(1.0, np.array([[1, 0], [0, NAN]])),
+            lambda: two_point_spectrum(np.array([[1, NAN], [0, 1]]), 1.0),
+            lambda: two_point_spectrum(np.array([[1, NAN], [0, 1]]), 1.0, ContourSpec(-2, 2, 1e-6, 2)),
+        ],
+    )
+    def test_rejected(self, build):
+        with pytest.raises(InvalidParams, match="finite"):
+            build()

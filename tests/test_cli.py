@@ -287,3 +287,23 @@ class TestNonFiniteInput:
         path = write_json(tmp_path / "s.json", sweep)
         assert main(["sweep", path]) == EXIT_PARSE
         assert "'steps'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eigenfunction", "{model}", "--k", "0", "1", "--grid", "8", "nan"],
+            ["eigenfunction", "{model}", "--k", "0", "1", "--grid", "inf", "5"],
+            ["classify", "{model}", "--tol", "nan"],
+            ["oracle", "{model}", "--tol", "nan"],
+            ["eigenfunction", "{model}", "--k", "nan", "2"],
+            ["oracle", "{model}", "--L=-inf"],
+            ["spectrum", "{model}", "--contour", "-5", "5", "1e-6", "inf"],
+        ],
+    )
+    def test_non_finite_float_flag(self, tmp_path, capsys, argv):
+        path = write_json(tmp_path / "m.json", DELTA_DOC)
+        with pytest.raises(SystemExit) as exc:
+            main([path if a == "{model}" else a for a in argv])
+        assert exc.value.code == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert "finite" in captured.err and captured.out == ""

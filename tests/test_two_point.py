@@ -12,6 +12,7 @@ from ptpoint.finitediff import OracleConfig, oracle_discrete_spectrum
 from ptpoint.spectra import (
     ContourSpec,
     NEGATIVE_REAL,
+    _winding_rectangle,
     default_contour,
     delta_pair_matrix,
     two_point_dispersion_value,
@@ -43,6 +44,45 @@ def _bisect(f, lo, hi):
         else:
             lo = mid
     return 0.5 * (lo + hi)
+
+
+def _with_zeros(*zeros):
+    """Vectorized monic polynomial with exactly the given zeros (repeat for order)."""
+
+    def f(z):
+        out = np.ones_like(np.asarray(z, dtype=complex))
+        for r in zeros:
+            out = out * (z - r)
+        return out
+
+    return f
+
+
+class TestWindingCount:
+    """The argument-principle counter on polynomials with known zeros.
+
+    Rectangle [-1, 1] x [0.1, 1] with 64 nodes per side.
+    """
+
+    RECT = (-1.0, 1.0, 0.1, 1.0, 64)
+
+    @pytest.mark.parametrize(
+        "zeros, count",
+        [
+            ((2.0 + 0.5j, -0.5 - 0.2j, 0.3 + 1.5j), 0),
+            ((0.2 + 0.5j, 0.2 + 0.5j, -0.4 + 0.3j, 3.0j), 3),  # double zero
+            ((0.3 + 0.101j,), 1),  # 1e-3 inside the bottom edge
+            ((0.3 + 0.099j,), 0),  # 1e-3 outside it
+            ((0.999 + 0.6j, -0.7 + 0.999j, 0.5j), 3),  # 1e-3 inside the right and top edges
+            (tuple(0.5j + 0.3 * np.exp(2j * np.pi * np.arange(12) / 12)), 12),
+        ],
+    )
+    def test_known_count(self, zeros, count):
+        assert _winding_rectangle(_with_zeros(*zeros), *self.RECT) == count
+
+    def test_zero_at_corner_is_a_node(self):
+        with pytest.raises(ContourThroughZero, match="contour node"):
+            _winding_rectangle(_with_zeros(-1.0 + 0.1j, 0.5j), *self.RECT)
 
 
 class TestDispersionValue:
