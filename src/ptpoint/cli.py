@@ -169,30 +169,28 @@ def model_to_dict(spec):
     raise InvalidParams(f"cannot serialize {type(spec).__name__}")
 
 
-def load_model(path, variant="default"):
+def _read_json(path, what):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
-        raise ModelFileError(f"cannot read model file: {exc}")
+        raise ModelFileError(f"cannot read {what} file: {exc}")
     except json.JSONDecodeError as exc:
-        raise ModelFileError(f"model file is not valid JSON: {exc}")
-    return model_from_dict(doc, variant=variant)
+        raise ModelFileError(f"{what} file is not valid JSON: {exc}")
 
 
-def _doc_from_path(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+def load_model(path, variant="default"):
+    return model_from_dict(_read_json(path, "model"), variant=variant)
 
 
-def _spectrum_for(spec, contour=None, nodes=None):
+def _spectrum_for(spec, contour=None, nodes=64):
     if isinstance(spec, ConnectedOrigin):
         return spectra.discrete_spectrum_origin_connected(spec.B)
     if isinstance(spec, SeparatedOrigin):
         return spectra.discrete_spectrum_separated(spec.params)
     B, l = spec.B, spec.l
     if contour is None:
-        contour = spectra.default_contour(B, l, nodes_per_side=nodes or 64)
+        contour = spectra.default_contour(B, l, nodes_per_side=nodes)
     return spectra.two_point_spectrum(B, l, contour)
 
 
@@ -253,7 +251,7 @@ def cmd_spectrum(args):
 
 
 def cmd_sweep(args):
-    doc = _doc_from_path(args.sweep)
+    doc = _read_json(args.sweep, "sweep")
     if not isinstance(doc, dict):
         raise ModelFileError("sweep document must be a JSON object")
     model_doc = doc.get("model")
@@ -267,6 +265,8 @@ def cmd_sweep(args):
         raise ModelFileError("missing field 'output' (or pass --out)")
     grids = []
     for ax in axes:
+        if not isinstance(ax, dict):
+            raise ModelFileError(f"field 'sweep': each parameter range must be an object, got {ax!r}")
         name = ax.get("name")
         if not isinstance(name, str):
             raise ModelFileError("sweep axis: missing 'name'")
@@ -340,6 +340,9 @@ def cmd_oracle(args):
 
 
 def cmd_eigenfunction(args):
+    L, N = args.grid
+    if not (N >= 2 and N == int(N)):
+        raise InvalidParams(f"--grid: N must be an integer >= 2, got {N:g}")
     spec = load_model(args.model, variant=args.variant)
     k = complex(args.k[0], args.k[1])
     if isinstance(spec, SeparatedOrigin):
@@ -351,7 +354,6 @@ def cmd_eigenfunction(args):
         psi = states.eigenfunction_two_point(spec.B, spec.l, k)
         resid = states.interface_residual(psi, spec.B, spec.l)
     defect = states.pt_symmetry_defect(psi)
-    L, N = args.grid
     x = np.linspace(-L, L, int(N))
     vals = psi(x)
     lines = [

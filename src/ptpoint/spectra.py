@@ -19,9 +19,10 @@ two-point model at +-l has the transcendental relation
 
 in two forms that differ only in the sign s.  The "printed" relation
 (s = -1, the default) is the closed form as the source prints it; the
-"operator" relation (s = +1) is the determinant of the 4x4 interface system
-(states.two_point_system_matrix), whose zeros are the eigenvalues of the
-operator the interface conditions define.  The two agree whenever delta = 0.
+"operator" relation (s = +1) is the interface-system determinant,
+det states.interface_system(two_point_interfaces(B, l), k) = -2i e^{2ikl} D(k),
+whose zeros are the eigenvalues of the operator the interface conditions
+define.  The two agree whenever delta = 0.
 
 Zeros inside a user contour are located by the argument principle (adaptive
 phase tracking on all rectangle edges at once), isolated by subdivision, and
@@ -62,6 +63,10 @@ REALNESS_TOL = 1e-10
 PRINTED = "printed"
 OPERATOR = "operator"
 RELATIONS = (PRINTED, OPERATOR)
+
+# Newton refinement of a zero: relative step that ends it, and its iteration cap
+NEWTON_TOL = 1e-12
+MAX_NEWTON_ITER = 60
 
 
 @dataclass(frozen=True)
@@ -116,8 +121,6 @@ class ContourSpec:
     im_min: float
     im_max: float
     nodes_per_side: int = 64
-    newton_tol: float = 1e-12
-    max_newton_iter: int = 60
 
     def __post_init__(self):
         if not (self.im_min > 0):
@@ -361,21 +364,25 @@ class _ScaledDispersion:
         Dt  = -(i/2)(q-1) P1 + (k/2)(1+q) P2
         Dt' = 2 l q P1 - (i/2)(q-1) P1' + (1/2)(1+q) P2 + 2 i l k q P2 + (k/2)(1+q) P2'
 
-    Same zeros as D in the open upper half-plane.
+    Same zeros as D in the open upper half-plane.  Below the real axis q
+    overflows; mirrored=True evaluates e^{-4ikl} Dt with q' = e^{-4ikl} instead.
     """
 
     def __init__(self, B, l, relation=PRINTED):
+        if not (math.isfinite(l) and l > 0):
+            raise InvalidParams(f"l must be finite and positive, got {l}")
         self.l = float(l)
         self.p1, self.p2 = _bracket_coeffs(as_matrix(B), relation)
         self.dp1 = np.polyder(self.p1)
         self.dp2 = np.polyder(self.p2)
 
-    def __call__(self, k):
+    def __call__(self, k, mirrored=False):
         k = np.asarray(k, dtype=complex)
-        q = np.exp(4j * k * self.l)
+        s = -1 if mirrored else 1
+        q = np.exp(s * 4j * k * self.l)
         P1 = np.polyval(self.p1, k)
         P2 = np.polyval(self.p2, k)
-        return -0.5j * (q - 1.0) * P1 + 0.5 * k * (1.0 + q) * P2
+        return -s * 0.5j * (q - 1.0) * P1 + 0.5 * k * (1.0 + q) * P2
 
     def derivative(self, k):
         k = np.asarray(k, dtype=complex)
@@ -400,13 +407,16 @@ def two_point_dispersion_value(B, l, k, relation=PRINTED):
     """Evaluate the two-point dispersion D(k) = e^{-2ikl} Dt(k); entire in k, vectorized over k.
 
     relation="printed" evaluates the closed form as printed (k^2 term
-    |alpha|^2 - |delta|^2); relation="operator" evaluates the interface-system
-    determinant det two_point_system_matrix(B, l, k) (|alpha|^2 + |delta|^2).
+    |alpha|^2 - |delta|^2); relation="operator" the interface-system
+    determinant (|alpha|^2 + |delta|^2).  Below the axis D = e^{2ikl} (e^{-4ikl} Dt).
     """
-    if not l > 0:
-        raise InvalidParams(f"l must be positive, got {l}")
+    disp = _ScaledDispersion(B, l, relation)
     k = np.asarray(k, dtype=complex)
-    return np.exp(-2j * k * l) * _ScaledDispersion(B, l, relation)(k)
+    out = np.empty(k.shape, dtype=complex)
+    upper = k.imag >= 0
+    out[upper] = np.exp(-2j * k[upper] * l) * disp(k[upper])
+    out[~upper] = np.exp(2j * k[~upper] * l) * disp(k[~upper], mirrored=True)
+    return out[()]
 
 
 def default_contour(B, l, nodes_per_side=64, relation=PRINTED):
@@ -483,19 +493,18 @@ def _winding_rectangle(f, re_min, re_max, im_min, im_max, nodes_per_side):
     return int(round(winding))
 
 
-def _newton_refine(disp, k0, multiplicity, contour):
+def _newton_refine(disp, k0, multiplicity):
     """Multiplicity-aware Newton iteration on the rescaled dispersion."""
     k = complex(k0)
     m = max(1, multiplicity)
-    tol = contour.newton_tol
-    for it in range(contour.max_newton_iter):
+    for it in range(MAX_NEWTON_ITER):
         d = complex(disp(k))
         dp = complex(disp.derivative(k))
         if dp == 0:
             raise NoConvergence("vanishing dispersion derivative during Newton refinement")
         step = m * d / dp
         k -= step
-        if abs(step) <= tol * max(1.0, abs(k)):
+        if abs(step) <= NEWTON_TOL * max(1.0, abs(k)):
             for _ in range(2):  # polish to machine accuracy
                 dp = complex(disp.derivative(k))
                 if dp == 0:
@@ -557,7 +566,7 @@ def two_point_spectrum(B, l, contour=None, relation=PRINTED):
             center = complex(0.5 * (re0 + re1), 0.5 * (im0 + im1))
             tiny = max(re1 - re0, im1 - im0) < iso_floor
             if w == 1 or tiny:
-                k = _newton_refine(disp, center, w, contour)
+                k = _newton_refine(disp, center, w)
                 pad = 1e-7 * max(re1 - re0, im1 - im0)
                 inside = re0 - pad <= k.real <= re1 + pad and im0 - pad <= k.imag <= im1 + pad
                 if tiny or inside:

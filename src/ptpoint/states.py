@@ -1,5 +1,10 @@
 """Eigenfunctions, resolvent application, symmetry checks, and scattering.
 
+Every solution here is read off a model's matching system (interface_system)
+through the kernel test (_kernel: is the system singular at k, and its kernel
+vector) and the map (_ansatz) from a coefficient vector of the system's Ansatz
+to a PiecewiseExp; the map and the system share one piece layout.
+
 Eigenfunctions and generalized solutions are exact piecewise-exponential
 objects (PiecewiseExp); sampled functions live on staggered symmetric grids
 (GridFunction) with nodes x_j = -L + (j + 1/2) h, h = 2L/N, so that x = 0 and
@@ -137,6 +142,15 @@ class ScatteringData:
     r_right: complex
 
 
+def _ansatz_layout(positions):
+    """(column, sign, anchor) of each term e^{sign ik (x - anchor)} of the Ansatz, piece by piece."""
+    n = len(positions)
+    pieces = [[(0, -1, positions[0])]]
+    pieces += [[(2 * j - 1, 1, positions[j - 1]), (2 * j, -1, positions[j])] for j in range(1, n)]
+    pieces += [[(2 * n - 1, 1, positions[-1])]]
+    return pieces
+
+
 def interface_system(interfaces, k):
     """Matching system of the interface conditions at wave number k.
 
@@ -149,17 +163,12 @@ def interface_system(interfaces, k):
     two rows of each Q, interface by interface.  Each exponential has modulus
     <= 1 on its piece when Im k >= 0, so no entry grows like e^{Im(k) (s_n - s_1)}.
     """
-    n = len(interfaces)
-    pos = [s for s, _ in interfaces]
-    # (column, sign, anchor) of each term e^{sign ik (x - anchor)}, piece by piece
-    pieces = [[(0, -1, pos[0])]]
-    pieces += [[(2 * j - 1, 1, pos[j - 1]), (2 * j, -1, pos[j])] for j in range(1, n)]
-    pieces += [[(2 * n - 1, 1, pos[-1])]]
+    pieces = _ansatz_layout([s for s, _ in interfaces])
     ik = 1j * k
     rows = []
     for j, (s, Q) in enumerate(interfaces):
         # boundary values (psi+, psi'+, psi-, psi'-) at s of every term: psi+ from the piece on the right
-        V = np.zeros((4, 2 * n), dtype=complex)
+        V = np.zeros((4, 2 * len(interfaces)), dtype=complex)
         for side, piece in ((0, pieces[j + 1]), (2, pieces[j])):
             for col, sign, anchor in piece:
                 e = cmath.exp(sign * ik * (s - anchor))
@@ -168,13 +177,58 @@ def interface_system(interfaces, k):
     return np.vstack(rows)
 
 
-def _near_singular(A, Q, k, tol):
-    """|det A| of a one-interface system at or below tol, relative to its growth in k."""
-    scale = max(1.0, abs(k)) ** 2 * max(1.0, float(np.max(np.abs(Q))))
-    return abs(np.linalg.det(A)) <= tol * scale
+def _ansatz(interfaces, k, coeffs):
+    """The interface_system Ansatz with coefficient vector coeffs, as a PiecewiseExp."""
+    pos = [s for s, _ in interfaces]
+    ik = 1j * k
+    ends = [-np.inf] + pos + [np.inf]
+    return PiecewiseExp(
+        tuple(
+            (lo, hi, tuple((coeffs[col] * np.exp(-sign * ik * anchor), sign * ik) for col, sign, anchor in piece))
+            for lo, hi, piece in zip(ends, ends[1:], _ansatz_layout(pos))
+        )
+    )
 
 
-def eigenfunction_origin(B, k, tol=1e-10):
+# relative smallest singular value of the row-normalized interface system at
+# or below which the system counts as singular
+KERNEL_TOL = 1e-8
+
+
+def _kernel(interfaces, k):
+    """Relative smallest singular value of the matching system with unit rows, and its kernel.
+
+    With unit rows the value is O(1) away from eigenvalues whatever Im k, and
+    <= KERNEL_TOL at an eigenvalue of the operator the interface conditions
+    define.  A row whose norm falls to KERNEL_TOL of its condition's size
+    |Q (1, |k|, 1, |k|)| counts as a zero row: a separated condition acts on
+    one piece per row, and that row vanishes at its half-line's eigenvalue.
+    A connected row [I | -B] keeps an entry 1 or ik that nothing cancels.
+    Returns (ratio, coefficient vector of the interface_system Ansatz).
+    """
+    A = interface_system(interfaces, k)
+    norm = np.linalg.norm(A, axis=1, keepdims=True)
+    weight = np.array([1.0, abs(k), 1.0, abs(k)])
+    size = np.linalg.norm(np.vstack([Q for _, Q in interfaces]) * weight, axis=1, keepdims=True)
+    norm[norm <= KERNEL_TOL * size] = np.inf
+    _, sv, vh = np.linalg.svd(A / norm)
+    return (float(sv[-1] / sv[0]) if sv[0] > 0 else 0.0), np.conj(vh[-1])
+
+
+def _eigen_kernel(interfaces, k, tol):
+    """Kernel vector of the matching system at k, or NotAnEigenvalue."""
+    if k.imag <= 0:
+        raise NotAnEigenvalue(f"Im k must be positive, got k = {k}")
+    ratio, cvec = _kernel(interfaces, k)
+    if ratio > tol:
+        raise NotAnEigenvalue(
+            f"interface system has trivial kernel at k = {k} "
+            f"(relative smallest singular value {ratio:.2e})"
+        )
+    return cvec
+
+
+def eigenfunction_origin(B, k, tol=KERNEL_TOL):
     """Bound/decaying eigenfunction of a connected-origin model at wave number k.
 
     psi(x) = e^{-ikx} for x < 0 and (alpha - ik beta) e^{ikx} for x > 0; valid
@@ -182,62 +236,14 @@ def eigenfunction_origin(B, k, tol=1e-10):
     """
     M = require_nondegenerate(B)
     k = complex(k)
-    if k.imag <= 0:
-        raise NotAnEigenvalue(f"Im k must be positive, got k = {k}")
-    Q = connected_condition(M)
-    A = interface_system(((0.0, Q),), k)  # det A = -(k^2 beta + ik(alpha + delta) - gamma)
-    if not _near_singular(A, Q, k, tol):
-        raise NotAnEigenvalue(
-            f"k = {k} does not solve the dispersion relation (|D| = {abs(np.linalg.det(A)):.2e})"
-        )
-    c2 = M[0, 0] - 1j * k * M[0, 1]
-    return PiecewiseExp(
-        (
-            (-np.inf, 0.0, ((1.0, -1j * k),)),
-            (0.0, np.inf, ((c2, 1j * k),)),
-        )
-    )
-
-
-# relative smallest singular value of the row-normalized two-point interface
-# system at or below which the system counts as singular
-KERNEL_TOL = 1e-8
-
-
-def two_point_system_matrix(B, l, k):
-    """The 4x4 linear system on the piece coefficients (c1..c4) of the two-point model.
-
-    Rows encode the interface conditions at -l (mirror of B) and at +l (B)
-    against the Ansatz c1 e^{-ik(x+l)} | c2 cos k(x+l) + c3 sin k(x+l) |
-    c4 e^{ik(x-l)}.  Its determinant is the operator dispersion relation.
-    """
-    q = np.exp(2j * k * l)
-    # c2 cos k(x+l) + c3 sin k(x+l) = a e^{ik(x+l)} + b e^{-ik(x-l)}
-    to_bounded = np.array(
-        [
-            [1.0, 0.0, 0.0, 0.0],
-            [0.0, 0.5, -0.5j, 0.0],
-            [0.0, 0.5 / q, 0.5j / q, 0.0],
-            [0.0, 0.0, 0.0, 1.0],
-        ],
-        dtype=complex,
-    )
-    return interface_system(two_point_interfaces(B, l), k) @ to_bounded
+    interfaces = ((0.0, connected_condition(M)),)
+    _eigen_kernel(interfaces, k, tol)
+    return _ansatz(interfaces, k, (1.0, M[0, 0] - 1j * k * M[0, 1]))
 
 
 def two_point_kernel(B, l, k):
-    """Relative smallest singular value of the two-point interface system, and its kernel.
-
-    The system is taken in the bounded basis with unit rows, so the value is
-    O(1) away from eigenvalues whatever Im k, and <= KERNEL_TOL at an
-    eigenvalue of the operator the interface conditions define.  Returns
-    (ratio, (c1, a, b, c4)) with the coefficients of the interface_system
-    Ansatz for the smallest singular value.
-    """
-    A = interface_system(two_point_interfaces(B, l), k)
-    A = A / np.linalg.norm(A, axis=1, keepdims=True)
-    _, sv, vh = np.linalg.svd(A)
-    return float(sv[-1] / sv[0]), np.conj(vh[-1])
+    """The kernel test of B at +l and its mirror at -l: (ratio, (c1, a, b, c4))."""
+    return _kernel(two_point_interfaces(B, l), k)
 
 
 def eigenfunction_two_point(B, l, k, tol=KERNEL_TOL):
@@ -251,30 +257,17 @@ def eigenfunction_two_point(B, l, k, tol=KERNEL_TOL):
     """
     require_nondegenerate(B)
     k = complex(k)
-    if k.imag <= 0:
-        raise NotAnEigenvalue(f"Im k must be positive, got k = {k}")
     if not l > 0:
         raise InvalidParams(f"l must be positive, got {l}")
-    ratio, cvec = two_point_kernel(B, l, k)
-    if ratio > tol:
-        raise NotAnEigenvalue(
-            f"two-point interface system has trivial kernel at k = {k} "
-            f"(relative smallest singular value {ratio:.2e})"
-        )
+    interfaces = two_point_interfaces(B, l)
+    cvec = _eigen_kernel(interfaces, k, tol)
     if abs(cvec[0]) > 1e-8 * np.max(np.abs(cvec)):
         cvec = cvec / cvec[0]
-    elif abs(cvec[3]) > 1e-8 * np.max(np.abs(cvec)):
-        cvec = cvec / cvec[3]
+    elif abs(cvec[-1]) > 1e-8 * np.max(np.abs(cvec)):
+        cvec = cvec / cvec[-1]
     else:
         cvec = cvec / cvec[np.argmax(np.abs(cvec))]
-    c1, a, b, c4 = cvec
-    return PiecewiseExp(
-        (
-            (-np.inf, -l, ((c1 * np.exp(-1j * k * l), -1j * k),)),
-            (-l, l, ((a * np.exp(1j * k * l), 1j * k), (b * np.exp(1j * k * l), -1j * k))),
-            (l, np.inf, ((c4 * np.exp(-1j * k * l), 1j * k),)),
-        )
-    )
+    return _ansatz(interfaces, k, cvec)
 
 
 def interface_residual(psi, B, l=None):
@@ -304,41 +297,31 @@ def _sqrt_upper(lam):
     return complex(k)
 
 
-def apply_resolvent(spec, lam, F, tol=1e-10):
-    """Apply the resolvent of an origin model to a sampled right-hand side.
+def apply_resolvent(spec, lam, F, tol=KERNEL_TOL):
+    """Apply the resolvent of a model to a sampled right-hand side.
 
-    U(x) = -int e^{ik|x-y|}/(2ik) F(y) dy + rho_+ e^{ikx} 1_{x>0} + rho_- e^{-ikx} 1_{x<0},
-    with rho_+- solved from the interface conditions; k = sqrt(lam), Im k > 0.
-    Quadratures use the midpoint rule on the staggered grid (O(h^2)).
+    U = u0 + psi: u0(x) = -int e^{ik|x-y|}/(2ik) F(y) dy is the outgoing free
+    convolution, C^1 everywhere, and psi is the interface_system Ansatz whose
+    coefficients make u0 + psi satisfy every interface condition; k = sqrt(lam),
+    Im k > 0.  Quadratures use the midpoint rule on the staggered grid (O(h^2)).
     """
-    interfaces = spec.interfaces()
-    if [s for s, _ in interfaces] != [0.0]:
-        raise InvalidParams("resolvent application supports origin models only")
     if not isinstance(F, GridFunction):
         raise InvalidParams("F must be a GridFunction")
+    interfaces = spec.interfaces()
     k = _sqrt_upper(lam)
-    x = F.nodes
-    h = F.h
-    f = F.values
+    x, h, f = F.nodes, F.h, F.values
+    u0 = h * (-np.exp(1j * k * np.abs(x[:, None] - x[None, :])) / (2j * k) @ f)
 
-    # convolution with the outgoing Green kernel -e^{ik|x-y|}/(2ik), and its boundary data
-    kernel = -np.exp(1j * k * np.abs(x[:, None] - x[None, :])) / (2j * k)
-    u0 = h * (kernel @ f)
-    pos = x > 0
-    f_plus = h * np.sum(np.exp(1j * k * x[pos]) * f[pos])
-    f_minus = h * np.sum(np.exp(-1j * k * x[~pos]) * f[~pos])
-    u0_0 = -(f_minus + f_plus) / (2j * k)
-    du0_0 = -0.5 * (f_minus - f_plus)
-
-    # u0 is C^1 at the origin; the conditions fix (rho_-, rho_+) through the matching system
-    Q = interfaces[0][1]
-    lhs = interface_system(interfaces, k)
-    if _near_singular(lhs, Q, k, tol):
+    # u0 and u0' at each interface, the same from both sides, enter the conditions as data
+    data = []
+    for s, Q in interfaces:
+        w = h * np.exp(1j * k * np.abs(s - x)) * f
+        u, du = -np.sum(w) / (2j * k), -0.5 * np.sum(np.sign(s - x) * w)
+        data.append(-Q @ np.array([u, du, u, du]))
+    if _kernel(interfaces, k)[0] <= tol:
         raise SpectrumPoint(f"lambda = {lam} is at or near a discrete eigenvalue")
-    rho_minus, rho_plus = np.linalg.solve(lhs, -Q @ np.array([u0_0, du0_0, u0_0, du0_0]))
-
-    u = u0 + np.where(pos, rho_plus * np.exp(1j * k * x), rho_minus * np.exp(-1j * k * x))
-    return GridFunction(F.L, F.N, u)
+    coeffs = np.linalg.solve(interface_system(interfaces, k), np.concatenate(data))
+    return GridFunction(F.L, F.N, u0 + _ansatz(interfaces, k, coeffs)(x))
 
 
 def pt_apply(f):
@@ -395,9 +378,10 @@ def scattering_coefficients(B, k):
     if not k > 0:
         raise InvalidParams(f"k must be a positive real number, got {k}")
     Q = connected_condition(M)
-    A = interface_system(((0.0, Q),), k)  # acts on (e^{-ikx} on x < 0, e^{ikx} on x > 0)
-    if _near_singular(A, Q, k, 1e-12):
+    interfaces = ((0.0, Q),)
+    if _kernel(interfaces, k)[0] <= KERNEL_TOL:
         raise ResonantK(f"matching system singular at k = {k}")
+    A = interface_system(interfaces, k)  # acts on (e^{-ikx} on x < 0, e^{ikx} on x > 0)
     # the incident wave enters the conditions through its boundary values on its own side
     r_left, t_left = np.linalg.solve(A, -(Q[:, 2] + 1j * k * Q[:, 3]))
     t_right, r_right = np.linalg.solve(A, -(Q[:, 0] - 1j * k * Q[:, 1]))

@@ -307,3 +307,35 @@ class TestNonFiniteInput:
         assert exc.value.code == EXIT_PARSE
         captured = capsys.readouterr()
         assert "finite" in captured.err and captured.out == ""
+
+
+class TestInvalidInput:
+    def test_sweep_missing_file(self, tmp_path, capsys):
+        assert main(["sweep", str(tmp_path / "absent.json")]) == EXIT_PARSE
+        assert "cannot read sweep file" in capsys.readouterr().err
+
+    def test_sweep_invalid_json(self, tmp_path, capsys):
+        path = tmp_path / "s.json"
+        path.write_text("{not json", encoding="utf-8")
+        assert main(["sweep", str(path)]) == EXIT_PARSE
+        assert "sweep file is not valid JSON" in capsys.readouterr().err
+
+    def test_sweep_axis_not_an_object(self, tmp_path, capsys):
+        sweep = {"model": DELTA_DOC, "sweep": [5], "output": str(tmp_path / "map.csv")}
+        assert main(["sweep", write_json(tmp_path / "s.json", sweep)]) == EXIT_PARSE
+        assert "'sweep'" in capsys.readouterr().err
+        assert not (tmp_path / "map.csv").exists()
+
+    @pytest.mark.parametrize("n", ["-5", "0", "1", "2.5"])
+    def test_eigenfunction_grid_count(self, tmp_path, capsys, n):
+        path = write_json(tmp_path / "m.json", DELTA_DOC)
+        out = tmp_path / "psi.csv"
+        argv = ["eigenfunction", path, "--k", "0", "1", "--grid", "8", n, "--out", str(out)]
+        assert main(argv) == EXIT_PARSE
+        assert "--grid" in capsys.readouterr().err and not out.exists()
+
+    def test_spectrum_zero_nodes_on_two_point_model(self, tmp_path, capsys):
+        path = write_json(tmp_path / "m.json", DP2_DOC)
+        assert main(["spectrum", path, "--nodes", "0"]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert "nodes_per_side" in captured.err and captured.out == ""

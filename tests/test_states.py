@@ -3,7 +3,9 @@ import pytest
 
 from ptpoint.boundary import (
     ConnectedOrigin,
+    DeltaPair,
     SeparatedOrigin,
+    TwoPoint,
     TypeIIParams,
     TypeIParams,
     matrix_from_type_I,
@@ -174,6 +176,37 @@ class TestResolvent:
         val0 = (15 * U.values[n] - 10 * U.values[n + 1] + 3 * U.values[n + 2]) / 8
         assert abs(val0) < 1e-3 * np.max(np.abs(U.values))
         assert oracle_resolvent_residual(spec, 1 + 1j, U, F) < 5e-3
+
+    @pytest.mark.parametrize(
+        "spec",
+        [DeltaPair(-2, 0.5, 1), TwoPoint(1.0, matrix_from_type_I(TypeIParams(0, 2.8, 1, -0.5)))],
+        ids=["delta_pair", "type_I"],
+    )
+    def test_two_point_resolvent_second_order(self, spec):
+        # the interior residual and both interface conditions, read off U by the
+        # one-sided quadratic extrapolation of test_boundary_conditions_hold, fall like h^2
+        residuals, conditions = [], []
+        for N in (600, 1200, 2400):
+            F = GridFunction.sample(lambda x: np.exp(-(x**2)), 12.0, N)
+            U = apply_resolvent(spec, 1 + 1j, F)
+            residuals.append(oracle_resolvent_residual(spec, 1 + 1j, U, F))
+            h, vals = U.h, U.values
+            worst = []
+            for s, Q in spec.interfaces():
+                n = int(round((s + U.L) / h))  # x_n = s + h/2
+                m1, m2, m3 = vals[n - 1], vals[n - 2], vals[n - 3]
+                p1, p2, p3 = vals[n], vals[n + 1], vals[n + 2]
+                w = np.array([
+                    (15 * p1 - 10 * p2 + 3 * p3) / 8, -(2 * p1 - 3 * p2 + p3) / h,
+                    (15 * m1 - 10 * m2 + 3 * m3) / 8, (2 * m1 - 3 * m2 + m3) / h,
+                ])
+                worst.append(np.max(np.abs(Q @ w)) / np.max(np.abs(w)))
+            conditions.append(worst)
+        for a, b in zip(residuals, residuals[1:]):
+            assert 3.5 < a / b < 4.5
+        for a, b in zip(conditions, conditions[1:]):
+            assert all(3 < x / y < 5 for x, y in zip(a, b))
+        assert max(conditions[-1]) < 5e-4
 
 
 class TestPTApply:

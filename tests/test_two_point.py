@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ptpoint.boundary import TwoPoint, is_selfadjoint_connected
+from ptpoint.boundary import TwoPoint, is_selfadjoint_connected, two_point_interfaces
 from ptpoint.errors import (
     ContourThroughZero,
     DegenerateIdenticallyZero,
@@ -21,9 +21,10 @@ from ptpoint.spectra import (
 from ptpoint.states import (
     eigenfunction_two_point,
     interface_residual,
+    interface_system,
     pt_apply,
     pt_symmetry_defect,
-    two_point_system_matrix,
+    two_point_kernel,
 )
 
 # fixtures with vanishing lower-right entry: for these the closed-form
@@ -113,6 +114,39 @@ class TestDispersionValue:
         vals = two_point_dispersion_value(REAL_PAIR_MODEL, 1.0, ks)
         singles = [two_point_dispersion_value(REAL_PAIR_MODEL, 1.0, k) for k in ks]
         assert np.allclose(vals, singles)
+
+    @pytest.mark.parametrize("relation", ["printed", "operator"])
+    def test_deep_lower_half_plane(self, relation):
+        # the direct sin/cos form is finite at Im(k) l = -200 and -300; the
+        # upper-half-plane rescaling would overflow there
+        B = np.array([[1, 0.5], [0.2, 1.1]], dtype=complex)
+        a, b, g, d = B[0, 0], B[0, 1], B[1, 0], B[1, 1]
+        s = -1.0 if relation == "printed" else 1.0
+        for k in (-200j, -300j, 1.5 - 250j):
+            P1 = (-k**4 * abs(b) ** 2 - 1j * k**3 * (b * np.conj(d) + np.conj(b) * d)
+                  + k**2 * (abs(a) ** 2 + s * abs(d) ** 2) + 1j * k * (a * np.conj(g) + np.conj(a) * g)
+                  - abs(g) ** 2)
+            P2 = (k**2 * (a * np.conj(b) + np.conj(a) * b)
+                  + 1j * k * (a * np.conj(d) + np.conj(a) * d + b * np.conj(g) + np.conj(b) * g)
+                  - (g * np.conj(d) + np.conj(g) * d))
+            expect = np.sin(2 * k) * P1 + k * np.cos(2 * k) * P2
+            got = two_point_dispersion_value(B, 1.0, k, relation=relation)
+            assert np.isfinite(got) and abs(got - expect) < 1e-12 * abs(expect)
+
+    def test_mixed_half_planes_vectorized(self):
+        ks = np.array([[1.0 + 2.0j, -1.0 - 200.0j], [3.0, 0.5 - 0.1j]])
+        vals = two_point_dispersion_value(REAL_PAIR_MODEL, 1.0, ks)
+        singles = [[two_point_dispersion_value(REAL_PAIR_MODEL, 1.0, k) for k in row] for row in ks]
+        assert vals.shape == (2, 2) and np.allclose(vals, singles, rtol=1e-14)
+
+    @pytest.mark.parametrize("l", [0.0, -1.0, np.nan, np.inf])
+    def test_invalid_length(self, l):
+        with pytest.raises(InvalidParams):
+            two_point_dispersion_value(REAL_PAIR_MODEL, l, 1j)
+        with pytest.raises(InvalidParams):
+            two_point_spectrum(REAL_PAIR_MODEL, l)
+        with pytest.raises(InvalidParams):
+            two_point_spectrum(REAL_PAIR_MODEL, l, ContourSpec(-2.0, 2.0, 1e-6, 2.0))
 
 
 class TestDeltaPairMatrix:
@@ -217,8 +251,9 @@ class TestInterfaceSystem:
             if abs(np.linalg.det(B)) < 0.1:
                 continue
             k = rng.normal() + 1j * rng.normal()
-            det = np.linalg.det(two_point_system_matrix(B, 1.0, k))
-            disp = two_point_dispersion_value(B, 1.0, k)
+            # det = -2i Dt(k), Dt = e^{2ikl} D(k) the rescaled dispersion
+            det = np.linalg.det(interface_system(two_point_interfaces(B, 1.0), k))
+            disp = -2j * np.exp(2j * k) * two_point_dispersion_value(B, 1.0, k)
             assert abs(det - disp) < 1e-10 * max(1.0, abs(det))
 
     def test_determinant_matches_operator_relation(self):
@@ -228,8 +263,8 @@ class TestInterfaceSystem:
             assert abs(B[1, 1]) > 0
             k = rng.normal() + 1j * rng.normal()
             l = rng.uniform(0.3, 2.0)
-            det = np.linalg.det(two_point_system_matrix(B, l, k))
-            disp = two_point_dispersion_value(B, l, k, relation="operator")
+            det = np.linalg.det(interface_system(two_point_interfaces(B, l), k))
+            disp = -2j * np.exp(2j * k * l) * two_point_dispersion_value(B, l, k, relation="operator")
             assert abs(det - disp) < 1e-10 * max(1.0, abs(det))
 
     def test_unknown_relation(self):
@@ -274,8 +309,8 @@ class TestInterfaceSystem:
         # when the lower-right entry is nonzero
         B = delta_pair_matrix(0, 2)
         assert abs(two_point_dispersion_value(B, 1.0, 1j)) < 1e-14
-        sv = np.linalg.svd(two_point_system_matrix(B, 1.0, 1j), compute_uv=False)
-        assert sv[-1] > 0.5
+        ratio, _ = two_point_kernel(B, 1.0, 1j)
+        assert ratio > 0.4  # 0.440
         with pytest.raises(NotAnEigenvalue):
             eigenfunction_two_point(B, 1.0, 1j)
 
