@@ -13,18 +13,14 @@ from .boundary import (
     ClassificationReport,
     ConnectedOrigin,
     DeltaPair,
-    FormCDParams,
     InteractionSpec,
     SeparatedOrigin,
     TwoPoint,
     TypeIParams,
     TypeIIParams,
-    canonicalize_Q,
     classify,
-    is_pt_antidiagonal_form,
     is_pt_connected,
     is_selfadjoint_connected,
-    matrix_from_form_cd,
     matrix_from_type_I,
     pt_boundary_image,
     pt_mirror,

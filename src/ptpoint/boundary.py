@@ -26,7 +26,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import Degenerate, InvalidParams, NotInFamily, RankDeficient
+from .errors import Degenerate, InvalidParams, NotInFamily
 
 TWO_PI = 2.0 * np.pi
 DEFAULT_TOL = 1e-10
@@ -58,6 +58,16 @@ def _require_finite(**fields):
 
 def _scale(B):
     return max(1.0, float(np.max(np.abs(B))))
+
+
+def zero_coefficient_threshold(B):
+    """Size at or below which a dispersion coefficient built from the entries of B counts as zero."""
+    return 1e-14 * _scale(B)
+
+
+def theta_mod_pi(theta):
+    """Distance from the phase theta in [0, 2pi) to the nearest multiple of pi."""
+    return min(theta % np.pi, np.pi - (theta % np.pi))
 
 
 def require_nondegenerate(B, tol=DEFAULT_TOL):
@@ -116,38 +126,11 @@ class TypeIIParams:
         object.__setattr__(self, "h1", h1)
 
 
-@dataclass(frozen=True)
-class FormCDParams:
-    """Anti-diagonal-symmetric family (values-vs-derivatives conditions): a, b >= 0 and two phases."""
-
-    a: float
-    b: float
-    theta: float
-    phi: float
-
-    def __post_init__(self):
-        if self.a < 0 or self.b < 0:
-            raise InvalidParams("a and b must be non-negative")
-        object.__setattr__(self, "theta", float(self.theta) % TWO_PI)
-        object.__setattr__(self, "phi", float(self.phi) % TWO_PI)
-
-
 def matrix_from_type_I(p):
     """Build the connected interface matrix for TypeIParams p."""
     root = np.sqrt(1.0 + p.b * p.c)
     return np.exp(1j * p.theta) * np.array(
         [[root * np.exp(1j * p.phi), p.b], [p.c, root * np.exp(-1j * p.phi)]],
-        dtype=complex,
-    )
-
-
-def matrix_from_form_cd(p):
-    """Build the anti-diagonal-symmetric matrix for FormCDParams p."""
-    return np.array(
-        [
-            [p.a * np.exp(1j * p.theta), p.b * np.exp(1j * p.phi)],
-            [-p.b * np.exp(-1j * p.phi), -p.a * np.exp(-1j * p.theta)],
-        ],
         dtype=complex,
     )
 
@@ -232,20 +215,6 @@ def is_selfadjoint_connected(B, tol=DEFAULT_TOL):
     return bool(np.max(np.abs(R.imag)) <= tol * scale)
 
 
-def is_pt_antidiagonal_form(B, tol=DEFAULT_TOL):
-    """PT condition for values-vs-derivatives conditions: alpha = -conj(delta), beta = -conj(gamma).
-
-    Degenerate matrices are allowed here (Dirichlet/Neumann-type conditions live
-    in this family).
-    """
-    M = as_matrix(B)
-    scale = _scale(M)
-    return bool(
-        abs(M[0, 0] + np.conj(M[1, 1])) <= tol * scale
-        and abs(M[0, 1] + np.conj(M[1, 0])) <= tol * scale
-    )
-
-
 def pt_boundary_image(v):
     """Apply the boundary-value reflection-conjugation map to (psi+, psi'+, psi-, psi'-).
 
@@ -267,60 +236,6 @@ def two_point_interfaces(B, l):
     """Interfaces of the PT-symmetric pair: B at +l, the PT image of its rows at -l."""
     Q = connected_condition(B)
     return ((-l, np.array([pt_boundary_image(row) for row in Q])), (l, Q))
-
-
-# Six ways of solving a rank-2 condition pair for two of the four boundary
-# values, ordered by the column-pair whose minor is used.  Boundary vector
-# components are indexed (psi+, psi'+, psi-, psi'-).
-_Q_CASES = (
-    (1, (0, 1), (2, 3)),  # (psi+, psi'+)  = B (psi-, psi'-)
-    (2, (0, 2), (1, 3)),  # (psi+, psi-)   = B (psi'+, psi'-)
-    (3, (0, 3), (2, 1)),  # (psi+, psi'-)  = B (psi-, psi'+)
-    (4, (2, 1), (0, 3)),  # (psi-, psi'+)  = B (psi+, psi'-)
-    (5, (1, 3), (0, 2)),  # (psi'+, psi'-) = B (psi+, psi-)
-    (6, (2, 3), (0, 1)),  # (psi-, psi'-)  = B (psi+, psi'+)
-)
-
-
-def canonicalize_Q(Q, tol=DEFAULT_TOL):
-    """Reduce a rank-2 2x4 condition matrix to a solved-out 2x2 form.
-
-    Returns (case_id, B) where case_id in 1..6 selects which pair of boundary
-    values is expressed through the complementary pair (see _Q_CASES), and B
-    is the solved matrix: a boundary vector lies in ker Q iff it satisfies the
-    returned case's conditions.  The smallest case id whose minor is
-    well-conditioned wins; the selection threshold is at least 1e-4 relative
-    to the largest minor so the solve stays accurate (near-singular minors
-    would otherwise contaminate the kernel at the 1e-8 level).
-    """
-    M = np.asarray(Q, dtype=complex)
-    if M.shape != (2, 4):
-        raise InvalidParams(f"condition matrix must be 2x4, got {M.shape}")
-    sv = np.linalg.svd(M, compute_uv=False)
-    if sv[1] <= tol * max(sv[0], 1e-300):
-        raise RankDeficient("condition matrix does not have rank 2")
-    minors = {case: np.linalg.det(M[:, list(lhs)]) for case, lhs, _ in _Q_CASES}
-    largest = max(abs(d) for d in minors.values())
-    select = max(tol, 1e-4)
-    for case, lhs, rhs in _Q_CASES:
-        if abs(minors[case]) > select * largest:
-            B = -np.linalg.solve(M[:, list(lhs)], M[:, list(rhs)])
-            return case, B
-    raise RankDeficient("all 2x2 minors are below the selection threshold")
-
-
-def q_matrix_from_case(case_id, B):
-    """Rebuild a 2x4 condition matrix from a solved-out (case_id, B) pair."""
-    for case, lhs, rhs in _Q_CASES:
-        if case == case_id:
-            Q = np.zeros((2, 4), dtype=complex)
-            M = as_matrix(B)
-            for row in range(2):
-                Q[row, lhs[row]] = 1.0
-                Q[row, rhs[0]] -= M[row, 0]
-                Q[row, rhs[1]] -= M[row, 1]
-            return Q
-    raise InvalidParams(f"case_id must be 1..6, got {case_id}")
 
 
 @dataclass(frozen=True)
@@ -380,11 +295,11 @@ class DeltaPair:
 
     @property
     def B(self):
-        """The interface matrix at +l; singular when u = v = 0."""
+        """The interface matrix at +l; singular when u = v = 0, where [I | -B] still has rank 2."""
         return delta_pair_matrix(self.u, self.v)
 
     def interfaces(self):
-        return two_point_interfaces(require_nondegenerate(self.B), self.l)
+        return two_point_interfaces(self.B, self.l)
 
 
 InteractionSpec = Union[ConnectedOrigin, SeparatedOrigin, TwoPoint, DeltaPair]
@@ -425,8 +340,7 @@ def classify(spec, tol=DEFAULT_TOL):
 
     if isinstance(spec, SeparatedOrigin):
         p = spec.params
-        theta_mod_pi = min(p.theta % np.pi, np.pi - (p.theta % np.pi))
-        sa = theta_mod_pi <= tol or p.h0 <= tol or abs(p.h1) <= tol
+        sa = theta_mod_pi(p.theta) <= tol or p.h0 <= tol or abs(p.h1) <= tol
         notes = "separated conditions are PT-invariant for every theta"
         return ClassificationReport(True, bool(sa), TYPE_II, p, notes)
 

@@ -183,14 +183,14 @@ def load_model(path, variant="default"):
     return model_from_dict(_read_json(path, "model"), variant=variant)
 
 
-def _spectrum_for(spec, contour=None, nodes=64):
+def _spectrum_for(spec, contour=None):
     if isinstance(spec, ConnectedOrigin):
         return spectra.discrete_spectrum_origin_connected(spec.B)
     if isinstance(spec, SeparatedOrigin):
         return spectra.discrete_spectrum_separated(spec.params)
     B, l = spec.B, spec.l
     if contour is None:
-        contour = spectra.default_contour(B, l, nodes_per_side=nodes)
+        contour = spectra.default_contour(B, l)
     return spectra.two_point_spectrum(B, l, contour)
 
 
@@ -240,10 +240,8 @@ def cmd_classify(args):
 
 def cmd_spectrum(args):
     spec = load_model(args.model, variant=args.variant)
-    contour = None
-    if args.contour is not None:
-        contour = spectra.ContourSpec(*args.contour, nodes_per_side=args.nodes)
-    report = _spectrum_for(spec, contour, nodes=args.nodes)
+    contour = None if args.contour is None else spectra.ContourSpec(*args.contour)
+    report = _spectrum_for(spec, contour)
     _print_report(report)
     if args.out:
         _write_spectrum_csv(report, args.out)
@@ -341,6 +339,8 @@ def cmd_oracle(args):
 
 def cmd_eigenfunction(args):
     L, N = args.grid
+    if not L > 0:
+        raise InvalidParams(f"--grid: L must be positive, got {L:g}")
     if not (N >= 2 and N == int(N)):
         raise InvalidParams(f"--grid: N must be an integer >= 2, got {N:g}")
     spec = load_model(args.model, variant=args.variant)
@@ -393,7 +393,6 @@ def build_parser():
     p = sub.add_parser("spectrum", help="discrete spectrum report")
     p.add_argument("model")
     p.add_argument("--contour", type=_finite_float, nargs=4, metavar=("RE_MIN", "RE_MAX", "IM_MIN", "IM_MAX"))
-    p.add_argument("--nodes", type=int, default=64, help="contour nodes per side")
     p.add_argument("--out", help="also write eigenvalues as CSV")
     p.set_defaults(func=cmd_spectrum)
 

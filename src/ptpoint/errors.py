@@ -17,10 +17,6 @@ class Degenerate(PointInteractionError):
     """Interface matrix is singular where a connected condition is required."""
 
 
-class RankDeficient(PointInteractionError):
-    """2x4 condition matrix does not have rank 2."""
-
-
 class DegenerateIdenticallyZero(PointInteractionError):
     """Dispersion relation vanishes identically; every wave number solves it."""
 

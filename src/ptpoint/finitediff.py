@@ -14,7 +14,6 @@ by ghost reflection.
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -29,22 +28,22 @@ ROW_INTERIOR = 0
 ROW_END = 1
 ROW_INTERFACE = 2
 
+# eigenvalues with Re < -DROP_TOL or |Im| > DROP_TOL are discrete-spectrum candidates
+DROP_TOL = 1e-4
+
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Truncation half-width L, node count N, and acceptance filters.
+    """Truncation half-width L and node count N of the finite-difference grid.
 
-    drop_tol: eigenvalues with Re < -drop_tol or |Im| > drop_tol count as
-    discrete-spectrum candidates.  lambda_max caps candidates at the grid's
-    resolution horizon (default (0.15/h)^2, about 40 nodes per wavelength);
-    the discretized continuum near the band edge is polluted by O(1)
-    imaginary parts for non-normal interface rows and must not be reported.
+    resolved_lambda_max is the grid's resolution horizon (0.15/h)^2, about
+    40 nodes per wavelength, which caps the candidates: the discretized
+    continuum near the band edge is polluted by O(1) imaginary parts for
+    non-normal interface rows and must not be reported.
     """
 
     L: float
     N: int
-    drop_tol: float = 1e-4
-    lambda_max: Optional[float] = None
 
     def __post_init__(self):
         if self.N < 16 or self.N % 2:
@@ -58,8 +57,6 @@ class OracleConfig:
 
     @property
     def resolved_lambda_max(self):
-        if self.lambda_max is not None:
-            return self.lambda_max
         return (0.15 / self.h) ** 2
 
 
@@ -130,17 +127,11 @@ def discretize(spec, cfg):
     return M
 
 
-def interface_row_kinds(spec, cfg):
-    """Per-row classification of the discretized matrix (interior/end/interface)."""
-    _, kinds = _assemble(spec, cfg)
-    return kinds
-
-
 def oracle_discrete_spectrum(spec, cfg):
     """Discrete-spectrum candidates of the discretized operator.
 
     All eigenvalues are computed with a dense general eigensolver; returned
-    are those with Re < -drop_tol or |Im| > drop_tol, capped at the
+    are those with Re < -DROP_TOL or |Im| > DROP_TOL, capped at the
     resolution horizon (see OracleConfig).  Converges to the true discrete
     eigenvalues as O(h^2) + O(e^{-2 Im(k) L}).
     """
@@ -152,7 +143,7 @@ def oracle_discrete_spectrum(spec, cfg):
             ev = np.linalg.eigvals(M)
     except np.linalg.LinAlgError as exc:
         raise EigensolverFailure(str(exc)) from exc
-    keep = (ev.real < -cfg.drop_tol) | (np.abs(ev.imag) > cfg.drop_tol)
+    keep = (ev.real < -DROP_TOL) | (np.abs(ev.imag) > DROP_TOL)
     keep &= np.abs(ev) <= cfg.resolved_lambda_max
     out = ev[keep]
     return out[np.lexsort((out.imag, out.real))]

@@ -38,6 +38,7 @@ from typing import Optional
 import numpy as np
 
 from .boundary import DEFAULT_TOL, as_matrix, delta_pair_matrix, require_nondegenerate  # noqa: F401 (re-exported)
+from .boundary import theta_mod_pi, zero_coefficient_threshold
 from .errors import (
     ContourThroughZero,
     DegenerateIdenticallyZero,
@@ -64,6 +65,10 @@ PRINTED = "printed"
 OPERATOR = "operator"
 RELATIONS = (PRINTED, OPERATOR)
 
+# starting nodes on each side of a winding-count rectangle; _phase_track
+# bisects between them wherever the dispersion values need it
+NODES_PER_SIDE = 64
+
 # Newton refinement of a zero: relative step that ends it, and its iteration cap
 NEWTON_TOL = 1e-12
 MAX_NEWTON_ITER = 60
@@ -72,14 +77,6 @@ MAX_NEWTON_ITER = 60
 @dataclass(frozen=True)
 class WaveNumber:
     k: complex
-
-    @property
-    def physical(self):
-        return self.k.imag > 0
-
-    @property
-    def energy(self):
-        return self.k * self.k
 
 
 @dataclass(frozen=True)
@@ -120,15 +117,12 @@ class ContourSpec:
     re_max: float
     im_min: float
     im_max: float
-    nodes_per_side: int = 64
 
     def __post_init__(self):
         if not (self.im_min > 0):
             raise InvalidParams("im_min must be positive (contour stays off the real axis)")
         if not (self.re_min < self.re_max and self.im_min < self.im_max):
             raise InvalidParams("contour rectangle is empty")
-        if self.nodes_per_side < 64:
-            raise InvalidParams("nodes_per_side must be >= 64")
 
 
 def _sort_roots(roots):
@@ -208,7 +202,7 @@ def dispersion_roots_general(B):
     beta = M[0, 1]
     tau = M[0, 0] + M[1, 1]
     gamma = M[1, 0]
-    scale = 1e-14 * max(1.0, float(np.max(np.abs(M))))  # coefficients below this count as zero
+    scale = zero_coefficient_threshold(M)
     if abs(beta) <= scale and abs(tau) <= scale and abs(gamma) <= scale:
         raise DegenerateIdenticallyZero("dispersion vanishes identically")
     pivot = max((beta, tau, gamma), key=abs)
@@ -252,8 +246,7 @@ def discrete_spectrum_separated(p):
     ratio = p.h1 / p.h0
     kp = -1j * ratio * np.exp(1j * p.theta)
     km = -1j * ratio * np.exp(-1j * p.theta)
-    theta_mod_pi = min(p.theta % np.pi, np.pi - (p.theta % np.pi))
-    if theta_mod_pi <= 1e-14:
+    if theta_mod_pi(p.theta) <= 1e-14:
         sign = -1.0 if abs(p.theta - np.pi) < np.pi / 2 else 1.0  # e^{i theta} = +-1 exactly
         k = complex(0.0, -ratio * sign)
         return _report_from_roots([k], multiplicities=[2])
@@ -311,7 +304,7 @@ def real_spectrum_classify_general(B, tol=DEFAULT_TOL):
     beta = M[0, 1]
     tau = M[0, 0] + M[1, 1]
     gamma = M[1, 0]
-    zero_thresh = 1e-14 * max(1.0, float(np.max(np.abs(M))))
+    zero_thresh = zero_coefficient_threshold(M)
     if abs(beta) > zero_thresh:
         w1 = tau / beta
         w2 = gamma / beta
@@ -419,7 +412,7 @@ def two_point_dispersion_value(B, l, k, relation=PRINTED):
     return out[()]
 
 
-def default_contour(B, l, nodes_per_side=64, relation=PRINTED):
+def default_contour(B, l, relation=PRINTED):
     """Cauchy-style default search rectangle from the bracket coefficient ratios."""
     p1, p2 = _bracket_coeffs(as_matrix(B), relation)
     ratios = []
@@ -432,7 +425,7 @@ def default_contour(B, l, nodes_per_side=64, relation=PRINTED):
     if not ratios:
         raise DegenerateIdenticallyZero("two-point dispersion vanishes identically")
     K = 2.0 * (1.0 + max(ratios))
-    return ContourSpec(-K, K, 1e-6, K, nodes_per_side=nodes_per_side)
+    return ContourSpec(-K, K, 1e-6, K)
 
 
 def _phase_track(f, z, w, guard):
@@ -474,12 +467,12 @@ def _phase_track(f, z, w, guard):
     raise NoConvergence("phase tracking did not resolve the contour")
 
 
-def _winding_rectangle(f, re_min, re_max, im_min, im_max, nodes_per_side):
+def _winding_rectangle(f, re_min, re_max, im_min, im_max):
     """Number of zeros of f inside the rectangle, by the argument principle."""
     corners = np.array(
         [complex(re_min, im_min), complex(re_max, im_min), complex(re_max, im_max), complex(re_min, im_max)]
     )
-    t = np.arange(nodes_per_side) / nodes_per_side
+    t = np.arange(NODES_PER_SIDE) / NODES_PER_SIDE
     z = (corners[:, None] + (np.roll(corners, -1) - corners)[:, None] * t).ravel()
     w = f(z)
     guard = 1e-14 * float(np.max(np.abs(w)))
@@ -550,10 +543,7 @@ def two_point_spectrum(B, l, contour=None, relation=PRINTED):
     if disp.identically_zero():
         raise DegenerateIdenticallyZero("two-point dispersion vanishes identically")
 
-    def winding(re0, re1, im0, im1):
-        return _winding_rectangle(disp, re0, re1, im0, im1, contour.nodes_per_side)
-
-    total = winding(contour.re_min, contour.re_max, contour.im_min, contour.im_max)
+    total = _winding_rectangle(disp, contour.re_min, contour.re_max, contour.im_min, contour.im_max)
     roots = []
     if total > 0:
         scale = max(abs(contour.re_min), abs(contour.re_max), contour.im_max, 1.0)
@@ -578,11 +568,11 @@ def two_point_spectrum(B, l, contour=None, relation=PRINTED):
                 try:
                     if split_horizontally:
                         cut = re0 + frac * (re1 - re0)
-                        w1 = winding(re0, cut, im0, im1)
+                        w1 = _winding_rectangle(disp, re0, cut, im0, im1)
                         cells = [(re0, cut, im0, im1, w1), (cut, re1, im0, im1, w - w1)]
                     else:
                         cut = im0 + frac * (im1 - im0)
-                        w1 = winding(re0, re1, im0, cut)
+                        w1 = _winding_rectangle(disp, re0, re1, im0, cut)
                         cells = [(re0, re1, im0, cut, w1), (re0, re1, cut, im1, w - w1)]
                     stack.extend(cells)
                     break

@@ -194,6 +194,9 @@ def _ansatz(interfaces, k, coeffs):
 # or below which the system counts as singular
 KERNEL_TOL = 1e-8
 
+# quadrature nodes of pt_symmetry_defect over its symmetric window
+DEFECT_SAMPLES = 4096
+
 
 def _kernel(interfaces, k):
     """Relative smallest singular value of the matching system with unit rows, and its kernel.
@@ -215,12 +218,12 @@ def _kernel(interfaces, k):
     return (float(sv[-1] / sv[0]) if sv[0] > 0 else 0.0), np.conj(vh[-1])
 
 
-def _eigen_kernel(interfaces, k, tol):
+def _eigen_kernel(interfaces, k):
     """Kernel vector of the matching system at k, or NotAnEigenvalue."""
     if k.imag <= 0:
         raise NotAnEigenvalue(f"Im k must be positive, got k = {k}")
     ratio, cvec = _kernel(interfaces, k)
-    if ratio > tol:
+    if ratio > KERNEL_TOL:
         raise NotAnEigenvalue(
             f"interface system has trivial kernel at k = {k} "
             f"(relative smallest singular value {ratio:.2e})"
@@ -228,7 +231,7 @@ def _eigen_kernel(interfaces, k, tol):
     return cvec
 
 
-def eigenfunction_origin(B, k, tol=KERNEL_TOL):
+def eigenfunction_origin(B, k):
     """Bound/decaying eigenfunction of a connected-origin model at wave number k.
 
     psi(x) = e^{-ikx} for x < 0 and (alpha - ik beta) e^{ikx} for x > 0; valid
@@ -237,7 +240,7 @@ def eigenfunction_origin(B, k, tol=KERNEL_TOL):
     M = require_nondegenerate(B)
     k = complex(k)
     interfaces = ((0.0, connected_condition(M)),)
-    _eigen_kernel(interfaces, k, tol)
+    _eigen_kernel(interfaces, k)
     return _ansatz(interfaces, k, (1.0, M[0, 0] - 1j * k * M[0, 1]))
 
 
@@ -246,21 +249,21 @@ def two_point_kernel(B, l, k):
     return _kernel(two_point_interfaces(B, l), k)
 
 
-def eigenfunction_two_point(B, l, k, tol=KERNEL_TOL):
+def eigenfunction_two_point(B, l, k):
     """Eigenfunction of the two-point model from the kernel of the 4x4 interface system.
 
     The coefficient vector is normalized to c1 = 1 (c4 = 1 when c1 vanishes,
     largest component otherwise).  Raises NotAnEigenvalue when the system has
-    no kernel at k (two_point_kernel ratio above tol), which for matrices
+    no kernel at k (two_point_kernel ratio above KERNEL_TOL), which for matrices
     with delta != 0 happens at the roots of the printed dispersion relation;
-    the kernel test is the authoritative one.
+    the kernel test is the authoritative one.  B may be singular: [I | -B]
+    has rank 2 for every B.
     """
-    require_nondegenerate(B)
     k = complex(k)
     if not l > 0:
         raise InvalidParams(f"l must be positive, got {l}")
     interfaces = two_point_interfaces(B, l)
-    cvec = _eigen_kernel(interfaces, k, tol)
+    cvec = _eigen_kernel(interfaces, k)
     if abs(cvec[0]) > 1e-8 * np.max(np.abs(cvec)):
         cvec = cvec / cvec[0]
     elif abs(cvec[-1]) > 1e-8 * np.max(np.abs(cvec)):
@@ -297,7 +300,7 @@ def _sqrt_upper(lam):
     return complex(k)
 
 
-def apply_resolvent(spec, lam, F, tol=KERNEL_TOL):
+def apply_resolvent(spec, lam, F):
     """Apply the resolvent of a model to a sampled right-hand side.
 
     U = u0 + psi: u0(x) = -int e^{ik|x-y|}/(2ik) F(y) dy is the outgoing free
@@ -318,7 +321,7 @@ def apply_resolvent(spec, lam, F, tol=KERNEL_TOL):
         w = h * np.exp(1j * k * np.abs(s - x)) * f
         u, du = -np.sum(w) / (2j * k), -0.5 * np.sum(np.sign(s - x) * w)
         data.append(-Q @ np.array([u, du, u, du]))
-    if _kernel(interfaces, k)[0] <= tol:
+    if _kernel(interfaces, k)[0] <= KERNEL_TOL:
         raise SpectrumPoint(f"lambda = {lam} is at or near a discrete eigenvalue")
     coeffs = np.linalg.solve(interface_system(interfaces, k), np.concatenate(data))
     return GridFunction(F.L, F.N, u0 + _ansatz(interfaces, k, coeffs)(x))
@@ -340,8 +343,8 @@ def pt_apply(f):
     raise InvalidParams(f"pt_apply supports PiecewiseExp and GridFunction, got {type(f).__name__}")
 
 
-def pt_symmetry_defect(psi, sample_count=4096):
-    """min over |c| = 1 of ||PT psi - c psi|| / ||psi||, by grid quadrature.
+def pt_symmetry_defect(psi):
+    """min over |c| = 1 of ||PT psi - c psi|| / ||psi||, by DEFECT_SAMPLES-point midpoint quadrature.
 
     Zero (to quadrature accuracy) iff psi can be rescaled to a PT-symmetric
     function; the optimal phase is c = <psi, PT psi>/|<psi, PT psi>|.
@@ -352,9 +355,8 @@ def pt_symmetry_defect(psi, sample_count=4096):
     finite = [abs(lo) for lo, _, _ in psi.pieces if np.isfinite(lo)]
     finite += [abs(hi) for _, hi, _ in psi.pieces if np.isfinite(hi)]
     half_width += max(finite, default=0.0)
-    n = int(sample_count)
-    h = 2.0 * half_width / n
-    x = -half_width + (np.arange(n) + 0.5) * h
+    h = 2.0 * half_width / DEFECT_SAMPLES
+    x = -half_width + (np.arange(DEFECT_SAMPLES) + 0.5) * h
     u = psi(x)
     g = np.conj(u[::-1])  # PT psi sampled on the symmetric grid
     norm2 = h * np.sum(np.abs(u) ** 2)

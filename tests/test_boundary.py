@@ -5,24 +5,19 @@ from ptpoint.boundary import (
     ClassificationReport,
     ConnectedOrigin,
     DeltaPair,
-    FormCDParams,
     SeparatedOrigin,
     TwoPoint,
     TypeIIParams,
     TypeIParams,
-    canonicalize_Q,
     classify,
-    is_pt_antidiagonal_form,
     is_pt_connected,
     is_selfadjoint_connected,
-    matrix_from_form_cd,
     matrix_from_type_I,
     pt_boundary_image,
     pt_mirror,
-    q_matrix_from_case,
     type_I_from_matrix,
 )
-from ptpoint.errors import Degenerate, InvalidParams, NotInFamily, RankDeficient
+from ptpoint.errors import Degenerate, InvalidParams, NotInFamily
 from ptpoint.spectra import ContourSpec, discrete_spectrum_origin_connected, two_point_spectrum
 
 
@@ -152,18 +147,6 @@ class TestSelfAdjointConnected:
             assert is_pt_connected(B3) and not is_selfadjoint_connected(B3)
 
 
-class TestAntidiagonalForm:
-    def test_generated_family(self):
-        B = matrix_from_form_cd(FormCDParams(1, 2, 0.3, 1.0))
-        assert is_pt_antidiagonal_form(B)
-
-    def test_zero_matrix(self):
-        assert is_pt_antidiagonal_form(np.zeros((2, 2)))
-
-    def test_identity_fails(self):
-        assert not is_pt_antidiagonal_form(np.eye(2))
-
-
 class TestBoundaryImage:
     def test_basis_vectors(self):
         assert np.allclose(pt_boundary_image([1, 0, 0, 0]), [0, 0, 1, 0])
@@ -174,41 +157,6 @@ class TestBoundaryImage:
         for _ in range(50):
             v = rng.normal(size=4) + 1j * rng.normal(size=4)
             assert np.allclose(pt_boundary_image(pt_boundary_image(v)), v)
-
-
-def null_space(M):
-    _, s, vh = np.linalg.svd(M)
-    return np.conj(vh[2:]).T  # 4x2 orthonormal kernel basis for a rank-2 2x4 matrix
-
-
-def subspace_gap(Q1, Q2):
-    # sin of the largest principal angle, accurate near zero
-    R = Q2 - Q1 @ (np.conj(Q1).T @ Q2)
-    return float(np.linalg.norm(R, 2))
-
-
-class TestCanonicalizeQ:
-    def test_continuity_conditions(self):
-        case, B = canonicalize_Q(np.array([[1, 0, -1, 0], [0, 1, 0, -1]], dtype=complex))
-        assert case == 1
-        assert np.allclose(B, np.eye(2))
-
-    def test_dirichlet_both_sides(self):
-        case, B = canonicalize_Q(np.array([[1, 0, 0, 0], [0, 0, 1, 0]], dtype=complex))
-        assert case == 2
-        assert np.allclose(B, np.zeros((2, 2)))
-
-    def test_rank_deficient(self):
-        with pytest.raises(RankDeficient):
-            canonicalize_Q(np.array([[1, 0, 1, 0], [2, 0, 2, 0]], dtype=complex))
-
-    def test_kernel_equivalence_random(self):
-        rng = np.random.default_rng(5)
-        for _ in range(1000):
-            Q = rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4))
-            case, B = canonicalize_Q(Q)
-            Qb = q_matrix_from_case(case, B)
-            assert subspace_gap(null_space(Q), null_space(Qb)) < 1e-10
 
 
 class TestClassify:

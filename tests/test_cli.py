@@ -221,6 +221,14 @@ class TestOracleCommand:
         out = capsys.readouterr().out
         assert "closed_form_count: 0" in out and "oracle_count: 0" in out
 
+    def test_singular_delta_pair_accepted(self, tmp_path, capsys):
+        # B = [[1, 0], [1, 0]] is singular, but [I | -B] is a rank-2 condition,
+        # accepted here as by spectrum and sweep
+        path = write_json(tmp_path / "m.json", {"type": "delta_pair", "u": 0.0, "v": 0.0, "l": 1.0})
+        assert main(["oracle", path, "--L", "12", "--N", "600"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "closed_form_count: 0" in out and "oracle_count: 0" in out
+
     def test_delta_pair_mismatch_reported(self, tmp_path, capsys):
         # the closed-form relation has a zero at k = i for v = 2, but the
         # discretized interface conditions produce no such eigenvalue; the
@@ -247,6 +255,11 @@ class TestEigenfunctionCommand:
     def test_not_an_eigenvalue_exit_code(self, tmp_path, capsys):
         path = write_json(tmp_path / "m.json", DELTA_DOC)
         assert main(["eigenfunction", path, "--k", "0", "2"]) == EXIT_NOT_EIGENVALUE
+
+    def test_singular_delta_pair_has_no_eigenfunction(self, tmp_path, capsys):
+        # accepted as a rank-2 condition, like every other command, and k = i is no eigenvalue
+        path = write_json(tmp_path / "m.json", {"type": "delta_pair", "u": 0.0, "v": 0.0, "l": 1.0})
+        assert main(["eigenfunction", path, "--k", "0", "1"]) == EXIT_NOT_EIGENVALUE
 
     def test_two_point_eigenfunction(self, tmp_path, capsys):
         doc = {"type": "two_point", "l": 1.0, "B": [[[1, 0], [1, 0]], [[-1, 0], [0, 0]]]}
@@ -334,8 +347,10 @@ class TestInvalidInput:
         assert main(argv) == EXIT_PARSE
         assert "--grid" in capsys.readouterr().err and not out.exists()
 
-    def test_spectrum_zero_nodes_on_two_point_model(self, tmp_path, capsys):
-        path = write_json(tmp_path / "m.json", DP2_DOC)
-        assert main(["spectrum", path, "--nodes", "0"]) == EXIT_PARSE
-        captured = capsys.readouterr()
-        assert "nodes_per_side" in captured.err and captured.out == ""
+    @pytest.mark.parametrize("width", ["0", "-2"])
+    def test_eigenfunction_grid_width(self, tmp_path, capsys, width):
+        path = write_json(tmp_path / "m.json", DELTA_DOC)
+        out = tmp_path / "psi.csv"
+        argv = ["eigenfunction", path, "--k", "0", "1", "--grid", width, "4", "--out", str(out)]
+        assert main(argv) == EXIT_PARSE
+        assert "--grid" in capsys.readouterr().err and not out.exists()

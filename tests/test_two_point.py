@@ -62,10 +62,10 @@ def _with_zeros(*zeros):
 class TestWindingCount:
     """The argument-principle counter on polynomials with known zeros.
 
-    Rectangle [-1, 1] x [0.1, 1] with 64 nodes per side.
+    Rectangle [-1, 1] x [0.1, 1].
     """
 
-    RECT = (-1.0, 1.0, 0.1, 1.0, 64)
+    RECT = (-1.0, 1.0, 0.1, 1.0)
 
     @pytest.mark.parametrize(
         "zeros, count",
