@@ -49,11 +49,17 @@ def as_matrix(B):
     return M
 
 
-def _require_finite(**fields):
+def require_finite(**fields):
     """Raise InvalidParams naming the first non-finite field."""
     for name, value in fields.items():
         if not math.isfinite(value):
             raise InvalidParams(f"{name} must be finite, got {value}")
+
+
+def require_length(l):
+    """Raise InvalidParams unless the half-distance l of a two-point model is finite and positive."""
+    if not (math.isfinite(l) and l > 0):
+        raise InvalidParams(f"l must be finite and positive, got {l}")
 
 
 def _scale(B):
@@ -88,7 +94,7 @@ class TypeIParams:
     c: float
 
     def __post_init__(self):
-        _require_finite(**vars(self))
+        require_finite(**vars(self))
         if self.b < 0:
             raise InvalidParams(f"b must be non-negative, got {self.b}")
         if 1.0 + self.b * self.c < 0:
@@ -114,7 +120,7 @@ class TypeIIParams:
     h1: float
 
     def __post_init__(self):
-        _require_finite(**vars(self))
+        require_finite(**vars(self))
         n = float(np.hypot(self.h0, self.h1))
         if n == 0.0:
             raise InvalidParams("(h0, h1) must not be (0, 0)")
@@ -271,9 +277,7 @@ class TwoPoint:
     B: np.ndarray
 
     def __post_init__(self):
-        _require_finite(l=self.l)
-        if not self.l > 0:
-            raise InvalidParams(f"l must be positive, got {self.l}")
+        require_length(self.l)
         object.__setattr__(self, "B", require_nondegenerate(self.B))
 
     def interfaces(self):
@@ -289,9 +293,8 @@ class DeltaPair:
     l: float
 
     def __post_init__(self):
-        _require_finite(**vars(self))
-        if not self.l > 0:
-            raise InvalidParams(f"l must be positive, got {self.l}")
+        require_finite(**vars(self))
+        require_length(self.l)
 
     @property
     def B(self):

@@ -70,14 +70,14 @@ def _fmt_complex(z):
     return f"{_fmt(z.real)}{'+' if z.imag >= 0 else '-'}{_fmt(abs(z.imag))}j"
 
 
-def _need(doc, field, kind=float):
+def _need(doc, field):
     if field not in doc:
         raise ModelFileError(f"missing field {field!r}")
     v = doc[field]
     try:
-        x = kind(v)
+        x = float(v)
     except (TypeError, ValueError, OverflowError):
-        raise ModelFileError(f"field {field!r}: expected {kind.__name__}, got {v!r}")
+        raise ModelFileError(f"field {field!r}: expected float, got {v!r}")
     if not math.isfinite(x):
         raise ModelFileError(f"field {field!r}: expected a finite number, got {v!r}")
     return x
@@ -188,14 +188,7 @@ def _spectrum_for(spec, contour=None):
         return spectra.discrete_spectrum_origin_connected(spec.B)
     if isinstance(spec, SeparatedOrigin):
         return spectra.discrete_spectrum_separated(spec.params)
-    B, l = spec.B, spec.l
-    if contour is None:
-        contour = spectra.default_contour(B, l)
-    return spectra.two_point_spectrum(B, l, contour)
-
-
-def _closed_form_eigs(spec, contour=None):
-    return [e.lam for e in _spectrum_for(spec, contour).eigenvalues for _ in range(e.multiplicity)]
+    return spectra.two_point_spectrum(spec.B, spec.l, contour)
 
 
 def _print_report(report):
@@ -258,7 +251,7 @@ def cmd_sweep(args):
     axes = doc.get("sweep")
     if not (isinstance(axes, list) and 1 <= len(axes) <= 2):
         raise ModelFileError("field 'sweep': expected a list of 1 or 2 parameter ranges")
-    out_path = doc.get("output", args.out)
+    out_path = args.out or doc.get("output")
     if not out_path:
         raise ModelFileError("missing field 'output' (or pass --out)")
     grids = []
@@ -269,10 +262,10 @@ def cmd_sweep(args):
         if not isinstance(name, str):
             raise ModelFileError("sweep axis: missing 'name'")
         lo, hi = _need(ax, "min"), _need(ax, "max")
-        steps = _need(ax, "steps", int)
-        if steps < 2:
-            raise ModelFileError(f"sweep axis {name!r}: need steps >= 2")
-        grids.append((name, np.linspace(lo, hi, steps)))
+        steps = _need(ax, "steps")
+        if steps < 2 or steps != int(steps):
+            raise ModelFileError(f"sweep axis {name!r}: 'steps' must be an integer >= 2, got {ax['steps']!r}")
+        grids.append((name, np.linspace(lo, hi, int(steps))))
 
     names = [name for name, _ in grids]
     header = names + ["all_real", "n_eigenvalues",
@@ -308,7 +301,8 @@ def cmd_sweep(args):
 
 def cmd_oracle(args):
     spec = load_model(args.model, variant=args.variant)
-    closed = sorted(_closed_form_eigs(spec), key=lambda z: (z.real, z.imag))
+    eigs = _spectrum_for(spec).eigenvalues
+    closed = sorted((e.lam for e in eigs for _ in range(e.multiplicity)), key=lambda z: (z.real, z.imag))
     cfg = finitediff.OracleConfig(L=args.L, N=args.N)
     numeric = list(finitediff.oracle_discrete_spectrum(spec, cfg))
     print(f"closed_form_count: {len(closed)}")

@@ -41,10 +41,6 @@ class InvalidRegion(PointInteractionError):
     """Resolvent requested on the absolutely continuous branch [0, inf)."""
 
 
-class AsymmetricGrid(PointInteractionError):
-    """Grid nodes are not symmetric under x -> -x."""
-
-
 class GridCollision(PointInteractionError):
     """A grid node coincides with an interaction point."""
 

@@ -5,12 +5,12 @@ interface conditions encoded by ghost-value elimination, then solves the
 dense non-Hermitian eigenproblem.  Nothing here reuses the closed-form
 dispersion machinery: agreement between the two routes is the validation.
 
-Scheme: staggered grid x_j = -L + (j + 1/2) h, h = 2L/N; every row is a
-second-order central difference.  At each interface (which falls midway
-between two nodes) the two adjacent rows use ghost values solved from the
-interface conditions with quadratic one-sided stencils, keeping the matrix
-square and the scheme O(h^2).  Dirichlet walls are folded into the end rows
-by ghost reflection.
+Scheme: on the staggered grid of OracleConfig every row is a second-order
+central difference.  At each interface (which falls midway between two
+nodes) the two adjacent rows use ghost values solved from the interface
+conditions with quadratic one-sided stencils, keeping the matrix square and
+the scheme O(h^2).  Dirichlet walls are folded into the end rows by ghost
+reflection.
 """
 
 from dataclasses import dataclass
@@ -34,7 +34,11 @@ DROP_TOL = 1e-4
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Truncation half-width L and node count N of the finite-difference grid.
+    """The staggered grid x_j = -L + (j + 1/2) h, h = 2L/N, over [-L, L] (N even).
+
+    Interfaces at x = 0 and x = +-l fall between nodes, and the node set is
+    invariant under x -> -x.  The same grid carries the finite-difference
+    operator and every sampled function (states.GridFunction).
 
     resolved_lambda_max is the grid's resolution horizon (0.15/h)^2, about
     40 nodes per wavelength, which caps the candidates: the discretized
@@ -48,12 +52,16 @@ class OracleConfig:
     def __post_init__(self):
         if self.N < 16 or self.N % 2:
             raise InvalidParams("N must be an even integer >= 16")
-        if not self.L > 0:
-            raise InvalidParams("L must be positive")
+        if not (np.isfinite(self.L) and self.L > 0):
+            raise InvalidParams(f"L must be finite and positive, got {self.L}")
 
     @property
     def h(self):
         return 2.0 * self.L / self.N
+
+    @property
+    def nodes(self):
+        return -self.L + (np.arange(self.N) + 0.5) * self.h
 
     @property
     def resolved_lambda_max(self):
@@ -86,22 +94,16 @@ def _ghosts(Q, h):
 
 
 def _assemble(spec, cfg):
-    """Dense matrix of the discretized operator plus a per-row kind array."""
-    N, h = cfg.N, cfg.h
-    x = -cfg.L + (np.arange(N) + 0.5) * h
-    M = np.zeros((N, N), dtype=complex)
-    kinds = np.full(N, ROW_INTERIOR, dtype=np.int8)
-
+    """Dense matrix of the discretized operator on the grid cfg plus a per-row kind array."""
+    N, h, x = cfg.N, cfg.h, cfg.nodes
     inv_h2 = 1.0 / (h * h)
-    for j in range(N):
-        if j == 0 or j == N - 1:
-            M[j, j] = 3.0 * inv_h2  # Dirichlet wall folded in by ghost reflection
-            M[j, j - 1 if j else j + 1] = -inv_h2
-            kinds[j] = ROW_END
-        else:
-            M[j, j - 1] = -inv_h2
-            M[j, j] = 2.0 * inv_h2
-            M[j, j + 1] = -inv_h2
+    i = np.arange(N)
+    M = np.zeros((N, N), dtype=complex)
+    M[i, i] = 2.0 * inv_h2
+    M[i[1:], i[:-1]] = M[i[:-1], i[1:]] = -inv_h2
+    M[[0, -1], [0, -1]] = 3.0 * inv_h2  # Dirichlet wall folded in by ghost reflection
+    kinds = np.full(N, ROW_INTERIOR, dtype=np.int8)
+    kinds[[0, -1]] = ROW_END
 
     for s, Q in spec.interfaces():
         m = int(np.floor((s - x[0]) / h))
@@ -153,8 +155,7 @@ def oracle_resolvent_residual(spec, lam, U, F):
     """|| (M - lam) U - F || / ||F|| over the interior (pure differential) rows."""
     if not U.same_grid(F):
         raise GridMismatch("U and F must share the same grid")
-    cfg = OracleConfig(L=U.L, N=U.N)
-    M, kinds = _assemble(spec, cfg)
+    M, kinds = _assemble(spec, U)
     r = M @ U.values - lam * U.values - F.values
     interior = kinds == ROW_INTERIOR
     denom = float(np.linalg.norm(F.values[interior]))

@@ -38,7 +38,7 @@ from typing import Optional
 import numpy as np
 
 from .boundary import DEFAULT_TOL, as_matrix, delta_pair_matrix, require_nondegenerate  # noqa: F401 (re-exported)
-from .boundary import theta_mod_pi, zero_coefficient_threshold
+from .boundary import require_finite, require_length, theta_mod_pi, zero_coefficient_threshold
 from .errors import (
     ContourThroughZero,
     DegenerateIdenticallyZero,
@@ -119,6 +119,7 @@ class ContourSpec:
     im_max: float
 
     def __post_init__(self):
+        require_finite(**vars(self))
         if not (self.im_min > 0):
             raise InvalidParams("im_min must be positive (contour stays off the real axis)")
         if not (self.re_min < self.re_max and self.im_min < self.im_max):
@@ -362,8 +363,7 @@ class _ScaledDispersion:
     """
 
     def __init__(self, B, l, relation=PRINTED):
-        if not (math.isfinite(l) and l > 0):
-            raise InvalidParams(f"l must be finite and positive, got {l}")
+        require_length(l)
         self.l = float(l)
         self.p1, self.p2 = _bracket_coeffs(as_matrix(B), relation)
         self.dp1 = np.polyder(self.p1)
@@ -602,7 +602,6 @@ def two_point_spectrum(B, l, contour=None, relation=PRINTED):
             f"refined {sum(m for _, m in cleaned)} zeros but the contour winding "
             f"counts {total}; a Newton iterate escaped its cell"
         )
-    cleaned.sort(key=lambda km: (km[0].real, km[0].imag))
     return _report_from_roots(
         [k for k, _ in cleaned],
         [m for _, m in cleaned],

@@ -6,9 +6,8 @@ vector) and the map (_ansatz) from a coefficient vector of the system's Ansatz
 to a PiecewiseExp; the map and the system share one piece layout.
 
 Eigenfunctions and generalized solutions are exact piecewise-exponential
-objects (PiecewiseExp); sampled functions live on staggered symmetric grids
-(GridFunction) with nodes x_j = -L + (j + 1/2) h, h = 2L/N, so that x = 0 and
-x = +-l fall between nodes and the node set is invariant under x -> -x.
+objects (PiecewiseExp); sampled functions (GridFunction) live on the staggered
+symmetric grid of finitediff.OracleConfig.
 """
 
 import cmath
@@ -16,15 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import connected_condition, require_nondegenerate, two_point_interfaces
+from .boundary import connected_condition, require_length, require_nondegenerate, two_point_interfaces
 from .errors import (
-    AsymmetricGrid,
     InvalidParams,
     InvalidRegion,
     NotAnEigenvalue,
     ResonantK,
     SpectrumPoint,
 )
+from .finitediff import OracleConfig
 
 
 @dataclass(frozen=True)
@@ -100,33 +99,21 @@ class PiecewiseExp:
 
 
 @dataclass(frozen=True)
-class GridFunction:
-    """Complex samples on the staggered symmetric grid over [-L, L] (N even)."""
+class GridFunction(OracleConfig):
+    """Complex samples on the grid OracleConfig(L, N)."""
 
-    L: float
-    N: int
     values: np.ndarray
 
     def __post_init__(self):
-        if self.N < 16 or self.N % 2:
-            raise InvalidParams("N must be an even integer >= 16")
+        super().__post_init__()
         vals = np.asarray(self.values, dtype=complex)
         if vals.shape != (self.N,):
             raise InvalidParams(f"values must have shape ({self.N},), got {vals.shape}")
         object.__setattr__(self, "values", vals)
 
-    @property
-    def h(self):
-        return 2.0 * self.L / self.N
-
-    @property
-    def nodes(self):
-        return -self.L + (np.arange(self.N) + 0.5) * self.h
-
     @classmethod
     def sample(cls, func, L, N):
-        g = cls(L, N, np.zeros(N, dtype=complex))
-        return cls(L, N, np.asarray(func(g.nodes), dtype=complex))
+        return cls(L, N, func(OracleConfig(L, N).nodes))
 
     def same_grid(self, other):
         return self.N == other.N and abs(self.L - other.L) <= 1e-12 * max(1.0, self.L)
@@ -209,6 +196,8 @@ def _kernel(interfaces, k):
     A connected row [I | -B] keeps an entry 1 or ik that nothing cancels.
     Returns (ratio, coefficient vector of the interface_system Ansatz).
     """
+    if not (cmath.isfinite(k) and all(cmath.isfinite(s) for s, _ in interfaces)):
+        raise InvalidParams(f"k and the interface positions must be finite, got k = {k}")
     A = interface_system(interfaces, k)
     norm = np.linalg.norm(A, axis=1, keepdims=True)
     weight = np.array([1.0, abs(k), 1.0, abs(k)])
@@ -260,8 +249,7 @@ def eigenfunction_two_point(B, l, k):
     has rank 2 for every B.
     """
     k = complex(k)
-    if not l > 0:
-        raise InvalidParams(f"l must be positive, got {l}")
+    require_length(l)
     interfaces = two_point_interfaces(B, l)
     cvec = _eigen_kernel(interfaces, k)
     if abs(cvec[0]) > 1e-8 * np.max(np.abs(cvec)):
@@ -292,6 +280,8 @@ def interface_residual(psi, B, l=None):
 def _sqrt_upper(lam):
     """k = sqrt(lam) with Im k > 0; raises InvalidRegion on the branch cut [0, inf)."""
     lam = complex(lam)
+    if not cmath.isfinite(lam):
+        raise InvalidParams(f"lambda must be finite, got {lam}")
     if abs(lam.imag) <= 1e-14 * max(1.0, abs(lam)) and lam.real >= -1e-300:
         raise InvalidRegion(f"lambda = {lam} lies on the absolutely continuous branch [0, inf)")
     k = np.sqrt(lam)
@@ -336,9 +326,6 @@ def pt_apply(f):
         )
         return PiecewiseExp(pieces)
     if isinstance(f, GridFunction):
-        nodes = f.nodes
-        if not np.allclose(nodes, -nodes[::-1], atol=1e-12 * max(1.0, f.L)):
-            raise AsymmetricGrid("grid nodes are not symmetric under x -> -x")
         return GridFunction(f.L, f.N, np.conj(f.values[::-1]))
     raise InvalidParams(f"pt_apply supports PiecewiseExp and GridFunction, got {type(f).__name__}")
 
@@ -355,10 +342,8 @@ def pt_symmetry_defect(psi):
     finite = [abs(lo) for lo, _, _ in psi.pieces if np.isfinite(lo)]
     finite += [abs(hi) for _, hi, _ in psi.pieces if np.isfinite(hi)]
     half_width += max(finite, default=0.0)
-    h = 2.0 * half_width / DEFECT_SAMPLES
-    x = -half_width + (np.arange(DEFECT_SAMPLES) + 0.5) * h
-    u = psi(x)
-    g = np.conj(u[::-1])  # PT psi sampled on the symmetric grid
+    sampled = GridFunction.sample(psi, half_width, DEFECT_SAMPLES)
+    h, u, g = sampled.h, sampled.values, pt_apply(sampled).values
     norm2 = h * np.sum(np.abs(u) ** 2)
     if norm2 == 0.0:
         raise InvalidParams("cannot measure the defect of the zero function")

@@ -207,6 +207,27 @@ class TestSweepCommand:
         assert "InvalidParams" in rows[0] or "ModelFileError" in rows[0]
         assert rows[2].split(",")[-1] == ""  # b = 0.5 computes fine
 
+    def test_out_flag_overrides_document(self, tmp_path, capsys):
+        sweep = {
+            "model": DELTA_DOC,
+            "sweep": [{"name": "c", "min": -2.0, "max": 0.0, "steps": 3.0}],
+            "output": str(tmp_path / "doc.csv"),
+        }
+        path = write_json(tmp_path / "s.json", sweep)
+        assert main(["sweep", path, "--out", str(tmp_path / "flag.csv")]) == EXIT_OK
+        assert len((tmp_path / "flag.csv").read_text().strip().split("\n")) == 4
+        assert not (tmp_path / "doc.csv").exists()
+
+    def test_fractional_steps_rejected(self, tmp_path, capsys):
+        sweep = {
+            "model": DELTA_DOC,
+            "sweep": [{"name": "c", "min": -2.0, "max": 0.0, "steps": 2.9}],
+            "output": str(tmp_path / "map.csv"),
+        }
+        assert main(["sweep", write_json(tmp_path / "s.json", sweep)]) == EXIT_PARSE
+        assert "'steps'" in capsys.readouterr().err
+        assert not (tmp_path / "map.csv").exists()
+
 
 class TestOracleCommand:
     def test_delta_well_matches(self, tmp_path, capsys):

@@ -161,6 +161,20 @@ class TestConfig:
         with pytest.raises(InvalidParams):
             OracleConfig(L=-1.0, N=64)
 
+    @pytest.mark.parametrize("L", [0.0, -12.0, np.nan, np.inf])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda L: OracleConfig(L=L, N=64),
+            lambda L: GridFunction(L, 64, np.zeros(64)),
+            lambda L: GridFunction.sample(np.exp, L, 64),
+        ],
+        ids=["config", "grid_function", "sample"],
+    )
+    def test_width_must_be_finite_and_positive(self, build, L):
+        with pytest.raises(InvalidParams, match="finite and positive"):
+            build(L)
+
     def test_resolution_horizon_default(self):
         cfg = OracleConfig(L=12.0, N=2400)
         assert abs(cfg.resolved_lambda_max - (0.15 / 0.01) ** 2) < 1e-9

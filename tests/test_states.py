@@ -23,6 +23,7 @@ from ptpoint.states import (
     PiecewiseExp,
     apply_resolvent,
     eigenfunction_origin,
+    eigenfunction_two_point,
     interface_residual,
     pt_apply,
     pt_symmetry_defect,
@@ -278,3 +279,21 @@ class TestScattering:
         B = matrix_from_type_I(TypeIParams(0, np.pi / 2, 1, 1))  # real roots at +-1
         with pytest.raises(ResonantK):
             scattering_coefficients(B, 1.0)
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda F: eigenfunction_origin(DELTA_WELL, complex(np.nan, 1)),
+            lambda F: eigenfunction_two_point(DELTA_WELL, 1.0, complex(np.nan, 1)),
+            lambda F: eigenfunction_two_point(DELTA_WELL, np.inf, 1j),
+            lambda F: apply_resolvent(ConnectedOrigin(DELTA_WELL), complex(np.nan, 1), F),
+            lambda F: apply_resolvent(ConnectedOrigin(DELTA_WELL), -np.inf, F),
+            lambda F: scattering_coefficients(DELTA_WELL, np.inf),
+        ],
+        ids=["origin_k", "two_point_k", "two_point_l", "resolvent_nan", "resolvent_inf", "scattering_k"],
+    )
+    def test_rejected(self, call):
+        with pytest.raises(InvalidParams, match="finite"):
+            call(GridFunction.sample(lambda x: np.exp(-(x**2)), 8.0, 64))

@@ -342,6 +342,15 @@ class TestTwoPointEigenfunctions:
             eigenfunction_two_point(REAL_PAIR_MODEL, 1.0, -0.5j)
 
 
+class TestContourSpec:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["re_min", "re_max", "im_min", "im_max"])
+    def test_rejects_non_finite_field(self, field, value):
+        box = {"re_min": -5.0, "re_max": 5.0, "im_min": 1e-6, "im_max": 5.0, field: value}
+        with pytest.raises(InvalidParams, match=f"{field} must be finite"):
+            two_point_spectrum(delta_pair_matrix(0, 2), 1.0, ContourSpec(**box))
+
+
 @pytest.mark.slow
 class TestTwoPointOracle:
     def test_real_pair_model_confirmed_independently(self):
