@@ -1,9 +1,19 @@
 """Independent finite-difference validation of spectra and resolvents.
 
 Discretizes -d^2/dx^2 on [-L, L] with Dirichlet walls and the model's
-interface conditions encoded by ghost-value elimination, then solves the
-dense non-Hermitian eigenproblem.  Nothing here reuses the closed-form
-dispersion machinery: agreement between the two routes is the validation.
+interface conditions encoded by ghost-value elimination, then computes every
+eigenvalue of the dense non-Hermitian matrix.  Nothing here reuses the
+closed-form dispersion machinery: agreement between the two routes is the
+validation.
+
+Eigensolve: the grid is symmetric under x -> -x, so the matrix of a model
+invariant under reflection plus conjugation (PT) commutes, to rounding, with
+u -> conj(u[::-1]).  In the unitary basis of vectors fixed by that map,
+(e_j + e_{N-1-j})/sqrt2 and i(e_j - e_{N-1-j})/sqrt2, such a matrix is real
+and is solved in real arithmetic; if the model is also invariant under
+reflection alone, its even and odd halves decouple and are solved as two
+real N/2 blocks.  Any other matrix is solved as a complex one.  Each form is
+an exact similarity of the same matrix (see _eigvals).
 
 Scheme: on the staggered grid of OracleConfig every row is a second-order
 central difference.  At each interface (which falls midway between two
@@ -30,6 +40,11 @@ ROW_INTERFACE = 2
 
 # eigenvalues with Re < -DROP_TOL or |Im| > DROP_TOL are discrete-spectrum candidates
 DROP_TOL = 1e-4
+
+# a block of the matrix in the symmetry-adapted basis (_eigvals) at or below
+# SYMMETRY_TOL * eps * max|M| is rounding: over 20 models at N = 600, 1440 and 2400
+# the blocks a symmetry zeroes measured <= 0.8 eps * max|M|, and >= 4e12 without it
+SYMMETRY_TOL = 64
 
 
 @dataclass(frozen=True)
@@ -129,20 +144,69 @@ def discretize(spec, cfg):
     return M
 
 
+def _even_odd(M):
+    """Overwrite M with W^T M W in the real orthogonal even/odd basis W.
+
+    Column c of W is (e_c + e_{N-1-c})/sqrt2 for c < N/2 and
+    (e_{N-1-c} - e_c)/sqrt2 otherwise.  W diag(1, i) is the basis S of
+    _eigvals: each of its columns u is invariant under u -> conj(u[::-1]).
+    """
+    n = len(M) // 2
+    for X in (M, M.T):  # rows, then columns
+        top, bottom = X[:n], X[: n - 1 : -1]
+        total = top + bottom
+        np.subtract(top, bottom, out=bottom)
+        top[...] = total
+        del total  # one half-size temporary at a time
+    M *= 0.5
+
+
+def _peak(a):
+    """max |a|"""
+    return np.max(np.abs(a))
+
+
+def _eigvals(M):
+    """Every eigenvalue of M, by the cheapest exact similarity its symmetry allows; M is overwritten.
+
+    M becomes E = W^T M W (_even_odd), with blocks [[even, even_odd], [odd_even, odd]].
+    Reflection symmetry (J M J = M, J the flip) makes the off-diagonal blocks
+    vanish, and the even and odd blocks are solved apart.  Reflection plus
+    conjugation (PT, J conj(M) J = M) makes the diagonal blocks real and the
+    off-diagonal ones imaginary, so S^H M S = diag(1, -i) E diag(1, i) is real.
+    A block vanishes at or below SYMMETRY_TOL * eps * max|M|.  Whatever is real
+    is solved in real arithmetic; E is real when M is.
+    """
+    n = len(M) // 2
+    tol = SYMMETRY_TOL * np.finfo(float).eps * _peak(M)
+    _even_odd(M)
+    even, odd, even_odd, odd_even = M[:n, :n], M[n:, n:], M[:n, n:], M[n:, :n]
+    if max(_peak(even_odd), _peak(odd_even)) <= tol:
+        blocks = [even, odd]
+    else:
+        blocks = [M]
+        if max(_peak(even.imag), _peak(odd.imag), _peak(even_odd.real), _peak(odd_even.real)) <= tol:
+            even_odd *= 1j  # M <- diag(1, -i) M diag(1, i): S^H M S, real
+            odd_even *= -1j
+    if max(_peak(b.imag) for b in blocks) <= tol:
+        blocks = [b.real for b in blocks]
+    return np.concatenate([np.linalg.eigvals(b) for b in blocks])
+
+
 def oracle_discrete_spectrum(spec, cfg):
     """Discrete-spectrum candidates of the discretized operator.
 
-    All eigenvalues are computed with a dense general eigensolver; returned
-    are those with Re < -DROP_TOL or |Im| > DROP_TOL, capped at the
-    resolution horizon (see OracleConfig).  Converges to the true discrete
-    eigenvalues as O(h^2) + O(e^{-2 Im(k) L}).
+    All eigenvalues of the matrix of discretize are computed by a dense
+    eigensolver in a symmetry-adapted basis (_eigvals): in real arithmetic
+    when the model is PT-symmetric, as two half-size real blocks when it is
+    also parity-symmetric, and as a complex matrix otherwise.  Returned are
+    those with Re < -DROP_TOL or |Im| > DROP_TOL, capped at the resolution
+    horizon (see OracleConfig).  Converges to the true discrete eigenvalues
+    as O(h^2) + O(e^{-2 Im(k) L}).
     """
     M = discretize(spec, cfg)
     try:
-        if np.max(np.abs(M.imag)) == 0.0:
-            ev = np.linalg.eigvals(M.real).astype(complex)
-        else:
-            ev = np.linalg.eigvals(M)
+        ev = _eigvals(M).astype(complex)
     except np.linalg.LinAlgError as exc:
         raise EigensolverFailure(str(exc)) from exc
     keep = (ev.real < -DROP_TOL) | (np.abs(ev.imag) > DROP_TOL)

@@ -100,7 +100,7 @@ class PiecewiseExp:
 
 @dataclass(frozen=True)
 class GridFunction(OracleConfig):
-    """Complex samples on the grid OracleConfig(L, N)."""
+    """Finite complex samples on the grid OracleConfig(L, N)."""
 
     values: np.ndarray
 
@@ -109,6 +109,8 @@ class GridFunction(OracleConfig):
         vals = np.asarray(self.values, dtype=complex)
         if vals.shape != (self.N,):
             raise InvalidParams(f"values must have shape ({self.N},), got {vals.shape}")
+        if not np.all(np.isfinite(vals)):
+            raise InvalidParams("grid values must be finite")
         object.__setattr__(self, "values", vals)
 
     @classmethod
@@ -296,14 +298,17 @@ def apply_resolvent(spec, lam, F):
     U = u0 + psi: u0(x) = -int e^{ik|x-y|}/(2ik) F(y) dy is the outgoing free
     convolution, C^1 everywhere, and psi is the interface_system Ansatz whose
     coefficients make u0 + psi satisfy every interface condition; k = sqrt(lam),
-    Im k > 0.  Quadratures use the midpoint rule on the staggered grid (O(h^2)).
+    Im k > 0.  Quadratures use the midpoint rule on the staggered grid (O(h^2));
+    on it u0 is one Toeplitz convolution, O(N) in memory.
     """
     if not isinstance(F, GridFunction):
         raise InvalidParams("F must be a GridFunction")
     interfaces = spec.interfaces()
     k = _sqrt_upper(lam)
-    x, h, f = F.nodes, F.h, F.values
-    u0 = h * (-np.exp(1j * k * np.abs(x[:, None] - x[None, :])) / (2j * k) @ f)
+    x, h, f, N = F.nodes, F.h, F.values, F.N
+    # x_i - x_j = (i - j) h: one Toeplitz convolution with e^{ikh|m|}, |m| < N
+    kernel = np.exp(1j * k * h * np.abs(np.arange(1 - N, N)))
+    u0 = -h / (2j * k) * np.convolve(f, kernel)[N - 1 : 2 * N - 1]
 
     # u0 and u0' at each interface, the same from both sides, enter the conditions as data
     data = []

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from ptpoint.finitediff import (
     DROP_TOL,
     OracleConfig,
     ROW_INTERFACE,
+    SYMMETRY_TOL,
     _assemble,
     discretize,
     oracle_discrete_spectrum,
@@ -27,6 +30,30 @@ from ptpoint.spectra import (
 from ptpoint.states import GridFunction
 
 DELTA_WELL = ConnectedOrigin(np.array([[1, 0], [-2, 1]], dtype=complex))
+
+# models by the symmetry of their matrix: real and parity-symmetric (even and
+# odd blocks), PT-symmetric (real in the PT basis), neither (complex)
+PARITY_MODELS = {
+    "delta_well": DELTA_WELL,
+    "delta_pair_v0": DeltaPair(-2.0, 0.0, 1.0),
+}
+PT_MODELS = {
+    "separated": SeparatedOrigin(TypeIIParams(0.4, 1.0, -1.0)),
+    "type_I_pairs": ConnectedOrigin(matrix_from_type_I(TypeIParams(0.0, 2 * np.pi / 3, 1.0, 4.0))),
+    "delta_pair": DeltaPair(-2.0, 0.5, 1.0),
+    "two_point": TwoPoint(1.0, matrix_from_type_I(TypeIParams(0.0, 2.8, 1.0, -0.5))),
+}
+ASYMMETRIC_MODELS = {
+    "connected_complex": ConnectedOrigin(np.array([[1, 0.3j], [-2, 1]], dtype=complex)),
+}
+SYMMETRIC_MODELS = {**PARITY_MODELS, **PT_MODELS}
+ALL_MODELS = {**SYMMETRIC_MODELS, **ASYMMETRIC_MODELS}
+DENSE_N = 600
+
+
+@functools.lru_cache(maxsize=None)
+def _candidates(name):
+    return oracle_discrete_spectrum(ALL_MODELS[name], OracleConfig(L=12.0, N=DENSE_N))
 
 
 class TestDiscretize:
@@ -140,6 +167,42 @@ class TestOracleSpectrum:
         assert len(cand) == 0
 
 
+class TestDenseReference:
+    """The oracle against np.linalg.eigvals of the assembled matrix, filtered the same way."""
+
+    @pytest.mark.parametrize("name", ALL_MODELS)
+    def test_same_candidates_as_dense_solve(self, name):
+        cfg = OracleConfig(L=12.0, N=DENSE_N)
+        ev = np.linalg.eigvals(discretize(ALL_MODELS[name], cfg))
+        keep = (ev.real < -DROP_TOL) | (np.abs(ev.imag) > DROP_TOL)
+        reference = ev[keep & (np.abs(ev) <= cfg.resolved_lambda_max)]
+        cand = _candidates(name)
+        assert len(cand) == len(reference) > 0
+        for a, b in ((cand, reference), (reference, cand)):
+            for lam in a:
+                assert np.min(np.abs(b - lam)) <= 1e-9 * max(1.0, abs(lam))
+
+    @pytest.mark.parametrize(
+        "models, parity, pt",
+        [(PARITY_MODELS, True, True), (PT_MODELS, False, True), (ASYMMETRIC_MODELS, False, False)],
+        ids=["parity", "pt", "asymmetric"],
+    )
+    def test_models_cover_each_symmetry(self, models, parity, pt):
+        # J M J = M, J conj(M) J = M for the flip J, to rounding or far from it
+        for spec in models.values():
+            M = discretize(spec, OracleConfig(L=12.0, N=DENSE_N))
+            tol = SYMMETRY_TOL * np.finfo(float).eps * np.max(np.abs(M))
+            assert (np.max(np.abs(M[::-1, ::-1] - M)) <= tol) == parity
+            assert (np.max(np.abs(np.conj(M[::-1, ::-1]) - M)) <= tol) == pt
+
+    @pytest.mark.parametrize("name", SYMMETRIC_MODELS)
+    def test_non_real_candidates_in_exact_conjugate_pairs(self, name):
+        cand = _candidates(name)
+        non_real = cand[cand.imag != 0]
+        assert all(np.count_nonzero(cand == np.conj(lam)) == 1 for lam in non_real)
+        assert np.count_nonzero(non_real.imag > 0) == np.count_nonzero(non_real.imag < 0)
+
+
 class TestResolventResidual:
     def test_zero_solution_gives_unit_residual(self):
         F = GridFunction.sample(lambda x: np.exp(-(x**2)), 12.0, 300)
@@ -152,6 +215,12 @@ class TestResolventResidual:
         U = GridFunction(10.0, 300, np.zeros(300, dtype=complex))
         with pytest.raises(GridMismatch):
             oracle_resolvent_residual(DELTA_WELL, 1 + 1j, U, F)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_solution_rejected(self, bad):
+        F = GridFunction.sample(lambda x: np.exp(-(x**2)), 12.0, 300)
+        with pytest.raises(InvalidParams, match="finite"):
+            oracle_resolvent_residual(DELTA_WELL, 1 + 1j, GridFunction(12.0, 300, np.full(300, bad)), F)
 
 
 class TestConfig:

@@ -17,7 +17,7 @@ from ptpoint.errors import (
     ResonantK,
     SpectrumPoint,
 )
-from ptpoint.finitediff import oracle_resolvent_residual
+from ptpoint.finitediff import OracleConfig, oracle_resolvent_residual
 from ptpoint.states import (
     GridFunction,
     PiecewiseExp,
@@ -297,3 +297,25 @@ class TestNonFiniteInput:
     def test_rejected(self, call):
         with pytest.raises(InvalidParams, match="finite"):
             call(GridFunction.sample(lambda x: np.exp(-(x**2)), 8.0, 64))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+    def test_resolvent_of_non_finite_samples_rejected(self, bad):
+        values = np.exp(-OracleConfig(8.0, 64).nodes ** 2).astype(complex)
+        values[17] = bad
+        with pytest.raises(InvalidParams, match="finite"):
+            apply_resolvent(ConnectedOrigin(DELTA_WELL), 1 + 1j, GridFunction(8.0, 64, values))
+        with pytest.raises(InvalidParams, match="finite"):
+            GridFunction.sample(lambda x: np.where(x > 0, bad, 1.0), 8.0, 64)
+
+
+class TestFreeConvolution:
+    def test_free_resolvent_equals_dense_kernel(self):
+        # for B = I no interface correction remains, so U is the free convolution,
+        # here against the N x N kernel e^{ik|x_i - x_j|} written out
+        lam = 0.7 + 1.1j
+        F = GridFunction.sample(lambda x: np.exp(-(((x - 0.3) / 1.1) ** 2)) * (1 + 0.5j * x), 12.0, 600)
+        U = apply_resolvent(ConnectedOrigin(np.eye(2)), lam, F)
+        k = np.sqrt(lam)
+        x = F.nodes
+        dense = F.h * (-np.exp(1j * k * np.abs(x[:, None] - x[None, :])) / (2j * k) @ F.values)
+        assert np.max(np.abs(U.values - dense)) <= 1e-13 * np.max(np.abs(dense))
