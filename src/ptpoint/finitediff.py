@@ -42,8 +42,8 @@ ROW_INTERFACE = 2
 DROP_TOL = 1e-4
 
 # a block of the matrix in the symmetry-adapted basis (_eigvals) at or below
-# SYMMETRY_TOL * eps * max|M| is rounding: over 20 models at N = 600, 1440 and 2400
-# the blocks a symmetry zeroes measured <= 0.8 eps * max|M|, and >= 4e12 without it
+# SYMMETRY_TOL * eps * max|M| is rounding: over 13 models at N = 600, 1440 and 2400
+# the blocks a symmetry zeroes measured <= 0.8 eps * max|M|, and >= 3e12 without it
 SYMMETRY_TOL = 64
 
 
