@@ -29,6 +29,8 @@ import numpy as np
 from .errors import Degenerate, InvalidParams, NotInFamily
 
 TWO_PI = 2.0 * np.pi
+# the one predicate tolerance: singularity, family, PT, self-adjointness, and in
+# spectra which roots are eigenvalues and which eigenvalues are real
 DEFAULT_TOL = 1e-10
 
 J_SIGN = np.diag([1.0, -1.0])
@@ -76,10 +78,10 @@ def theta_mod_pi(theta):
     return min(theta % np.pi, np.pi - (theta % np.pi))
 
 
-def require_nondegenerate(B, tol=DEFAULT_TOL):
+def require_nondegenerate(B):
     """Return B as an ndarray, raising Degenerate if det(B) ~ 0."""
     M = as_matrix(B)
-    if abs(np.linalg.det(M)) <= tol * _scale(M) ** 2:
+    if abs(np.linalg.det(M)) <= DEFAULT_TOL * _scale(M) ** 2:
         raise Degenerate(f"interface matrix is singular (det = {np.linalg.det(M):.3e})")
     return M
 
@@ -157,7 +159,7 @@ def delta_pair_matrix(u, v, variant="default"):
     raise InvalidParams(f"unknown delta-pair variant {variant!r}")
 
 
-def type_I_from_matrix(B, tol=DEFAULT_TOL):
+def type_I_from_matrix(B):
     """Extract TypeIParams from a connected interface matrix.
 
     The canonical branch takes theta = arg(det B)/2 in [0, pi); when that
@@ -168,30 +170,30 @@ def type_I_from_matrix(B, tol=DEFAULT_TOL):
     Raises NotInFamily when |det B| != 1, when the phase-stripped off-diagonal
     entries are not real, or when the diagonal does not match sqrt(1+bc) e^{+-i phi}.
     """
-    M = require_nondegenerate(B, tol)
+    M = require_nondegenerate(B)
     det = np.linalg.det(M)
     scale = _scale(M)
-    if abs(abs(det) - 1.0) > tol * scale**2:
+    if abs(abs(det) - 1.0) > DEFAULT_TOL * scale**2:
         raise NotInFamily(f"|det B| = {abs(det):.6g} != 1")
     theta = (np.angle(det) % TWO_PI) / 2.0  # in [0, pi)
     Bp = np.exp(-1j * theta) * M
     b, c = Bp[0, 1], Bp[1, 0]
-    if abs(b.imag) > tol * scale or abs(c.imag) > tol * scale:
+    if abs(b.imag) > DEFAULT_TOL * scale or abs(c.imag) > DEFAULT_TOL * scale:
         raise NotInFamily("phase-stripped off-diagonal entries are not real")
     b, c = b.real, c.real
-    if b < -tol * scale:
+    if b < -DEFAULT_TOL * scale:
         theta += np.pi
         Bp = -Bp
         b, c = -b, -c
     b = max(b, 0.0)
     root = np.sqrt(max(1.0 + b * c, 0.0))
     alpha, delta = Bp[0, 0], Bp[1, 1]
-    if abs(abs(alpha) - root) > tol * scale or abs(delta - np.conj(alpha)) > tol * scale:
+    if abs(abs(alpha) - root) > DEFAULT_TOL * scale or abs(delta - np.conj(alpha)) > DEFAULT_TOL * scale:
         raise NotInFamily("diagonal does not match sqrt(1+bc) e^{+-i phi}")
-    phi = float(np.angle(alpha)) % TWO_PI if root > tol else 0.0
+    phi = float(np.angle(alpha)) % TWO_PI if root > DEFAULT_TOL else 0.0
     params = TypeIParams(theta=theta, phi=phi, b=b, c=c)
     back = matrix_from_type_I(params)
-    if np.max(np.abs(back - M)) > max(tol, 1e-12) * scale:
+    if np.max(np.abs(back - M)) > DEFAULT_TOL * scale:
         raise NotInFamily("extracted parameters do not regenerate the matrix")
     return params
 
@@ -202,23 +204,23 @@ def pt_mirror(B):
     return J_SIGN @ np.conj(M) @ J_SIGN
 
 
-def is_pt_connected(B, tol=DEFAULT_TOL):
+def is_pt_connected(B):
     """True iff the connected condition B is PT-invariant: B J conj(B) J = I."""
-    M = require_nondegenerate(B, tol)
+    M = require_nondegenerate(B)
     resid = M @ pt_mirror(M) - np.eye(2)
-    return bool(np.max(np.abs(resid)) <= tol * max(1.0, _scale(M) ** 2))
+    return bool(np.max(np.abs(resid)) <= DEFAULT_TOL * max(1.0, _scale(M) ** 2))
 
 
-def is_selfadjoint_connected(B, tol=DEFAULT_TOL):
+def is_selfadjoint_connected(B):
     """True iff B = e^{i theta} R with R real and det R = 1 (self-adjoint condition)."""
-    M = require_nondegenerate(B, tol)
+    M = require_nondegenerate(B)
     det = np.linalg.det(M)
     scale = _scale(M)
-    if abs(abs(det) - 1.0) > tol * scale**2:
+    if abs(abs(det) - 1.0) > DEFAULT_TOL * scale**2:
         return False
     theta = np.angle(det) / 2.0
     R = np.exp(-1j * theta) * M
-    return bool(np.max(np.abs(R.imag)) <= tol * scale)
+    return bool(np.max(np.abs(R.imag)) <= DEFAULT_TOL * scale)
 
 
 def pt_boundary_image(v):
@@ -240,6 +242,7 @@ def connected_condition(B):
 
 def two_point_interfaces(B, l):
     """Interfaces of the PT-symmetric pair: B at +l, the PT image of its rows at -l."""
+    require_length(l)
     Q = connected_condition(B)
     return ((-l, np.array([pt_boundary_image(row) for row in Q])), (l, Q))
 
@@ -317,39 +320,39 @@ class ClassificationReport:
     notes: str = ""
 
 
-def _classify_connected_matrix(B, tol):
-    pt = is_pt_connected(B, tol)
-    sa = is_selfadjoint_connected(B, tol)
+def _classify_connected_matrix(B):
+    pt = is_pt_connected(B)
+    sa = is_selfadjoint_connected(B)
     notes = []
     params = None
     family = GENERAL
     try:
-        params = type_I_from_matrix(B, tol)
+        params = type_I_from_matrix(B)
         family = TYPE_I
         if params.theta >= np.pi:
             notes.append("theta uses the pi-shifted representative (theta in [pi, 2pi))")
-        if params.b <= tol and abs(params.c) <= tol:
+        if params.b <= DEFAULT_TOL and abs(params.c) <= DEFAULT_TOL:
             notes.append("b = c = 0: phases determined only up to a simultaneous pi shift")
     except (NotInFamily, Degenerate):
         pass
     return pt, sa, family, params, notes
 
 
-def classify(spec, tol=DEFAULT_TOL):
+def classify(spec):
     """Classify an interaction: PT-invariance, self-adjointness, parameter family."""
     if isinstance(spec, ConnectedOrigin):
-        pt, sa, family, params, notes = _classify_connected_matrix(spec.B, tol)
+        pt, sa, family, params, notes = _classify_connected_matrix(spec.B)
         return ClassificationReport(pt, sa, family, params, "; ".join(notes))
 
     if isinstance(spec, SeparatedOrigin):
         p = spec.params
-        sa = theta_mod_pi(p.theta) <= tol or p.h0 <= tol or abs(p.h1) <= tol
+        sa = theta_mod_pi(p.theta) <= DEFAULT_TOL or p.h0 <= DEFAULT_TOL or abs(p.h1) <= DEFAULT_TOL
         notes = "separated conditions are PT-invariant for every theta"
         return ClassificationReport(True, bool(sa), TYPE_II, p, notes)
 
     if isinstance(spec, (TwoPoint, DeltaPair)):
         try:
-            _, sa, family, params, notes = _classify_connected_matrix(spec.B, tol)
+            _, sa, family, params, notes = _classify_connected_matrix(spec.B)
         except Degenerate:
             notes = "interface matrix is degenerate; connected-origin predicates unavailable"
             return ClassificationReport(True, False, GENERAL, None, notes)

@@ -184,11 +184,13 @@ def load_model(path, variant="default"):
 
 
 def _spectrum_for(spec, contour=None):
+    if isinstance(spec, (TwoPoint, DeltaPair)):
+        return spectra.two_point_spectrum(spec.B, spec.l, contour)
+    if contour is not None:
+        raise InvalidParams("--contour applies to two-point models only; origin spectra are closed form")
     if isinstance(spec, ConnectedOrigin):
         return spectra.discrete_spectrum_origin_connected(spec.B)
-    if isinstance(spec, SeparatedOrigin):
-        return spectra.discrete_spectrum_separated(spec.params)
-    return spectra.two_point_spectrum(spec.B, spec.l, contour)
+    return spectra.discrete_spectrum_separated(spec.params)
 
 
 def _print_report(report):
@@ -216,7 +218,7 @@ def _write_spectrum_csv(report, path):
 
 def cmd_classify(args):
     spec = load_model(args.model, variant=args.variant)
-    rep = classify(spec, tol=args.tol)
+    rep = classify(spec)
     print(f"pt_selfadjoint: {str(rep.pt_selfadjoint).lower()}")
     print(f"selfadjoint: {str(rep.selfadjoint).lower()}")
     print(f"family: {rep.family}")
@@ -381,7 +383,6 @@ def build_parser():
 
     p = sub.add_parser("classify", help="symmetry and family classification")
     p.add_argument("model")
-    p.add_argument("--tol", type=_finite_float, default=1e-10, help="algebraic predicate tolerance")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("spectrum", help="discrete spectrum report")

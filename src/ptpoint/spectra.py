@@ -1,8 +1,10 @@
 """Dispersion relations and discrete spectra for point-interaction models.
 
 Wave numbers k and energies lambda = k^2.  Only roots on the physical sheet
-Im k > 0 produce square-integrable eigenfunctions; roots with Im k <= 0 are
-reported separately as diagnostics.
+Im k > 0 produce square-integrable eigenfunctions.  A root is an eigenvalue
+when Im k > DEFAULT_TOL: the closed forms put roots on the real axis only up to
+rounding, at times just above it.  The other roots are reported separately as
+diagnostics.
 
 Origin models have algebraic dispersion relations solved in closed form.  The
 two-point model at +-l has the transcendental relation
@@ -55,9 +57,6 @@ CONJUGATE_PAIR_MEMBER = "conjugate_pair_member"
 REAL_ALL_ROOTS_LOWER_HALF = "real_all_roots_lower_half"
 REAL_PURE_IMAGINARY_ROOTS = "real_pure_imaginary_roots"
 COMPLEX_SPECTRUM = "complex_spectrum"
-
-# |Im lambda| below this (relative) threshold counts as a real eigenvalue
-REALNESS_TOL = 1e-10
 
 # two-point dispersion relations: as printed by the source, and as the
 # determinant of the interface system
@@ -130,10 +129,6 @@ def _sort_roots(roots):
     return sorted(roots, key=lambda z: (z.real, z.imag))
 
 
-def _is_real_lambda(lam):
-    return abs(lam.imag) <= REALNESS_TOL * max(1.0, abs(lam))
-
-
 def _report_from_roots(roots, multiplicities=None, kernel_sv=None):
     """Build a SpectrumReport from dispersion roots (default multiplicity 1 each).
 
@@ -143,9 +138,9 @@ def _report_from_roots(roots, multiplicities=None, kernel_sv=None):
         multiplicities = [1] * len(roots)
     eigs, nonphys = [], []
     for k, m in zip(roots, multiplicities):
-        if k.imag > 0:
+        if k.imag > DEFAULT_TOL:
             lam = k * k
-            kind = NEGATIVE_REAL if _is_real_lambda(lam) else CONJUGATE_PAIR_MEMBER
+            kind = NEGATIVE_REAL if abs(lam.imag) <= DEFAULT_TOL * max(1.0, abs(lam)) else CONJUGATE_PAIR_MEMBER
             if kernel_sv is None:
                 eigs.append(Eigenvalue(lam, WaveNumber(k), m, kind))
             else:
@@ -239,7 +234,7 @@ def discrete_spectrum_separated(p):
         k(+) = -i (h1/h0) e^{+i theta}   (right),
         k(-) = -i (h1/h0) e^{-i theta}   (left),
 
-    an eigenvalue when Im k > 0.  When both candidates coincide (theta = 0
+    an eigenvalue when Im k > DEFAULT_TOL.  When both candidates coincide (theta = 0
     mod pi) the common negative eigenvalue has multiplicity 2.
     """
     if p.h0 == 0.0:
@@ -288,36 +283,16 @@ def real_spectrum_predicate_type_I(p):
     return RealSpectrumTypeI(True, condition)
 
 
-def real_spectrum_classify_general(B, tol=DEFAULT_TOL):
-    """Classify the spectrum reality of a general connected matrix.
+def real_spectrum_classify_general(B):
+    """Spectrum reality of a connected-origin matrix, read off discrete_spectrum_origin_connected.
 
-    Returns REAL_ALL_ROOTS_LOWER_HALF when every dispersion root has
-    Im k <= tol (pure absolutely continuous spectrum), otherwise
-    REAL_PURE_IMAGINARY_ROOTS when (alpha+delta)/beta and gamma/beta are real
-    with 4 gamma/beta <= (alpha+delta)^2/beta^2 (roots on the imaginary
-    axis), otherwise COMPLEX_SPECTRUM.  Always consistent with the computed
-    roots.
+    REAL_ALL_ROOTS_LOWER_HALF when it has no eigenvalue, REAL_PURE_IMAGINARY_ROOTS
+    when every eigenvalue is negative real, otherwise COMPLEX_SPECTRUM.
     """
-    M = require_nondegenerate(B, tol)
-    roots = dispersion_roots_general(M)
-    if all(k.imag <= tol for k in roots):
+    eigs = discrete_spectrum_origin_connected(B).eigenvalues
+    if not eigs:
         return REAL_ALL_ROOTS_LOWER_HALF
-    beta = M[0, 1]
-    tau = M[0, 0] + M[1, 1]
-    gamma = M[1, 0]
-    zero_thresh = zero_coefficient_threshold(M)
-    if abs(beta) > zero_thresh:
-        w1 = tau / beta
-        w2 = gamma / beta
-        pure_imag = (
-            abs(w1.imag) <= tol * max(1.0, abs(w1))
-            and abs(w2.imag) <= tol * max(1.0, abs(w2))
-            and 4.0 * w2.real <= w1.real**2 + tol * max(1.0, w1.real**2, abs(4 * w2.real))
-        )
-    else:
-        k = roots[0]
-        pure_imag = abs(k.real) <= tol * max(1.0, abs(k))
-    if pure_imag:
+    if all(e.kind == NEGATIVE_REAL for e in eigs):
         return REAL_PURE_IMAGINARY_ROOTS
     return COMPLEX_SPECTRUM
 
@@ -360,12 +335,15 @@ class _ScaledDispersion:
 
     Same zeros as D in the open upper half-plane.  Below the real axis q
     overflows; mirrored=True evaluates e^{-4ikl} Dt with q' = e^{-4ikl} instead.
+    Raises DegenerateIdenticallyZero when P1 and P2 both vanish (no coefficient above 1e-300).
     """
 
     def __init__(self, B, l, relation=PRINTED):
         require_length(l)
         self.l = float(l)
         self.p1, self.p2 = _bracket_coeffs(as_matrix(B), relation)
+        if max(np.max(np.abs(self.p1)), np.max(np.abs(self.p2))) <= 1e-300:  # default_contour's zero
+            raise DegenerateIdenticallyZero("two-point dispersion vanishes identically")
         self.dp1 = np.polyder(self.p1)
         self.dp2 = np.polyder(self.p2)
 
@@ -377,23 +355,21 @@ class _ScaledDispersion:
         P2 = np.polyval(self.p2, k)
         return -s * 0.5j * (q - 1.0) * P1 + 0.5 * k * (1.0 + q) * P2
 
-    def derivative(self, k):
+    def with_derivative(self, k):
+        """(Dt(k), Dt'(k)) as complex numbers, from one evaluation of q, P1 and P2."""
         k = np.asarray(k, dtype=complex)
         q = np.exp(4j * k * self.l)
         P1 = np.polyval(self.p1, k)
         P2 = np.polyval(self.p2, k)
-        dP1 = np.polyval(self.dp1, k)
-        dP2 = np.polyval(self.dp2, k)
-        return (
+        d = -0.5j * (q - 1.0) * P1 + 0.5 * k * (1.0 + q) * P2
+        dp = (
             2.0 * self.l * q * P1
-            - 0.5j * (q - 1.0) * dP1
+            - 0.5j * (q - 1.0) * np.polyval(self.dp1, k)
             + 0.5 * (1.0 + q) * P2
             + 2j * self.l * k * q * P2
-            + 0.5 * k * (1.0 + q) * dP2
+            + 0.5 * k * (1.0 + q) * np.polyval(self.dp2, k)
         )
-
-    def identically_zero(self):
-        return np.all(self.p1 == 0) and np.all(self.p2 == 0)
+        return complex(d), complex(dp)
 
 
 def two_point_dispersion_value(B, l, k, relation=PRINTED):
@@ -414,16 +390,14 @@ def two_point_dispersion_value(B, l, k, relation=PRINTED):
 
 def default_contour(B, l, relation=PRINTED):
     """Cauchy-style default search rectangle from the bracket coefficient ratios."""
-    p1, p2 = _bracket_coeffs(as_matrix(B), relation)
+    disp = _ScaledDispersion(B, l, relation)
     ratios = []
-    for poly in (p1, p2):
+    for poly in (disp.p1, disp.p2):
         mags = np.abs(poly)
         nz = np.nonzero(mags > 1e-300)[0]
         if len(nz):
             lead = mags[nz[0]]
             ratios.append(np.max(mags[nz[0]:]) / lead)
-    if not ratios:
-        raise DegenerateIdenticallyZero("two-point dispersion vanishes identically")
     K = 2.0 * (1.0 + max(ratios))
     return ContourSpec(-K, K, 1e-6, K)
 
@@ -490,33 +464,32 @@ def _newton_refine(disp, k0, multiplicity):
     """Multiplicity-aware Newton iteration on the rescaled dispersion."""
     k = complex(k0)
     m = max(1, multiplicity)
-    for it in range(MAX_NEWTON_ITER):
-        d = complex(disp(k))
-        dp = complex(disp.derivative(k))
+    for _ in range(MAX_NEWTON_ITER):
+        d, dp = disp.with_derivative(k)
         if dp == 0:
             raise NoConvergence("vanishing dispersion derivative during Newton refinement")
         step = m * d / dp
         k -= step
         if abs(step) <= NEWTON_TOL * max(1.0, abs(k)):
             for _ in range(2):  # polish to machine accuracy
-                dp = complex(disp.derivative(k))
+                d, dp = disp.with_derivative(k)
                 if dp == 0:
                     break
-                k -= m * complex(disp(k)) / dp
+                k -= m * d / dp
             return k
     raise NoConvergence(f"Newton refinement failed to converge from {k0}")
 
 
-def _axis_polish(disp, k, steps=4):
-    """Real Newton on g(y) = Im Dt(iy) for near-axis roots; exact Re k = 0 on success."""
+def _axis_polish(disp, k):
+    """Four real Newton steps on g(y) = Im Dt(iy) for a near-axis root; exact Re k = 0 on success."""
     y = k.imag
-    for _ in range(steps):
-        g = float(np.imag(disp(1j * y)))
-        gp = float(np.real(disp.derivative(1j * y)))
-        if gp == 0.0:
+    for _ in range(4):
+        g, gp = disp.with_derivative(1j * y)
+        if gp.real == 0.0:
             return k
-        y = y - g / gp
-    if abs(np.imag(disp(1j * y))) <= abs(disp(k)) + 1e-12 * abs(disp.derivative(k)) * abs(k.real):
+        y = y - g.imag / gp.real
+    d, dp = disp.with_derivative(k)
+    if abs(np.imag(disp(1j * y))) <= abs(d) + 1e-12 * abs(dp) * abs(k.real):
         return complex(0.0, y)
     return k
 
@@ -535,13 +508,12 @@ def two_point_spectrum(B, l, contour=None, relation=PRINTED):
 
     Roots below the contour (0 < Im k <= im_min) are not searched; pass a
     smaller im_min to reach them.  Lower-half-plane diagnostics are never
-    collected here, so the report's nonphysical tuple stays empty.
+    collected here, so the report's nonphysical tuple stays empty while
+    im_min >= DEFAULT_TOL.
     """
     if contour is None:
         contour = default_contour(B, l, relation=relation)
     disp = _ScaledDispersion(B, l, relation)
-    if disp.identically_zero():
-        raise DegenerateIdenticallyZero("two-point dispersion vanishes identically")
 
     total = _winding_rectangle(disp, contour.re_min, contour.re_max, contour.im_min, contour.im_max)
     roots = []

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import connected_condition, require_length, require_nondegenerate, two_point_interfaces
+from .boundary import connected_condition, require_nondegenerate, two_point_interfaces
 from .errors import (
     InvalidParams,
     InvalidRegion,
@@ -251,7 +251,6 @@ def eigenfunction_two_point(B, l, k):
     has rank 2 for every B.
     """
     k = complex(k)
-    require_length(l)
     interfaces = two_point_interfaces(B, l)
     cvec = _eigen_kernel(interfaces, k)
     if abs(cvec[0]) > 1e-8 * np.max(np.abs(cvec)):

@@ -138,6 +138,13 @@ class TestSpectrumCommand:
         path = write_json(tmp_path / "m.json", doc)
         assert main(["spectrum", path]) == EXIT_DEGENERATE
 
+    @pytest.mark.parametrize("doc", [DELTA_DOC, {"type": "separated", "theta": 0.4, "h0": 1.0, "h1": -1.0}])
+    def test_contour_rejected_on_origin_models(self, tmp_path, capsys, doc):
+        path = write_json(tmp_path / "m.json", doc)
+        assert main(["spectrum", path, "--contour", "-5", "5", "1e-6", "5"]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert "--contour" in captured.err and captured.out == ""
+
     def test_contour_through_root_exit_code(self, tmp_path, capsys):
         # k = i sits exactly on the requested top edge
         path = write_json(tmp_path / "m.json", DP2_DOC)
@@ -327,11 +334,10 @@ class TestNonFiniteInput:
         [
             ["eigenfunction", "{model}", "--k", "0", "1", "--grid", "8", "nan"],
             ["eigenfunction", "{model}", "--k", "0", "1", "--grid", "inf", "5"],
-            ["classify", "{model}", "--tol", "nan"],
+            ["spectrum", "{model}", "--contour", "-5", "5", "1e-6", "inf"],
             ["oracle", "{model}", "--tol", "nan"],
             ["eigenfunction", "{model}", "--k", "nan", "2"],
             ["oracle", "{model}", "--L=-inf"],
-            ["spectrum", "{model}", "--contour", "-5", "5", "1e-6", "inf"],
         ],
     )
     def test_non_finite_float_flag(self, tmp_path, capsys, argv):

@@ -195,17 +195,41 @@ class TestRealSpectrumGeneral:
         assert real_spectrum_classify_general(B) == COMPLEX_SPECTRUM
 
     def test_agreement_with_roots_random(self):
+        # random complex matrices have no roots on the imaginary axis; type_I
+        # draws and phased real matrices (a third with beta = 0) do
         rng = np.random.default_rng(9)
+        mats = [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(500)]
+        mats += [matrix_from_type_I(random_type_I(rng)) for _ in range(500)]
         for _ in range(500):
-            B = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            R = rng.normal(size=(2, 2))
+            if rng.uniform() < 1 / 3:
+                R[0, 1] = 0.0
+            mats.append(np.exp(2j * np.pi * rng.uniform()) * R)
+        seen = set()
+        for B in mats:
             if abs(np.linalg.det(B)) < 1e-3:
                 continue
-            verdict = real_spectrum_classify_general(B)
-            roots = dispersion_roots_general(B)
-            has_complex_eig = any(
-                k.imag > 1e-10 and abs(k.real) > 1e-10 * max(1.0, abs(k)) for k in roots
-            )
-            assert (verdict == COMPLEX_SPECTRUM) == has_complex_eig
+            upper = [k for k in dispersion_roots_general(B) if k.imag > 0]
+            if not upper:
+                expected = REAL_ALL_ROOTS_LOWER_HALF
+            elif all(abs(k.real) <= 1e-10 * max(1.0, abs(k)) for k in upper):
+                expected = REAL_PURE_IMAGINARY_ROOTS
+            else:
+                expected = COMPLEX_SPECTRUM
+            assert real_spectrum_classify_general(B) == expected
+            seen.add(expected)
+        assert seen == {REAL_ALL_ROOTS_LOWER_HALF, REAL_PURE_IMAGINARY_ROOTS, COMPLEX_SPECTRUM}
+
+    def test_real_axis_roots_are_not_eigenvalues(self):
+        # roots on the real axis come out of the closed forms up to rounding, here
+        # at Im k = 3e-49 (gamma = 0, root k = 0), 5e-19 (alpha + delta = 0,
+        # roots k = +-sqrt(3)) and 6e-17 (theta = pi/2, roots k = +-1)
+        for B in (matrix_from_type_I(TypeIParams(1.1, 0.3, 1.0, 0.0)), np.exp(0.01j) * np.array([[1, 1], [3, -1]])):
+            assert max(k.imag for k in dispersion_roots_general(B)) > 0
+            assert discrete_spectrum_origin_connected(B).eigenvalues == ()
+            assert real_spectrum_classify_general(B) == REAL_ALL_ROOTS_LOWER_HALF
+        rep = discrete_spectrum_separated(TypeIIParams(np.pi / 2, 1.0, -1.0))
+        assert rep.eigenvalues == () and len(rep.nonphysical_roots) == 2
 
 
 class TestThetaInvariance:

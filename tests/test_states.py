@@ -18,6 +18,7 @@ from ptpoint.errors import (
     SpectrumPoint,
 )
 from ptpoint.finitediff import OracleConfig, oracle_resolvent_residual
+from ptpoint.spectra import default_contour, delta_pair_matrix, two_point_spectrum
 from ptpoint.states import (
     GridFunction,
     PiecewiseExp,
@@ -28,9 +29,13 @@ from ptpoint.states import (
     pt_apply,
     pt_symmetry_defect,
     scattering_coefficients,
+    two_point_kernel,
 )
 
 DELTA_WELL = np.array([[1, 0], [-2, 1]], dtype=complex)
+# an operator eigenvalue of a two-point model: k = 1.0378...i
+DELTA_PAIR = delta_pair_matrix(-2.0, 0.5)
+DELTA_PAIR_ROOT = two_point_spectrum(DELTA_PAIR, 1.0, relation="operator").eigenvalues[0].k.k
 
 
 class TestPiecewiseExp:
@@ -291,8 +296,18 @@ class TestNonFiniteInput:
             lambda F: apply_resolvent(ConnectedOrigin(DELTA_WELL), complex(np.nan, 1), F),
             lambda F: apply_resolvent(ConnectedOrigin(DELTA_WELL), -np.inf, F),
             lambda F: scattering_coefficients(DELTA_WELL, np.inf),
+            lambda F: two_point_kernel(DELTA_PAIR, -1.0, DELTA_PAIR_ROOT),
+            lambda F: interface_residual(
+                eigenfunction_two_point(DELTA_PAIR, 1.0, DELTA_PAIR_ROOT), DELTA_PAIR, 0.0
+            ),
+            lambda F: default_contour(DELTA_PAIR, 0.0),
+            lambda F: default_contour(DELTA_PAIR, -1.0),
+            lambda F: default_contour(DELTA_PAIR, np.nan),
         ],
-        ids=["origin_k", "two_point_k", "two_point_l", "resolvent_nan", "resolvent_inf", "scattering_k"],
+        ids=[
+            "origin_k", "two_point_k", "two_point_l", "resolvent_nan", "resolvent_inf", "scattering_k",
+            "kernel_l_negative", "residual_l_zero", "contour_l_zero", "contour_l_negative", "contour_l_nan",
+        ],
     )
     def test_rejected(self, call):
         with pytest.raises(InvalidParams, match="finite"):
