@@ -334,10 +334,11 @@ class TestNonFiniteInput:
         [
             ["eigenfunction", "{model}", "--k", "0", "1", "--grid", "8", "nan"],
             ["eigenfunction", "{model}", "--k", "0", "1", "--grid", "inf", "5"],
-            ["spectrum", "{model}", "--contour", "-5", "5", "1e-6", "inf"],
+            ["eigenfunction", "{model}", "--k", "0", "inf"],
             ["oracle", "{model}", "--tol", "nan"],
             ["eigenfunction", "{model}", "--k", "nan", "2"],
             ["oracle", "{model}", "--L=-inf"],
+            ["spectrum", "{model}", "--contour", "-5", "5", "1e-6", "inf"],
         ],
     )
     def test_non_finite_float_flag(self, tmp_path, capsys, argv):
