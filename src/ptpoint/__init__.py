@@ -29,6 +29,7 @@ from .boundary import (
 from .spectra import (
     ContourSpec,
     Eigenvalue,
+    OriginSpectra,
     SpectrumReport,
     WaveNumber,
     default_contour,

@@ -52,9 +52,9 @@ def as_matrix(B):
 
 
 def require_finite(**fields):
-    """Raise InvalidParams naming the first non-finite field."""
+    """Raise InvalidParams naming the first non-finite field (a number or an array of them)."""
     for name, value in fields.items():
-        if not math.isfinite(value):
+        if not np.isfinite(value).all():
             raise InvalidParams(f"{name} must be finite, got {value}")
 
 
@@ -65,7 +65,9 @@ def require_length(l):
 
 
 def _scale(B):
-    return max(1.0, float(np.max(np.abs(B))))
+    """max(1, largest |entry|): a float for one matrix, an array for a (n, 2, 2) stack."""
+    scale = np.maximum(1.0, np.abs(B).max(axis=(-2, -1)))
+    return float(scale) if np.ndim(scale) == 0 else scale
 
 
 def zero_coefficient_threshold(B):
@@ -74,21 +76,42 @@ def zero_coefficient_threshold(B):
 
 
 def theta_mod_pi(theta):
-    """Distance from the phase theta in [0, 2pi) to the nearest multiple of pi."""
-    return min(theta % np.pi, np.pi - (theta % np.pi))
+    """Distance from the phase theta in [0, 2pi) to the nearest multiple of pi (elementwise)."""
+    r = np.mod(theta, np.pi)
+    return np.minimum(r, np.pi - r)
+
+
+def singular(M):
+    """True where det(M) ~ 0, for a finite matrix or each matrix of a (n, 2, 2) stack.
+
+    One matrix with entries past 1e154 raises OverflowError (float ** 2); in
+    a stack its threshold overflows to inf and it counts as singular.
+    """
+    det = np.linalg.det(M)
+    return ~(np.hypot(det.real, det.imag) > DEFAULT_TOL * _scale(M) ** 2)
 
 
 def require_nondegenerate(B):
     """Return B as an ndarray, raising Degenerate if det(B) ~ 0."""
     M = as_matrix(B)
-    if abs(np.linalg.det(M)) <= DEFAULT_TOL * _scale(M) ** 2:
+    if singular(M):
         raise Degenerate(f"interface matrix is singular (det = {np.linalg.det(M):.3e})")
     return M
 
 
+def _store(obj, **fields):
+    """Set the fields of a frozen parameter object: floats, or arrays for a stack."""
+    for name, value in fields.items():
+        object.__setattr__(obj, name, float(value) if np.ndim(value) == 0 else value)
+
+
 @dataclass(frozen=True)
 class TypeIParams:
-    """Connected-condition parameters (theta, phi, b, c); b >= 0, c >= -1/b when b > 0."""
+    """Connected-condition parameters (theta, phi, b, c); b >= 0, c >= -1/b when b > 0.
+
+    Fields may be arrays, broadcast against each other: the object then
+    holds a stack of models, every one of which must be valid.
+    """
 
     theta: float
     phi: float
@@ -97,12 +120,11 @@ class TypeIParams:
 
     def __post_init__(self):
         require_finite(**vars(self))
-        if self.b < 0:
+        if np.any(self.b < 0):
             raise InvalidParams(f"b must be non-negative, got {self.b}")
-        if 1.0 + self.b * self.c < 0:
+        if np.any(1.0 + self.b * self.c < 0):
             raise InvalidParams(f"1 + b*c = {1.0 + self.b * self.c} < 0 (need c >= -1/b)")
-        object.__setattr__(self, "theta", float(self.theta) % TWO_PI)
-        object.__setattr__(self, "phi", float(self.phi) % TWO_PI)
+        _store(self, theta=np.mod(self.theta, TWO_PI), phi=np.mod(self.phi, TWO_PI))
 
 
 @dataclass(frozen=True)
@@ -115,6 +137,7 @@ class TypeIIParams:
         h0 psi'(-0) = -h1 e^{-i theta} psi(-0)
 
     Stored canonically with h0^2 + h1^2 = 1 and h0 > 0 (h1 > 0 when h0 = 0).
+    Fields may be arrays, as for TypeIParams.
     """
 
     theta: float
@@ -123,24 +146,23 @@ class TypeIIParams:
 
     def __post_init__(self):
         require_finite(**vars(self))
-        n = float(np.hypot(self.h0, self.h1))
-        if n == 0.0:
+        n = np.hypot(self.h0, self.h1)
+        if np.any(n == 0.0):
             raise InvalidParams("(h0, h1) must not be (0, 0)")
         h0, h1 = self.h0 / n, self.h1 / n
-        if h0 < 0 or (h0 == 0 and h1 < 0):
-            h0, h1 = -h0, -h1
-        object.__setattr__(self, "theta", float(self.theta) % TWO_PI)
-        object.__setattr__(self, "h0", h0)
-        object.__setattr__(self, "h1", h1)
+        flip = (h0 < 0) | ((h0 == 0) & (h1 < 0))
+        _store(self, theta=np.mod(self.theta, TWO_PI), h0=np.where(flip, -h0, h0), h1=np.where(flip, -h1, h1))
 
 
 def matrix_from_type_I(p):
-    """Build the connected interface matrix for TypeIParams p."""
+    """Build the connected interface matrix for TypeIParams p; a (n, 2, 2) stack when p holds n models."""
     root = np.sqrt(1.0 + p.b * p.c)
-    return np.exp(1j * p.theta) * np.array(
-        [[root * np.exp(1j * p.phi), p.b], [p.c, root * np.exp(-1j * p.phi)]],
-        dtype=complex,
-    )
+    M = np.empty(np.broadcast(p.theta, p.phi, p.b, p.c).shape + (2, 2), dtype=complex)
+    M[..., 0, 0] = root * np.exp(1j * p.phi)
+    M[..., 0, 1] = p.b
+    M[..., 1, 0] = p.c
+    M[..., 1, 1] = root * np.exp(-1j * p.phi)
+    return np.exp(1j * np.asarray(p.theta))[..., None, None] * M
 
 
 def delta_pair_matrix(u, v, variant="default"):

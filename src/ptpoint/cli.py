@@ -54,15 +54,24 @@ EXIT_NOT_EIGENVALUE = 6
 _DEGENERATE_ERRORS = (Degenerate, DegenerateIdenticallyZero)
 _SOLVER_ERRORS = (ContourThroughZero, NoConvergence, EigensolverFailure, GridCollision)
 
-MODEL_TYPES = ("connected_origin", "type_I", "separated", "two_point", "delta_pair")
+ORIGIN_TYPES = ("connected_origin", "type_I", "separated")
+MODEL_TYPES = ORIGIN_TYPES + ("two_point", "delta_pair")
+
+# rows of an origin-model sweep solved as one array operation
+SWEEP_CHUNK = 1024
+# the fields of the parameterized origin types, in the order of their parameter classes
+_ORIGIN_FIELDS = {"type_I": ("theta", "phi", "b", "c"), "separated": ("theta", "h0", "h1")}
 
 
 class ModelFileError(PointInteractionError):
     """Model document failed to parse or validate; message names the field."""
 
 
+FLOAT_FORMAT = ".17g"  # every float the CLI prints: round-trip exact
+
+
 def _fmt(x):
-    return format(float(x), ".17g")
+    return format(float(x), FLOAT_FORMAT)
 
 
 def _fmt_complex(z):
@@ -272,33 +281,100 @@ def cmd_sweep(args):
     names = [name for name, _ in grids]
     header = names + ["all_real", "n_eigenvalues",
                       "eig1_re", "eig1_im", "eig2_re", "eig2_im", "error"]
-    lines = [",".join(header)]
-    meshes = np.meshgrid(*[g for _, g in grids], indexing="ij")
-    flat = [m.ravel() for m in meshes]
-    for row_vals in zip(*flat):
-        point = dict(model_doc)
-        for name, val in zip(names, row_vals):
-            point[name] = float(val)
-        cells = [_fmt(v) for v in row_vals]
-        try:
-            spec = model_from_dict(point, variant=args.variant)
-            report = _spectrum_for(spec)
-            eigs = [e for e in report.eigenvalues for _ in range(e.multiplicity)][:2]
-            cells.append(str(report.all_real).lower())
-            cells.append(str(report.total_multiplicity))
-            for i in range(2):
-                if i < len(eigs):
-                    cells.extend([_fmt(eigs[i].lam.real), _fmt(eigs[i].lam.imag)])
-                else:
-                    cells.extend(["", ""])
-            cells.append("")
-        except (PointInteractionError, ModelFileError) as exc:
-            cells.extend(["", "", "", "", "", "", f"{type(exc).__name__}: {exc}".replace(",", ";")])
-        lines.append(",".join(cells))
+    chunks = [",".join(header) + "\n"]  # the CSV text, one string per chunk of rows
+    texts = [[_fmt(v) for v in g] for _, g in grids]  # each axis value is formatted once
+    shape = tuple(len(g) for _, g in grids)
+    total = math.prod(shape)
+    for start in range(0, total, SWEEP_CHUNK):
+        index = [i.tolist() for i in np.unravel_index(np.arange(start, min(start + SWEEP_CHUNK, total)), shape)]
+        values = {name: g[i] for (name, g), i in zip(grids, index)}
+        results = _sweep_results(model_doc, values, len(index[0]), args.variant)
+        axis_cells = [[t[j] for j in i] for t, i in zip(texts, index)]
+        chunks.append("".join(",".join(cells) + "\n" for cells in zip(*axis_cells, results)))
     with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    print(f"wrote {len(lines) - 1} rows to {out_path}")
+        fh.writelines(chunks)
+    print(f"wrote {total} rows to {out_path}")
     return EXIT_OK
+
+
+def _solved_cells(all_real, count, lam):
+    """The all_real ... error cells of solved sweep points, built column by column.
+
+    all_real and count are lists with one entry per point; lam is (n, 2)
+    complex, each point's first two eigenvalues counted with multiplicity
+    (read up to count).
+    """
+    cols = [["true" if r else "false" for r in all_real], list(map(str, count))]
+    for slot in (0, 1):
+        for part in (lam[:, slot].real.tolist(), lam[:, slot].imag.tolist()):
+            cols.append([format(x, FLOAT_FORMAT) if c > slot else "" for x, c in zip(part, count)])
+    cols.append([""] * len(count))
+    return list(map(",".join, zip(*cols)))
+
+
+def _point_result(point, variant):
+    """Result cells of one sweep point from model_from_dict and the single-model spectrum."""
+    try:
+        report = _spectrum_for(model_from_dict(point, variant=variant))
+    except (PointInteractionError, ModelFileError) as exc:
+        return ",,,,,," + f"{type(exc).__name__}: {exc}".replace(",", ";")
+    lam = np.zeros((1, 2), dtype=complex)
+    eigs = [e.lam for e in report.eigenvalues for _ in range(e.multiplicity)][:2]
+    lam[0, :len(eigs)] = eigs
+    return _solved_cells([report.all_real], [report.total_multiplicity], lam)[0]
+
+
+def _origin_stack(model_doc, spec, values, n):
+    """Spectra of the n points of a chunk of an origin-model sweep, solved as one stack.
+
+    spec is the model that model_from_dict built for one of the points, so
+    every field of the document is valid and the points differ only in their
+    axis values.  Returns the rows the stack holds and their OriginSpectra;
+    a row left out, or not ok, is one that the single-model path rejects.
+    """
+    mtype = model_doc["type"]
+    if mtype == "connected_origin":
+        return np.arange(n), spectra.discrete_spectrum_origin_connected(np.broadcast_to(spec.B, (n, 2, 2)))
+    cols = [values[f] if f in values else np.full(n, _need(model_doc, f)) for f in _ORIGIN_FIELDS[mtype]]
+    # rows are left out on the conditions the parameter classes raise on; a row
+    # that overflows or turns NaN further on is not ok in the stack
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.logical_and.reduce([np.isfinite(col) for col in cols])
+        if mtype == "type_I":
+            theta, phi, b, c = cols
+            rows = np.flatnonzero(finite & (b >= 0) & (1.0 + b * c >= 0))
+            p = TypeIParams(theta[rows], phi[rows], b[rows], c[rows])
+            return rows, spectra.discrete_spectrum_origin_connected(matrix_from_type_I(p))
+        theta, h0, h1 = cols
+        rows = np.flatnonzero(finite & (np.hypot(h0, h1) != 0))
+        return rows, spectra.discrete_spectrum_separated(TypeIIParams(theta[rows], h0[rows], h1[rows]))
+
+
+def _sweep_results(model_doc, values, n, variant):
+    """Result cells of the n points of one chunk of a sweep: the document with each row of the axis columns.
+
+    For an origin model the first point that model_from_dict accepts vouches
+    for the document, and the chunk is solved as one stack.  A point the stack
+    does not solve, and every point of a two-point model, goes through
+    _point_result.
+    """
+    def point(j):
+        return dict(model_doc, **{name: float(col[j]) for name, col in values.items()})
+
+    results = [None] * n
+    if model_doc.get("type") in ORIGIN_TYPES:
+        for j in range(n):
+            try:
+                spec = model_from_dict(point(j), variant=variant)
+            except ModelFileError:
+                continue
+            rows, rep = _origin_stack(model_doc, spec, values, n)
+            ok = rep.ok
+            cells = _solved_cells(rep.all_real[ok].tolist(), rep.count[ok].tolist(), rep.lam[ok])
+            for i, text in zip(rows[ok].tolist(), cells):
+                results[i] = text
+            break
+    return [_point_result(point(j), variant) if r is None else r for j, r in enumerate(results)]
 
 
 def cmd_oracle(args):

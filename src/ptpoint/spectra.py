@@ -40,7 +40,7 @@ from typing import Optional
 import numpy as np
 
 from .boundary import DEFAULT_TOL, as_matrix, delta_pair_matrix, require_nondegenerate  # noqa: F401 (re-exported)
-from .boundary import require_finite, require_length, theta_mod_pi, zero_coefficient_threshold
+from .boundary import require_finite, require_length, singular, theta_mod_pi, zero_coefficient_threshold
 from .errors import (
     ContourThroughZero,
     DegenerateIdenticallyZero,
@@ -109,6 +109,23 @@ class SpectrumReport:
 
 
 @dataclass(frozen=True)
+class OriginSpectra:
+    """Discrete spectra of a stack of n origin models, one row per model.
+
+    ok is False where the call on that one model raises (a non-finite or
+    singular matrix, a relation that vanishes identically); the row then
+    reports nothing.  Elsewhere count is the report's total_multiplicity,
+    all_real its all_real, and lam[:, :count] its eigenvalues in order, each
+    repeated by its multiplicity (count <= 2 for origin models).
+    """
+
+    lam: np.ndarray  # (n, 2) complex
+    count: np.ndarray  # (n,) int
+    all_real: np.ndarray  # (n,) bool
+    ok: np.ndarray  # (n,) bool
+
+
+@dataclass(frozen=True)
 class ContourSpec:
     """Rectangular search region for two-point dispersion zeros (im_min > 0)."""
 
@@ -129,6 +146,34 @@ def _sort_roots(roots):
     return sorted(roots, key=lambda z: (z.real, z.imag))
 
 
+def _cmul(a, b):
+    """a * b elementwise in real arithmetic.
+
+    Bit for bit the product of two complex scalars: numpy's array complex
+    multiply may fuse multiply-adds and round differently.
+    """
+    re = a.real * b.real - a.imag * b.imag
+    out = np.empty(re.shape, dtype=complex)
+    out.real = re
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def _abs(z):
+    """|z| elementwise, bit for bit the scalar abs (np.abs of a complex array may round differently)."""
+    return np.hypot(z.real, z.imag)
+
+
+def _eigenvalue_test(k):
+    """For each root k: lam = k^2, whether k gives an eigenvalue and whether lam is negative real.
+
+    An eigenvalue needs Im k > DEFAULT_TOL; it is negative real when
+    |Im lam| <= DEFAULT_TOL max(1, |lam|).
+    """
+    lam = _cmul(k, k)
+    return lam, k.imag > DEFAULT_TOL, np.abs(lam.imag) <= DEFAULT_TOL * np.maximum(1.0, _abs(lam))
+
+
 def _report_from_roots(roots, multiplicities=None, kernel_sv=None):
     """Build a SpectrumReport from dispersion roots (default multiplicity 1 each).
 
@@ -136,11 +181,12 @@ def _report_from_roots(roots, multiplicities=None, kernel_sv=None):
     """
     if multiplicities is None:
         multiplicities = [1] * len(roots)
+    lams, eigen, negative_real = _eigenvalue_test(np.array(roots, dtype=complex))
     eigs, nonphys = [], []
-    for k, m in zip(roots, multiplicities):
-        if k.imag > DEFAULT_TOL:
-            lam = k * k
-            kind = NEGATIVE_REAL if abs(lam.imag) <= DEFAULT_TOL * max(1.0, abs(lam)) else CONJUGATE_PAIR_MEMBER
+    for k, m, lam, is_eig, neg in zip(roots, multiplicities, lams, eigen, negative_real):
+        if is_eig:
+            lam = complex(lam)
+            kind = NEGATIVE_REAL if neg else CONJUGATE_PAIR_MEMBER
             if kernel_sv is None:
                 eigs.append(Eigenvalue(lam, WaveNumber(k), m, kind))
             else:
@@ -151,6 +197,41 @@ def _report_from_roots(roots, multiplicities=None, kernel_sv=None):
     eigs.sort(key=lambda e: (e.lam.real, e.lam.imag))
     all_real = all(e.kind == NEGATIVE_REAL for e in eigs)
     return SpectrumReport(tuple(eigs), tuple(_sort_roots(nonphys)), all_real)
+
+
+def _report_row(k, mult):
+    """SpectrumReport of one row of root slots (k, mult) as the origin kernels return them."""
+    filled = mult > 0
+    return _report_from_roots(list(k[filled]), [int(m) for m in mult[filled]])
+
+
+def _sort_pairs(z, present, *more):
+    """Sort the two slots of each row of z in place: present values first, by (Re, Im), stably.
+
+    The arrays in more have the same (n, 2) slots and move with z.
+    """
+    a, b = z[:, 0], z[:, 1]
+    later = (b.real < a.real) | ((b.real == a.real) & (b.imag < a.imag))
+    swap = present[:, 1] & (~present[:, 0] | later)
+    for x in (z,) + more:
+        x[swap] = x[swap, ::-1]
+
+
+def _origin_spectra(ok, k, mult):
+    """OriginSpectra of a stack whose rows ok have the root slots (k, mult); the other rows are empty."""
+    lam, eig, negative_real = _eigenvalue_test(k)
+    eig &= mult > 0
+    m = np.where(eig, mult, 0)
+    _sort_pairs(lam, eig, m)
+    lam[m == 0] = 0.0
+    out = np.zeros((len(ok), 2), dtype=complex)
+    out[ok, 0] = lam[:, 0]
+    out[ok, 1] = np.where(m[:, 0] >= 2, lam[:, 0], lam[:, 1])
+    count = np.zeros(len(ok), dtype=int)
+    count[ok] = m.sum(axis=1)
+    all_real = np.zeros(len(ok), dtype=bool)
+    all_real[ok] = ~(eig & ~negative_real).any(axis=1)
+    return OriginSpectra(out, count, all_real, ok)
 
 
 def type_I_discriminant(p):
@@ -187,66 +268,125 @@ def dispersion_roots_type_I(p):
     return [complex(-r, im_common), complex(r, im_common)]
 
 
-def dispersion_roots_general(B):
-    """Roots of k^2 beta + i k (alpha + delta) - gamma = 0 for a connected matrix.
+def _connected_roots(M):
+    """Roots of k^2 beta + i k (alpha + delta) - gamma = 0 for a (n, 2, 2) stack of finite nonsingular matrices.
 
-    The coefficient triple is normalized by a common phase before solving, so
-    matrices differing only by a global phase produce (numerically) identical
-    roots; the spectrum never depends on that phase.
+    Returns k (n, 2) sorted by (Re k, Im k), mult (n, 2) (1 for a root, 0 for
+    an empty slot) and zero (n,), True where the relation vanishes
+    identically.  The coefficient triple is normalized by a common phase
+    before solving, so matrices differing only by a global phase produce
+    (numerically) identical roots; the spectrum never depends on that phase.
+    Every product is a _cmul and every modulus an _abs, so one matrix gives
+    the same bits alone as in any stack.
     """
-    M = require_nondegenerate(B)
-    beta = M[0, 1]
-    tau = M[0, 0] + M[1, 1]
-    gamma = M[1, 0]
+    n = len(M)
+    coef = np.stack([M[:, 0, 1], M[:, 0, 0] + M[:, 1, 1], M[:, 1, 0]], axis=1)  # beta, tau, gamma
+    size = _abs(coef)
     scale = zero_coefficient_threshold(M)
-    if abs(beta) <= scale and abs(tau) <= scale and abs(gamma) <= scale:
+    zero = (size <= scale[:, None]).all(axis=1)
+    rows = np.flatnonzero(~zero)
+    pivot = np.argmax(size[rows], axis=1)  # the largest coefficient, the first of equal ones
+    phase = coef[rows, pivot] / size[rows, pivot]
+    beta, tau, gamma = (coef[rows] / phase[:, None]).T
+    scale = scale[rows]
+    k = np.zeros((n, 2), dtype=complex)
+    mult = np.zeros((n, 2), dtype=int)
+    linear = _abs(beta) <= scale
+    one = linear & (_abs(tau) > scale)
+    k[rows[one], 0] = gamma[one] / _cmul(1j, tau[one])
+    mult[rows[one], 0] = 1
+    quad = ~linear
+    beta, tau, gamma = beta[quad], tau[quad], gamma[quad]
+    disc = np.sqrt(-_cmul(tau, tau) + _cmul(_cmul(4.0, gamma), beta) + 0j)
+    i_tau, two_beta = _cmul(-1j, tau), _cmul(2.0, beta)
+    k[rows[quad], 0] = (i_tau + disc) / two_beta
+    k[rows[quad], 1] = (i_tau - disc) / two_beta
+    mult[rows[quad]] = 1
+    _sort_pairs(k, mult > 0, mult)
+    return k, mult, zero
+
+
+def _one_connected(B):
+    """_connected_roots of one matrix, raising on a matrix the stack call would mark."""
+    k, mult, zero = _connected_roots(require_nondegenerate(B)[None])
+    if zero[0]:
         raise DegenerateIdenticallyZero("dispersion vanishes identically")
-    pivot = max((beta, tau, gamma), key=abs)
-    phase = pivot / abs(pivot)
-    beta, tau, gamma = beta / phase, tau / phase, gamma / phase
-    if abs(beta) <= scale:
-        if abs(tau) <= scale:
-            return []
-        return [gamma / (1j * tau)]
-    disc = np.sqrt(-(tau * tau) + 4.0 * gamma * beta + 0j)
-    return _sort_roots([(-1j * tau + disc) / (2.0 * beta), (-1j * tau - disc) / (2.0 * beta)])
+    return k, mult
+
+
+def dispersion_roots_general(B):
+    """Roots of k^2 beta + i k (alpha + delta) - gamma = 0 for a connected matrix (see _connected_roots)."""
+    k, mult = _one_connected(B)
+    return list(k[0, mult[0] > 0])
+
+
+def _distinct(k, mult):
+    """Coincident roots become one root of multiplicity 1 (connected conditions admit only one decaying solution)."""
+    scale = np.maximum(np.maximum(1.0, _abs(k[:, 0])), _abs(k[:, 1]))
+    same = (mult[:, 1] > 0) & (_abs(k[:, 0] - k[:, 1]) <= 1e-12 * scale)
+    mult[same, 1] = 0
+    return k, mult
 
 
 def discrete_spectrum_origin_connected(B):
     """Discrete spectrum of a connected-origin model from its dispersion roots.
 
     Coincident upper-half roots collapse to a single eigenvalue of
-    multiplicity 1 (connected conditions admit only one decaying solution).
+    multiplicity 1.  B may also be a (n, 2, 2) stack: the result is then an
+    OriginSpectra, whose row i is the report of B[i] (or not ok where that
+    call raises).
     """
-    roots = dispersion_roots_general(B)
-    if len(roots) == 2:
-        scale = max(1.0, abs(roots[0]), abs(roots[1]))
-        if abs(roots[0] - roots[1]) <= 1e-12 * scale:
-            roots = [roots[0]]
-    return _report_from_roots(roots)
+    M = np.asarray(B, dtype=complex)
+    if M.ndim == 3 and M.shape[1:] == (2, 2):
+        ok = np.isfinite(M).all(axis=(1, 2))
+        ok[ok] = ~singular(M[ok])
+        k, mult, zero = _connected_roots(M[ok])
+        ok[ok] = ~zero
+        return _origin_spectra(ok, *_distinct(k[~zero], mult[~zero]))
+    return _report_row(*(x[0] for x in _distinct(*_one_connected(M))))
+
+
+def _separated_roots(theta, h0, h1):
+    """Candidate wave numbers of separated-origin models with canonical TypeIIParams fields (arrays).
+
+    Each half-line contributes
+
+        k(+) = -i (h1/h0) e^{+i theta}   (right),
+        k(-) = -i (h1/h0) e^{-i theta}   (left).
+
+    When both coincide (theta = 0 mod pi) the common root has multiplicity 2;
+    with h0 = 0 there is none.  Returns k and mult (n, 2) as _connected_roots does.
+    """
+    n = len(theta)
+    k = np.zeros((n, 2), dtype=complex)
+    mult = np.zeros((n, 2), dtype=int)
+    rows = np.flatnonzero(h0 != 0.0)
+    theta, ratio = theta[rows], h1[rows] / h0[rows]
+    c = _cmul(-1j, ratio)
+    k[rows, 0] = _cmul(c, np.exp(_cmul(1j, theta)))
+    k[rows, 1] = _cmul(c, np.exp(_cmul(-1j, theta)))
+    mult[rows] = 1
+    double = theta_mod_pi(theta) <= 1e-14
+    sign = np.where(np.abs(theta - np.pi) < np.pi / 2, -1.0, 1.0)  # e^{i theta} = +-1 exactly
+    rows = rows[double]
+    k[rows] = 0.0
+    k.imag[rows, 0] = -ratio[double] * sign[double]
+    mult[rows] = (2, 0)
+    _sort_pairs(k, mult > 0, mult)
+    return k, mult
 
 
 def discrete_spectrum_separated(p):
-    """Discrete spectrum of a separated-origin model.
+    """Discrete spectrum of a separated-origin model (roots from _separated_roots).
 
-    Each half-line contributes the candidate wave number
-
-        k(+) = -i (h1/h0) e^{+i theta}   (right),
-        k(-) = -i (h1/h0) e^{-i theta}   (left),
-
-    an eigenvalue when Im k > DEFAULT_TOL.  When both candidates coincide (theta = 0
-    mod pi) the common negative eigenvalue has multiplicity 2.
+    An eigenvalue when Im k > DEFAULT_TOL.  p may also hold a stack
+    (TypeIIParams with array fields): the result is then an OriginSpectra.
     """
-    if p.h0 == 0.0:
-        return _report_from_roots([])
-    ratio = p.h1 / p.h0
-    kp = -1j * ratio * np.exp(1j * p.theta)
-    km = -1j * ratio * np.exp(-1j * p.theta)
-    if theta_mod_pi(p.theta) <= 1e-14:
-        sign = -1.0 if abs(p.theta - np.pi) < np.pi / 2 else 1.0  # e^{i theta} = +-1 exactly
-        k = complex(0.0, -ratio * sign)
-        return _report_from_roots([k], multiplicities=[2])
-    return _report_from_roots([complex(kp), complex(km)])
+    fields = np.broadcast_arrays(p.theta, p.h0, p.h1)
+    k, mult = _separated_roots(*(np.atleast_1d(x) for x in fields))
+    if fields[0].ndim:
+        return _origin_spectra(np.ones(len(k), dtype=bool), k, mult)
+    return _report_row(k[0], mult[0])
 
 
 @dataclass(frozen=True)
