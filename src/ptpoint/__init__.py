@@ -13,7 +13,6 @@ from .boundary import (
     ClassificationReport,
     ConnectedOrigin,
     DeltaPair,
-    InteractionSpec,
     SeparatedOrigin,
     TwoPoint,
     TypeIParams,

@@ -1,7 +1,7 @@
 """Boundary conditions for point interactions and their symmetry classification.
 
-A model is an ordered tuple of interfaces ``(position, Q)``, from its
-``interfaces()`` method.  At x = s the rank-2 2x4 complex matrix Q imposes
+Each model class owns ``classify()`` and ``interfaces()``, the ordered tuple of
+its interfaces ``(position, Q)``.  At x = s the rank-2 2x4 complex matrix Q imposes
 
     Q (psi(s+), psi'(s+), psi(s-), psi'(s-))^T = 0,
 
@@ -22,7 +22,7 @@ b >= 0, c >= -1/b, theta, phi in [0, 2pi).
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -34,6 +34,8 @@ TWO_PI = 2.0 * np.pi
 DEFAULT_TOL = 1e-10
 
 J_SIGN = np.diag([1.0, -1.0])
+# the largest entry size whose square, the size of det(B) and of its tolerance, is a float
+MAX_ENTRY = float(np.sqrt(np.finfo(float).max))
 
 # classification families
 TYPE_I = "type_I"
@@ -51,11 +53,17 @@ def as_matrix(B):
     return M
 
 
-def require_finite(**fields):
-    """Raise InvalidParams naming the first non-finite field (a number or an array of them)."""
+def finite(**fields):
+    """The conditions that each field (a number or an array of them) is finite."""
     for name, value in fields.items():
-        if not np.isfinite(value).all():
-            raise InvalidParams(f"{name} must be finite, got {value}")
+        yield np.isfinite(value), "{} must be finite, got {}", (name, value)
+
+
+def require(conditions):
+    """Raise InvalidParams on the first (holds, message, args) condition that fails for some element."""
+    for holds, message, args in conditions:
+        if not np.asarray(holds).all():
+            raise InvalidParams(message.format(*args))
 
 
 def require_length(l):
@@ -84,16 +92,18 @@ def theta_mod_pi(theta):
 def singular(M):
     """True where det(M) ~ 0, for a finite matrix or each matrix of a (n, 2, 2) stack.
 
-    One matrix with entries past 1e154 raises OverflowError (float ** 2); in
-    a stack its threshold overflows to inf and it counts as singular.
+    One matrix needs entries at most MAX_ENTRY (float ** 2 raises OverflowError);
+    in a stack a larger one counts as singular, as its threshold overflows to inf.
     """
     det = np.linalg.det(M)
     return ~(np.hypot(det.real, det.imag) > DEFAULT_TOL * _scale(M) ** 2)
 
 
 def require_nondegenerate(B):
-    """Return B as an ndarray, raising Degenerate if det(B) ~ 0."""
+    """Return B as an ndarray, raising InvalidParams if an entry exceeds MAX_ENTRY and Degenerate if det(B) ~ 0."""
     M = as_matrix(B)
+    if _scale(M) > MAX_ENTRY:
+        raise InvalidParams(f"interface matrix entries must not exceed {MAX_ENTRY:.4g} in modulus")
     if singular(M):
         raise Degenerate(f"interface matrix is singular (det = {np.linalg.det(M):.3e})")
     return M
@@ -110,7 +120,8 @@ class TypeIParams:
     """Connected-condition parameters (theta, phi, b, c); b >= 0, c >= -1/b when b > 0.
 
     Fields may be arrays, broadcast against each other: the object then
-    holds a stack of models, every one of which must be valid.
+    holds a stack of models, every one of which must be valid.  conditions
+    gives the validity conditions in checking order (see require).
     """
 
     theta: float
@@ -118,12 +129,15 @@ class TypeIParams:
     b: float
     c: float
 
+    @staticmethod
+    def conditions(theta, phi, b, c):
+        yield from finite(theta=theta, phi=phi, b=b, c=c)
+        yield b >= 0, "b must be non-negative, got {}", (b,)
+        s = 1.0 + b * c
+        yield s >= 0, "1 + b*c = {} < 0 (need c >= -1/b)", (s,)
+
     def __post_init__(self):
-        require_finite(**vars(self))
-        if np.any(self.b < 0):
-            raise InvalidParams(f"b must be non-negative, got {self.b}")
-        if np.any(1.0 + self.b * self.c < 0):
-            raise InvalidParams(f"1 + b*c = {1.0 + self.b * self.c} < 0 (need c >= -1/b)")
+        require(self.conditions(**vars(self)))
         _store(self, theta=np.mod(self.theta, TWO_PI), phi=np.mod(self.phi, TWO_PI))
 
 
@@ -144,11 +158,14 @@ class TypeIIParams:
     h0: float
     h1: float
 
+    @staticmethod
+    def conditions(theta, h0, h1):
+        yield from finite(theta=theta, h0=h0, h1=h1)
+        yield np.hypot(h0, h1) != 0, "(h0, h1) must not be (0, 0)", ()
+
     def __post_init__(self):
-        require_finite(**vars(self))
+        require(self.conditions(**vars(self)))
         n = np.hypot(self.h0, self.h1)
-        if np.any(n == 0.0):
-            raise InvalidParams("(h0, h1) must not be (0, 0)")
         h0, h1 = self.h0 / n, self.h1 / n
         flip = (h0 < 0) | ((h0 == 0) & (h1 < 0))
         _store(self, theta=np.mod(self.theta, TWO_PI), h0=np.where(flip, -h0, h0), h1=np.where(flip, -h1, h1))
@@ -281,6 +298,10 @@ class ConnectedOrigin:
     def interfaces(self):
         return ((0.0, connected_condition(self.B)),)
 
+    def classify(self):
+        pt, sa, family, params, notes = _classify_connected_matrix(self.B)
+        return ClassificationReport(pt, sa, family, params, "; ".join(notes))
+
 
 @dataclass(frozen=True)
 class SeparatedOrigin:
@@ -293,9 +314,31 @@ class SeparatedOrigin:
         e = p.h1 * np.exp(1j * p.theta)  # h0 psi'(0+) = e psi(0+), h0 psi'(0-) = -conj(e) psi(0-)
         return ((0.0, np.array([[-e, p.h0, 0, 0], [0, 0, np.conj(e), p.h0]], dtype=complex)),)
 
+    def classify(self):
+        p = self.params
+        sa = theta_mod_pi(p.theta) <= DEFAULT_TOL or p.h0 <= DEFAULT_TOL or abs(p.h1) <= DEFAULT_TOL
+        notes = "separated conditions are PT-invariant for every theta"
+        return ClassificationReport(True, bool(sa), TYPE_II, p, notes)
+
+
+class PTPair:
+    """A connected condition B at x = +l and its reflected-conjugated mirror at -l; subclasses give B and l."""
+
+    def interfaces(self):
+        return two_point_interfaces(self.B, self.l)
+
+    def classify(self):
+        try:
+            _, sa, family, params, notes = _classify_connected_matrix(self.B)
+        except Degenerate:
+            notes = "interface matrix is degenerate; connected-origin predicates unavailable"
+            return ClassificationReport(True, False, GENERAL, None, notes)
+        notes.append("condition at -l is the reflected conjugate of B (never stored)")
+        return ClassificationReport(True, sa, family, params, "; ".join(notes))
+
 
 @dataclass(frozen=True)
-class TwoPoint:
+class TwoPoint(PTPair):
     """Connected condition B at x = +l, with its reflected-conjugated mirror at x = -l."""
 
     l: float
@@ -305,12 +348,9 @@ class TwoPoint:
         require_length(self.l)
         object.__setattr__(self, "B", require_nondegenerate(self.B))
 
-    def interfaces(self):
-        return two_point_interfaces(self.B, self.l)
-
 
 @dataclass(frozen=True)
-class DeltaPair:
+class DeltaPair(PTPair):
     """Point couplings u+iv at x = +l and u-iv at x = -l (interface matrix [[1,0],[1,u+iv]])."""
 
     u: float
@@ -318,19 +358,13 @@ class DeltaPair:
     l: float
 
     def __post_init__(self):
-        require_finite(**vars(self))
+        require(finite(**vars(self)))
         require_length(self.l)
 
     @property
     def B(self):
         """The interface matrix at +l; singular when u = v = 0, where [I | -B] still has rank 2."""
         return delta_pair_matrix(self.u, self.v)
-
-    def interfaces(self):
-        return two_point_interfaces(self.B, self.l)
-
-
-InteractionSpec = Union[ConnectedOrigin, SeparatedOrigin, TwoPoint, DeltaPair]
 
 
 @dataclass(frozen=True)
@@ -362,23 +396,4 @@ def _classify_connected_matrix(B):
 
 def classify(spec):
     """Classify an interaction: PT-invariance, self-adjointness, parameter family."""
-    if isinstance(spec, ConnectedOrigin):
-        pt, sa, family, params, notes = _classify_connected_matrix(spec.B)
-        return ClassificationReport(pt, sa, family, params, "; ".join(notes))
-
-    if isinstance(spec, SeparatedOrigin):
-        p = spec.params
-        sa = theta_mod_pi(p.theta) <= DEFAULT_TOL or p.h0 <= DEFAULT_TOL or abs(p.h1) <= DEFAULT_TOL
-        notes = "separated conditions are PT-invariant for every theta"
-        return ClassificationReport(True, bool(sa), TYPE_II, p, notes)
-
-    if isinstance(spec, (TwoPoint, DeltaPair)):
-        try:
-            _, sa, family, params, notes = _classify_connected_matrix(spec.B)
-        except Degenerate:
-            notes = "interface matrix is degenerate; connected-origin predicates unavailable"
-            return ClassificationReport(True, False, GENERAL, None, notes)
-        notes.append("condition at -l is the reflected conjugate of B (never stored)")
-        return ClassificationReport(True, sa, family, params, "; ".join(notes))
-
-    raise InvalidParams(f"unknown interaction spec {type(spec).__name__}")
+    return spec.classify()

@@ -1,13 +1,9 @@
 """Command-line front end: model files, classification, spectra, sweeps, validation.
 
-Model files are JSON documents with a "type" selector; complex numbers are
-stored as [re, im] pairs (locale-proof, bit-exact).  Angles are radians.
-
-    {"type": "type_I", "theta": 0.0, "phi": 3.14159, "b": 1.0, "c": 0.0}
-    {"type": "connected_origin", "B": [[[1,0],[0,0]],[[-2,0],[1,0]]]}
-    {"type": "separated", "theta": 0.785, "h0": 1.0, "h1": -1.0}
-    {"type": "two_point", "l": 1.0, "B": [[[1,0],[1,0]],[[0,0],[1,0]]]}
-    {"type": "delta_pair", "u": 0.0, "v": 2.0, "l": 1.0}
+Model files are JSON documents: a "type", one of the keys of
+MODEL_FILE_TYPES, and that type's fields.  Complex numbers are stored as
+[re, im] pairs (locale-proof, bit-exact), so a matrix B is
+[[[1,0],[0,0]],[[-2,0],[1,0]]].  Angles are radians.
 
 Exit codes: 0 success, 2 parse/validation error, 3 degenerate model,
 4 solver failure, 5 oracle mismatch, 6 not an eigenvalue.
@@ -17,6 +13,7 @@ import argparse
 import json
 import math
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,6 +21,7 @@ from . import finitediff, spectra, states
 from .boundary import (
     ConnectedOrigin,
     DeltaPair,
+    PTPair,
     SeparatedOrigin,
     TwoPoint,
     TypeIIParams,
@@ -54,13 +52,8 @@ EXIT_NOT_EIGENVALUE = 6
 _DEGENERATE_ERRORS = (Degenerate, DegenerateIdenticallyZero)
 _SOLVER_ERRORS = (ContourThroughZero, NoConvergence, EigensolverFailure, GridCollision)
 
-ORIGIN_TYPES = ("connected_origin", "type_I", "separated")
-MODEL_TYPES = ORIGIN_TYPES + ("two_point", "delta_pair")
-
 # rows of an origin-model sweep solved as one array operation
 SWEEP_CHUNK = 1024
-# the fields of the parameterized origin types, in the order of their parameter classes
-_ORIGIN_FIELDS = {"type_I": ("theta", "phi", "b", "c"), "separated": ("theta", "h0", "h1")}
 
 
 class ModelFileError(PointInteractionError):
@@ -126,34 +119,47 @@ def _parse_matrix(doc, field="B"):
     )
 
 
+class ModelFileType(NamedTuple):
+    """A model-file type: its fields in read order, and what build makes of them (or of the params they fill)."""
+
+    fields: tuple
+    build: object
+    params: object = None
+    solve: object = None  # an origin type's closed form over a stack of params (of matrices for connected_origin)
+    textbook: object = None  # the type read instead under --variant textbook-delta
+
+
+# the one list of model-file types
+MODEL_FILE_TYPES = {
+    "connected_origin": ModelFileType(("B",), ConnectedOrigin, solve=spectra.discrete_spectrum_origin_connected),
+    "type_I": ModelFileType(
+        ("theta", "phi", "b", "c"), lambda p: ConnectedOrigin(matrix_from_type_I(p)), TypeIParams,
+        lambda p: spectra.discrete_spectrum_origin_connected(matrix_from_type_I(p)),
+    ),
+    "separated": ModelFileType(
+        ("theta", "h0", "h1"), SeparatedOrigin, TypeIIParams, spectra.discrete_spectrum_separated,
+    ),
+    "two_point": ModelFileType(("l", "B"), TwoPoint),
+    "delta_pair": ModelFileType(("u", "v", "l"), DeltaPair, textbook=ModelFileType(
+        ("l", "u", "v"), lambda l, u, v: TwoPoint(l=l, B=delta_pair_matrix(u, v, variant="textbook")),
+    )),
+}
+MODEL_TYPES = tuple(MODEL_FILE_TYPES)
+
+
 def model_from_dict(doc, variant="default"):
-    """Build an InteractionSpec from a parsed model document."""
+    """Build a model from a parsed model document."""
     if not isinstance(doc, dict):
         raise ModelFileError("model document must be a JSON object")
     mtype = doc.get("type")
     if mtype not in MODEL_TYPES:
         raise ModelFileError(f"field 'type': expected one of {MODEL_TYPES}, got {mtype!r}")
+    row = MODEL_FILE_TYPES[mtype]
+    if variant == "textbook" and row.textbook:
+        row = row.textbook
     try:
-        if mtype == "connected_origin":
-            return ConnectedOrigin(_parse_matrix(doc))
-        if mtype == "type_I":
-            p = TypeIParams(
-                theta=_need(doc, "theta"), phi=_need(doc, "phi"),
-                b=_need(doc, "b"), c=_need(doc, "c"),
-            )
-            return ConnectedOrigin(matrix_from_type_I(p))
-        if mtype == "separated":
-            return SeparatedOrigin(
-                TypeIIParams(theta=_need(doc, "theta"), h0=_need(doc, "h0"), h1=_need(doc, "h1"))
-            )
-        if mtype == "two_point":
-            return TwoPoint(l=_need(doc, "l"), B=_parse_matrix(doc))
-        if variant == "textbook":
-            return TwoPoint(
-                l=_need(doc, "l"),
-                B=delta_pair_matrix(_need(doc, "u"), _need(doc, "v"), variant="textbook"),
-            )
-        return DeltaPair(u=_need(doc, "u"), v=_need(doc, "v"), l=_need(doc, "l"))
+        fields = {f: _parse_matrix(doc, f) if f == "B" else _need(doc, f) for f in row.fields}
+        return row.build(row.params(**fields)) if row.params else row.build(**fields)
     except InvalidParams as exc:
         raise ModelFileError(str(exc)) from exc
     except Degenerate as exc:
@@ -165,17 +171,12 @@ def _matrix_entries(B):
 
 
 def model_to_dict(spec):
-    """Serialize an InteractionSpec back to a model document (round-trip exact)."""
-    if isinstance(spec, ConnectedOrigin):
-        return {"type": "connected_origin", "B": _matrix_entries(spec.B)}
-    if isinstance(spec, SeparatedOrigin):
-        p = spec.params
-        return {"type": "separated", "theta": float(p.theta), "h0": float(p.h0), "h1": float(p.h1)}
-    if isinstance(spec, TwoPoint):
-        return {"type": "two_point", "l": float(spec.l), "B": _matrix_entries(spec.B)}
-    if isinstance(spec, DeltaPair):
-        return {"type": "delta_pair", "u": float(spec.u), "v": float(spec.v), "l": float(spec.l)}
-    raise InvalidParams(f"cannot serialize {type(spec).__name__}")
+    """Serialize a model as the type whose build is its class; reading it back renormalizes separated (h0, h1)."""
+    mtype = next((name for name, row in MODEL_FILE_TYPES.items() if row.build is type(spec)), None)
+    if mtype is None:
+        raise InvalidParams(f"cannot serialize {type(spec).__name__}")
+    fields = vars(spec.params if MODEL_FILE_TYPES[mtype].params else spec)  # the type's fields, in order
+    return {"type": mtype, **{f: _matrix_entries(v) if f == "B" else float(v) for f, v in fields.items()}}
 
 
 def _read_json(path, what):
@@ -192,14 +193,22 @@ def load_model(path, variant="default"):
     return model_from_dict(_read_json(path, "model"), variant=variant)
 
 
+def _matrix_and_length(spec):
+    """(B, l) of a model: its connected matrix (None if separated) and half-distance (None at the origin)."""
+    if isinstance(spec, PTPair):
+        return spec.B, spec.l
+    return (spec.B if isinstance(spec, ConnectedOrigin) else None), None
+
+
 def _spectrum_for(spec, contour=None):
-    if isinstance(spec, (TwoPoint, DeltaPair)):
-        return spectra.two_point_spectrum(spec.B, spec.l, contour)
+    B, l = _matrix_and_length(spec)
+    if l is not None:
+        return spectra.two_point_spectrum(B, l, contour)
     if contour is not None:
         raise InvalidParams("--contour applies to two-point models only; origin spectra are closed form")
-    if isinstance(spec, ConnectedOrigin):
-        return spectra.discrete_spectrum_origin_connected(spec.B)
-    return spectra.discrete_spectrum_separated(spec.params)
+    if B is None:
+        return spectra.discrete_spectrum_separated(spec.params)
+    return spectra.discrete_spectrum_origin_connected(B)
 
 
 def _print_report(report):
@@ -232,11 +241,7 @@ def cmd_classify(args):
     print(f"selfadjoint: {str(rep.selfadjoint).lower()}")
     print(f"family: {rep.family}")
     if rep.extracted_params is not None:
-        p = rep.extracted_params
-        if isinstance(p, TypeIParams):
-            print(f"params: theta = {_fmt(p.theta)}  phi = {_fmt(p.phi)}  b = {_fmt(p.b)}  c = {_fmt(p.c)}")
-        elif isinstance(p, TypeIIParams):
-            print(f"params: theta = {_fmt(p.theta)}  h0 = {_fmt(p.h0)}  h1 = {_fmt(p.h1)}")
+        print("params: " + "  ".join(f"{name} = {_fmt(value)}" for name, value in vars(rep.extracted_params).items()))
     if rep.notes:
         print(f"notes: {rep.notes}")
     return EXIT_OK
@@ -324,56 +329,37 @@ def _point_result(point, variant):
     return _solved_cells([report.all_real], [report.total_multiplicity], lam)[0]
 
 
-def _origin_stack(model_doc, spec, values, n):
-    """Spectra of the n points of a chunk of an origin-model sweep, solved as one stack.
-
-    spec is the model that model_from_dict built for one of the points, so
-    every field of the document is valid and the points differ only in their
-    axis values.  Returns the rows the stack holds and their OriginSpectra;
-    a row left out, or not ok, is one that the single-model path rejects.
-    """
-    mtype = model_doc["type"]
-    if mtype == "connected_origin":
-        return np.arange(n), spectra.discrete_spectrum_origin_connected(np.broadcast_to(spec.B, (n, 2, 2)))
-    cols = [values[f] if f in values else np.full(n, _need(model_doc, f)) for f in _ORIGIN_FIELDS[mtype]]
-    # rows are left out on the conditions the parameter classes raise on; a row
-    # that overflows or turns NaN further on is not ok in the stack
-    with np.errstate(over="ignore", invalid="ignore"):
-        finite = np.logical_and.reduce([np.isfinite(col) for col in cols])
-        if mtype == "type_I":
-            theta, phi, b, c = cols
-            rows = np.flatnonzero(finite & (b >= 0) & (1.0 + b * c >= 0))
-            p = TypeIParams(theta[rows], phi[rows], b[rows], c[rows])
-            return rows, spectra.discrete_spectrum_origin_connected(matrix_from_type_I(p))
-        theta, h0, h1 = cols
-        rows = np.flatnonzero(finite & (np.hypot(h0, h1) != 0))
-        return rows, spectra.discrete_spectrum_separated(TypeIIParams(theta[rows], h0[rows], h1[rows]))
-
-
 def _sweep_results(model_doc, values, n, variant):
     """Result cells of the n points of one chunk of a sweep: the document with each row of the axis columns.
 
-    For an origin model the first point that model_from_dict accepts vouches
-    for the document, and the chunk is solved as one stack.  A point the stack
-    does not solve, and every point of a two-point model, goes through
-    _point_result.
+    For an origin model the first point that model_from_dict accepts vouches for
+    the document's other fields, and the type's solve takes the chunk as one stack,
+    less the rows its parameter class rejects.  Those rows, rows the stack marks
+    not ok, and every point of a two-point model go through _point_result.
     """
     def point(j):
         return dict(model_doc, **{name: float(col[j]) for name, col in values.items()})
 
     results = [None] * n
-    if model_doc.get("type") in ORIGIN_TYPES:
-        for j in range(n):
-            try:
-                spec = model_from_dict(point(j), variant=variant)
-            except ModelFileError:
-                continue
-            rows, rep = _origin_stack(model_doc, spec, values, n)
-            ok = rep.ok
-            cells = _solved_cells(rep.all_real[ok].tolist(), rep.count[ok].tolist(), rep.lam[ok])
-            for i, text in zip(rows[ok].tolist(), cells):
-                results[i] = text
-            break
+    mtype = model_doc.get("type")
+    row = MODEL_FILE_TYPES[mtype] if mtype in MODEL_TYPES else None
+    for j in range(n) if row is not None and row.solve is not None else ():
+        try:
+            spec = model_from_dict(point(j), variant=variant)
+        except ModelFileError:
+            continue
+        if row.params is None:  # the fields are not numbers, so no axis changes the model
+            rows, rep = np.arange(n), row.solve(np.broadcast_to(spec.B, (n, 2, 2)))
+        else:
+            cols = {f: values[f] if f in values else np.full(n, _need(model_doc, f)) for f in row.fields}
+            with np.errstate(over="ignore", invalid="ignore"):
+                rows = np.flatnonzero(np.logical_and.reduce([holds for holds, _, _ in row.params.conditions(**cols)]))
+                rep = row.solve(row.params(**{f: col[rows] for f, col in cols.items()}))
+        ok = rep.ok
+        cells = _solved_cells(rep.all_real[ok].tolist(), rep.count[ok].tolist(), rep.lam[ok])
+        for i, text in zip(rows[ok].tolist(), cells):
+            results[i] = text
+        break
     return [_point_result(point(j), variant) if r is None else r for j, r in enumerate(results)]
 
 
@@ -417,14 +403,11 @@ def cmd_eigenfunction(args):
         raise InvalidParams(f"--grid: N must be an integer >= 2, got {N:g}")
     spec = load_model(args.model, variant=args.variant)
     k = complex(args.k[0], args.k[1])
-    if isinstance(spec, SeparatedOrigin):
+    B, l = _matrix_and_length(spec)
+    if B is None:
         raise ModelFileError("eigenfunction export supports connected and two-point models")
-    if isinstance(spec, ConnectedOrigin):
-        psi = states.eigenfunction_origin(spec.B, k)
-        resid = states.interface_residual(psi, spec.B)
-    else:
-        psi = states.eigenfunction_two_point(spec.B, spec.l, k)
-        resid = states.interface_residual(psi, spec.B, spec.l)
+    psi = states.eigenfunction_origin(B, k) if l is None else states.eigenfunction_two_point(B, l, k)
+    resid = states.interface_residual(psi, B, l)
     defect = states.pt_symmetry_defect(psi)
     x = np.linspace(-L, L, int(N))
     vals = psi(x)

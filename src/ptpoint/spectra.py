@@ -40,7 +40,7 @@ from typing import Optional
 import numpy as np
 
 from .boundary import DEFAULT_TOL, as_matrix, delta_pair_matrix, require_nondegenerate  # noqa: F401 (re-exported)
-from .boundary import require_finite, require_length, singular, theta_mod_pi, zero_coefficient_threshold
+from .boundary import finite, require, require_length, singular, theta_mod_pi, zero_coefficient_threshold
 from .errors import (
     ContourThroughZero,
     DegenerateIdenticallyZero,
@@ -135,7 +135,7 @@ class ContourSpec:
     im_max: float
 
     def __post_init__(self):
-        require_finite(**vars(self))
+        require(finite(**vars(self)))
         if not (self.im_min > 0):
             raise InvalidParams("im_min must be positive (contour stays off the real axis)")
         if not (self.re_min < self.re_max and self.im_min < self.im_max):

@@ -67,6 +67,12 @@ GRIDS = {
          "sweep": [{"name": "q", "min": 0, "max": 1, "steps": 3}, {"name": "c", "min": -2, "max": 2, "steps": 7}]},
         [],
     ),
+    # entries past 1.34e154, whose det tolerance overflows: every row is an error, no traceback
+    "type_I_huge_b": (
+        {"model": {"type": "type_I", "theta": 0.0, "phi": 0.5, "c": 0.25},
+         "sweep": [{"name": "b", "min": 1e200, "max": 1e201, "steps": 4}]},
+        ["interface matrix entries must not exceed"],
+    ),
     # a missing model field: every row is an error
     "missing_field": (
         {"model": {"type": "type_I", "theta": 0.5, "phi": 0.5},
