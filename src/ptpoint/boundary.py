@@ -92,18 +92,29 @@ def theta_mod_pi(theta):
 def singular(M):
     """True where det(M) ~ 0, for a finite matrix or each matrix of a (n, 2, 2) stack.
 
-    One matrix needs entries at most MAX_ENTRY (float ** 2 raises OverflowError);
-    in a stack a larger one counts as singular, as its threshold overflows to inf.
+    det(M) ~ 0 when |det M| <= DEFAULT_TOL times the product of the largest
+    modulus in each row, a test that scaling a row does not change.  That
+    product is at most max(1, max |M_ij|)^2, so every matrix that passes a
+    test against that square passes this one.  In a stack a matrix with an
+    entry above MAX_ENTRY counts as singular, as require_nondegenerate rejects it.
     """
     det = np.linalg.det(M)
-    return ~(np.hypot(det.real, det.imag) > DEFAULT_TOL * _scale(M) ** 2)
+    rows = np.abs(M).max(axis=-1)
+    small = ~(np.hypot(det.real, det.imag) > DEFAULT_TOL * (rows[..., 0] * rows[..., 1]))
+    return small | (rows.max(axis=-1) > MAX_ENTRY)
+
+
+def require_bounded(B):
+    """Return B as an ndarray, raising InvalidParams unless its entries are finite and at most MAX_ENTRY."""
+    M = as_matrix(B)
+    if _scale(M) > MAX_ENTRY:
+        raise InvalidParams(f"interface matrix entries must not exceed {MAX_ENTRY:.4g} in modulus")
+    return M
 
 
 def require_nondegenerate(B):
     """Return B as an ndarray, raising InvalidParams if an entry exceeds MAX_ENTRY and Degenerate if det(B) ~ 0."""
-    M = as_matrix(B)
-    if _scale(M) > MAX_ENTRY:
-        raise InvalidParams(f"interface matrix entries must not exceed {MAX_ENTRY:.4g} in modulus")
+    M = require_bounded(B)
     if singular(M):
         raise Degenerate(f"interface matrix is singular (det = {np.linalg.det(M):.3e})")
     return M

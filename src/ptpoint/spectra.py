@@ -27,20 +27,24 @@ whose zeros are the eigenvalues of the operator the interface conditions
 define.  The two agree whenever delta = 0.
 
 Zeros inside a user contour are located by the argument principle (adaptive
-phase tracking on all rectangle edges at once), isolated by subdivision, and
-refined by Newton iteration on an overflow-free rescaling of D.  Every
-two-point root is then certified against the interface system itself
-(states.two_point_kernel), independently of either relation's coefficients.
+phase tracking on all rectangle edges at once: array passes while many
+segments need bisection, plain complex arithmetic for the last few), isolated
+by subdivision, and refined by Newton iteration on an overflow-free rescaling
+of D.  Every two-point root is then certified against the interface system
+itself (states.two_point_kernel), independently of either relation's
+coefficients.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .boundary import DEFAULT_TOL, as_matrix, delta_pair_matrix, require_nondegenerate  # noqa: F401 (re-exported)
-from .boundary import finite, require, require_length, singular, theta_mod_pi, zero_coefficient_threshold
+from .boundary import DEFAULT_TOL, delta_pair_matrix, require_nondegenerate  # noqa: F401 (re-exported)
+from .boundary import finite, require, require_bounded, require_length, singular, theta_mod_pi
+from .boundary import zero_coefficient_threshold
 from .errors import (
     ContourThroughZero,
     DegenerateIdenticallyZero,
@@ -67,6 +71,12 @@ RELATIONS = (PRINTED, OPERATOR)
 # starting nodes on each side of a winding-count rectangle; _phase_track
 # bisects between them wherever the dispersion values need it
 NODES_PER_SIDE = 64
+# _phase_track: bisection rounds, and live segments over the whole contour
+MAX_ROUNDS = 80
+MAX_SEGMENTS = 400_000
+# live segments at or below which _phase_track bisects on Python complex
+# numbers: a round on arrays costs about the same for 2 segments as for 200
+SCALAR_SEGMENTS = 8
 
 # Newton refinement of a zero: relative step that ends it, and its iteration cap
 NEWTON_TOL = 1e-12
@@ -475,17 +485,19 @@ class _ScaledDispersion:
 
     Same zeros as D in the open upper half-plane.  Below the real axis q
     overflows; mirrored=True evaluates e^{-4ikl} Dt with q' = e^{-4ikl} instead.
-    Raises DegenerateIdenticallyZero when P1 and P2 both vanish (no coefficient above 1e-300).
+    Raises InvalidParams when an entry of B exceeds MAX_ENTRY and
+    DegenerateIdenticallyZero when P1 and P2 both vanish (no coefficient above 1e-300).
     """
 
     def __init__(self, B, l, relation=PRINTED):
         require_length(l)
         self.l = float(l)
-        self.p1, self.p2 = _bracket_coeffs(as_matrix(B), relation)
+        self.p1, self.p2 = _bracket_coeffs(require_bounded(B), relation)
         if max(np.max(np.abs(self.p1)), np.max(np.abs(self.p2))) <= 1e-300:  # default_contour's zero
             raise DegenerateIdenticallyZero("two-point dispersion vanishes identically")
         self.dp1 = np.polyder(self.p1)
         self.dp2 = np.polyder(self.p2)
+        self._p1, self._p2 = self.p1.tolist(), self.p2.tolist()
 
     def __call__(self, k, mirrored=False):
         k = np.asarray(k, dtype=complex)
@@ -494,6 +506,16 @@ class _ScaledDispersion:
         P1 = np.polyval(self.p1, k)
         P2 = np.polyval(self.p2, k)
         return -s * 0.5j * (q - 1.0) * P1 + 0.5 * k * (1.0 + q) * P2
+
+    def at(self, k):
+        """Dt(k) at one complex k in plain complex arithmetic: __call__ to rounding, at a fraction of its cost."""
+        q = cmath.exp(4j * k * self.l)
+        P1, P2 = self._p1[0], self._p2[0]
+        for c in self._p1[1:]:
+            P1 = P1 * k + c
+        for c in self._p2[1:]:
+            P2 = P2 * k + c
+        return -0.5j * (q - 1.0) * P1 + 0.5 * k * (1.0 + q) * P2
 
     def with_derivative(self, k):
         """(Dt(k), Dt'(k)) as complex numbers, from one evaluation of q, P1 and P2."""
@@ -542,41 +564,94 @@ def default_contour(B, l, relation=PRINTED):
     return ContourSpec(-K, K, 1e-6, K)
 
 
+_ZERO_ON_CONTOUR = "dispersion zero on or near the contour; perturb the rectangle"
+_BELOW_GUARD = "dispersion value below safety threshold on the contour; perturb the rectangle"
+
+
+def _successors(x):
+    """x[i + 1] for each node i of a closed polygon, x[0] for the last: np.roll(x, -1) at a tenth of its cost."""
+    return np.concatenate([x[1:], x[:1]])
+
+
+def _unresolved(dphi, ratio):
+    """Whether a segment needs splitting: a phase step over pi/2 or a modulus ratio outside [1/8, 8].
+
+    Takes the phase steps and modulus ratios as arrays or as floats.
+    """
+    return (abs(dphi) > np.pi / 2) | (ratio > 8.0) | (ratio < 0.125)
+
+
 def _phase_track(f, z, w, guard):
-    """Total change of arg f around the closed polygon z (w = f(z)), all edges in one array pass.
+    """Total change of arg f around the closed polygon z (w = f(z)), by bisection.
 
     Splits any segment whose endpoint phase difference exceeds pi/2 or whose
     modulus ratio exceeds 8; each keeps the floor of its edge.  Raises
     ContourThroughZero when |f| falls under ``guard`` at a node or a segment
-    cannot be resolved.
+    cannot be resolved.  While more than SCALAR_SEGMENTS segments are live, a
+    round splits them all in one array pass through f; the rounds after that
+    run in _phase_track_few, one point at a time through f.at (a
+    _ScaledDispersion has it) or else through f.
     """
-    seg_a, seg_b = z, np.roll(z, -1)
-    val_a, val_b = w, np.roll(w, -1)
+    seg_a, seg_b = z, _successors(z)
+    val_a, val_b = w, _successors(w)
     floor = 1e-13 * np.maximum(np.abs(seg_b - seg_a), 1.0)
     total = 0.0
-    for _ in range(80):
+    for rounds_left in range(MAX_ROUNDS, 0, -1):
+        if len(seg_a) <= SCALAR_SEGMENTS:
+            segs = list(zip(*(x.tolist() for x in (seg_a, seg_b, val_a, val_b, floor))))
+            at = getattr(f, "at", None) or (lambda k: complex(f(k)))
+            return total + _phase_track_few(at, segs, guard, rounds_left)
         dphi = np.angle(val_b * np.conj(val_a))
-        ratio = np.abs(val_b) / np.abs(val_a)
-        bad = (np.abs(dphi) > np.pi / 2) | (ratio > 8.0) | (ratio < 0.125)
+        bad = _unresolved(dphi, np.abs(val_b) / np.abs(val_a))
         total += float(np.sum(dphi[~bad]))
         if not np.any(bad):
             return total
         seg_a, seg_b, floor = seg_a[bad], seg_b[bad], floor[bad]
         val_a, val_b = val_a[bad], val_b[bad]
         if np.any(np.abs(seg_b - seg_a) < floor):
-            raise ContourThroughZero("dispersion zero on or near the contour; perturb the rectangle")
+            raise ContourThroughZero(_ZERO_ON_CONTOUR)
         mid = 0.5 * (seg_a + seg_b)
         val_m = f(mid)
         if np.any(np.abs(val_m) <= guard):
-            raise ContourThroughZero(
-                "dispersion value below safety threshold on the contour; perturb the rectangle"
-            )
+            raise ContourThroughZero(_BELOW_GUARD)
         seg_a = np.concatenate([seg_a, mid])
         seg_b = np.concatenate([mid, seg_b])
         floor = np.concatenate([floor, floor])
         val_a = np.concatenate([val_a, val_m])
         val_b = np.concatenate([val_m, val_b])
-        if len(seg_a) > 400_000:  # live segments over the whole contour
+        if len(seg_a) > MAX_SEGMENTS:
+            raise NoConvergence("phase tracking exceeded the segment budget")
+    raise NoConvergence("phase tracking did not resolve the contour")
+
+
+def _phase_track_few(f, segs, guard, rounds):
+    """The last ``rounds`` rounds of _phase_track on Python numbers; f takes one k.
+
+    segs lists the live segments as tuples (a, b, f(a), f(b), floor).  The
+    rules, checks and their order are those of _phase_track.
+    """
+    total = 0.0
+    for _ in range(rounds):
+        live = []
+        for seg in segs:
+            _, _, va, vb, _ = seg
+            dphi = cmath.phase(vb * va.conjugate())
+            if _unresolved(dphi, abs(vb) / abs(va)):
+                live.append(seg)
+            else:
+                total += dphi
+        if not live:
+            return total
+        if any(abs(b - a) < floor for a, b, _, _, floor in live):
+            raise ContourThroughZero(_ZERO_ON_CONTOUR)
+        segs = []
+        for a, b, va, vb, floor in live:
+            m = 0.5 * (a + b)
+            vm = f(m)
+            if abs(vm) <= guard:
+                raise ContourThroughZero(_BELOW_GUARD)
+            segs += [(a, m, va, vm, floor), (m, b, vm, vb, floor)]
+        if len(segs) > MAX_SEGMENTS:
             raise NoConvergence("phase tracking exceeded the segment budget")
     raise NoConvergence("phase tracking did not resolve the contour")
 
@@ -587,15 +662,15 @@ def _winding_rectangle(f, re_min, re_max, im_min, im_max):
         [complex(re_min, im_min), complex(re_max, im_min), complex(re_max, im_max), complex(re_min, im_max)]
     )
     t = np.arange(NODES_PER_SIDE) / NODES_PER_SIDE
-    z = (corners[:, None] + (np.roll(corners, -1) - corners)[:, None] * t).ravel()
+    z = (corners[:, None] + (_successors(corners) - corners)[:, None] * t).ravel()
     w = f(z)
     guard = 1e-14 * float(np.max(np.abs(w)))
-    if np.any(np.abs(w) <= guard):
+    if not np.all(np.abs(w) > guard):  # also when an overflow made a value, and so the guard, nan
         raise ContourThroughZero(
             "dispersion value below safety threshold at a contour node; perturb the rectangle"
         )
     winding = _phase_track(f, z, w, guard) / (2.0 * np.pi)
-    if abs(winding - round(winding)) > 0.25:
+    if not abs(winding - np.round(winding)) <= 0.25:  # also when an overflow made it nan
         raise NoConvergence(f"winding number did not stabilize (got {winding:.3f})")
     return int(round(winding))
 

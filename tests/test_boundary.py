@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ptpoint.boundary import (
+    DEFAULT_TOL,
     ClassificationReport,
     ConnectedOrigin,
     DeltaPair,
@@ -15,6 +16,7 @@ from ptpoint.boundary import (
     matrix_from_type_I,
     pt_boundary_image,
     pt_mirror,
+    singular,
     type_I_from_matrix,
 )
 from ptpoint.errors import Degenerate, InvalidParams, NotInFamily
@@ -213,6 +215,47 @@ class TestSpecValidation:
         for _ in range(50):
             B = matrix_from_type_I(random_type_I(rng))
             assert np.max(np.abs(pt_mirror(B) - np.linalg.inv(B))) < 1e-10
+
+
+class TestSingular:
+    @staticmethod
+    def matrices(rng, n=400):
+        """Random complex matrices with rows from 1e-3 to 1e3 in size, half of them within 1e-12..1e-6 of rank 1."""
+        M = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
+        near = rng.random(n) < 0.5
+        m = near.sum()
+        M[near, 1] = M[near, 0] * rng.normal(size=(m, 1)) + 10 ** rng.uniform(-12, -6, (m, 1)) * M[near, 1]
+        return M * 2.0 ** rng.integers(-10, 11, (n, 2, 1))
+
+    def test_row_scaling_does_not_change_it(self):
+        rng = np.random.default_rng(21)
+        M = self.matrices(rng)
+        rows = np.abs(M).max(axis=2)
+        # scaled rows may change the pivot, and so the rounding, of det: leave out matrices it could tip
+        clear = np.abs(np.log(np.abs(np.linalg.det(M)) / (DEFAULT_TOL * rows[:, 0] * rows[:, 1]))) > 1e-6
+        for _ in range(5):
+            scaled = M * 2.0 ** rng.integers(-30, 31, (len(M), 2, 1))
+            assert np.array_equal(singular(scaled)[clear], singular(M)[clear])
+        assert 0 < singular(M).sum() < len(M) and clear.sum() > 0.99 * len(M)
+
+    def test_rejects_no_matrix_the_entry_size_test_accepted(self):
+        """The former test, |det B| > DEFAULT_TOL max(1, max |B_ij|)^2, never accepted a matrix this one rejects."""
+        M = self.matrices(np.random.default_rng(22), 2000)
+        det = np.linalg.det(M)
+        size = np.maximum(1.0, np.abs(M).max(axis=(1, 2)))
+        former = ~(np.abs(det) > DEFAULT_TOL * size**2)
+        assert not (singular(M) & ~former).any() and (former & ~singular(M)).any()
+
+    @pytest.mark.parametrize("b", [1e5, 1e9])
+    def test_unimodular_with_a_large_entry(self, b):
+        B = matrix_from_type_I(TypeIParams(0.0, 0.5, b, 0.0))
+        assert not singular(B) and ConnectedOrigin(B).B is not None
+
+    def test_stack_with_an_entry_past_max_entry(self):
+        B = np.array([[[1e200, 0], [0, 1e-200]], [[1, 0], [0, 1]]], dtype=complex)
+        assert singular(B).tolist() == [True, False]
+        with pytest.raises(InvalidParams, match="must not exceed"):
+            ConnectedOrigin(B[0])
 
 
 NAN, INF = float("nan"), float("inf")

@@ -133,6 +133,21 @@ class TestSpectrumCommand:
         path = write_json(tmp_path / "m.json", doc)
         assert main(["spectrum", path]) == EXIT_PARSE  # rejected at validation
 
+    def test_huge_delta_pair_coupling_exit_code(self, tmp_path, capsys):
+        # past MAX_ENTRY the dispersion coefficients overflow: spectrum says so as classify does
+        path = write_json(tmp_path / "m.json", {"type": "delta_pair", "u": 1e200, "v": 1.0, "l": 1.0})
+        for command in ("spectrum", "classify"):
+            assert main([command, path]) == EXIT_PARSE
+            err = capsys.readouterr().err
+            assert err == "error: interface matrix entries must not exceed 1.341e+154 in modulus\n"
+
+    def test_unimodular_matrix_with_a_large_entry(self, tmp_path, capsys):
+        # det B = 1 is not singular however large b is, as long as the rows stay apart
+        doc = {"type": "type_I", "theta": 0.0, "phi": 0.5, "b": 1e5, "c": 0.0}
+        path = write_json(tmp_path / "m.json", doc)
+        assert main(["spectrum", path]) == EXIT_OK
+        assert "eigenvalue_count: 0" in capsys.readouterr().out
+
     def test_identically_zero_dispersion_exit_code(self, tmp_path, capsys):
         doc = {"type": "type_I", "theta": 0.0, "phi": np.pi / 2, "b": 0.0, "c": 0.0}
         path = write_json(tmp_path / "m.json", doc)
