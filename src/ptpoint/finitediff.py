@@ -1,19 +1,9 @@
 """Independent finite-difference validation of spectra and resolvents.
 
 Discretizes -d^2/dx^2 on [-L, L] with Dirichlet walls and the model's
-interface conditions encoded by ghost-value elimination, then computes every
-eigenvalue of the dense non-Hermitian matrix.  Nothing here reuses the
-closed-form dispersion machinery: agreement between the two routes is the
+interface conditions encoded by ghost-value elimination.  Nothing here reuses
+the closed-form dispersion machinery: agreement between the two routes is the
 validation.
-
-Eigensolve: the grid is symmetric under x -> -x, so the matrix of a model
-invariant under reflection plus conjugation (PT) commutes, to rounding, with
-u -> conj(u[::-1]).  In the unitary basis of vectors fixed by that map,
-(e_j + e_{N-1-j})/sqrt2 and i(e_j - e_{N-1-j})/sqrt2, such a matrix is real
-and is solved in real arithmetic; if the model is also invariant under
-reflection alone, its even and odd halves decouple and are solved as two
-real N/2 blocks.  Any other matrix is solved as a complex one.  Each form is
-an exact similarity of the same matrix (see _eigvals).
 
 Scheme: on the staggered grid of OracleConfig every row is a second-order
 central difference.  At each interface (which falls midway between two
@@ -21,6 +11,23 @@ nodes) the two adjacent rows use ghost values solved from the interface
 conditions with quadratic one-sided stencils, keeping the matrix square and
 the scheme O(h^2).  Dirichlet walls are folded into the end rows by ghost
 reflection.
+
+Eigensolve: away from interfaces every row of (M - lam) u = 0 is the
+recurrence u_{j+1} = (2 - h^2 lam) u_j - u_{j-1}, solved by z^j and z^-j with
+z = e^{i kappa h} and lam = 4 sin^2(kappa h / 2) / h^2.  On each stretch of
+nodes between interfaces u is a combination of two such solutions; the outer
+stretches take the one combination that meets their wall.  The two rows of
+each interface are then two linear equations on the stretch coefficients, and
+the eigenvalues of the matrix are exactly the zeros of their determinant
+F(kappa) (_Determinant): 2x2 for an origin model, 4x4 for a two-point model,
+at a cost that does not depend on N.  The zeros are counted by the argument
+principle and isolated by subdivision over a rectangle of the kappa upper
+half-plane that holds every candidate (_zeros), then refined by Newton steps
+(_newton).  Symmetries of the interface rows shrink the search: a
+parity-symmetric model has even and odd factors, each searched apart, and the
+zeros of a model invariant under reflection plus conjugation (PT) are mirror
+images under kappa -> -conj(kappa), so only Re kappa >= 0 is searched and the
+imaginary axis is solved as a real problem.
 """
 
 from dataclasses import dataclass
@@ -41,10 +48,41 @@ ROW_INTERFACE = 2
 # eigenvalues with Re < -DROP_TOL or |Im| > DROP_TOL are discrete-spectrum candidates
 DROP_TOL = 1e-4
 
-# a block of the matrix in the symmetry-adapted basis (_eigvals) at or below
-# SYMMETRY_TOL * eps * max|M| is rounding: over 13 models at N = 600, 1440 and 2400
-# the blocks a symmetry zeroes measured <= 0.8 eps * max|M|, and >= 3e12 without it
+# two interface rows that a symmetry maps onto each other match when they differ by at
+# most SYMMETRY_TOL * eps * max|M|: over 15 models at N = 600, 1440 and 2400 they
+# differed by <= 2.9 eps * max|M| where the symmetry holds, and >= 8e12 where it fails
 SYMMETRY_TOL = 64
+
+# the zero search covers |Re kappa| <= K and DROP_TOL / (4K) <= Im kappa <= K with
+# K = SEARCH_K / h, past the horizon 0.15 / h; the bottom edge lies below every candidate
+SEARCH_K = 0.16
+# initial nodes per continuum spacing pi/(2L) along the bottom edge, which passes just
+# above the box-truncated continuum; with 64 nodes per side the count came out wrong
+NODES_PER_SPACING = 8
+# along every other edge, initial nodes max(dx, y) / NODES_PER_GAP apart at height y,
+# dx = pi/(2L), and at least NODES_PER_EDGE per edge; |F'/F| (_unresolved) refines
+# wherever that is too coarse
+NODES_PER_GAP = 4
+NODES_PER_EDGE = 8
+
+# phase tracking (_track): rounds of bisection and live segments
+MAX_ROUNDS = 80
+MAX_SEGMENTS = 400_000
+
+# Newton refinement (_newton) stops at a relative step of NEWTON_TOL, or once the step
+# stops shrinking below NEWTON_STALL |kappa|: rounding in F, whose terms can exceed
+# |F| by 1e5, sets that floor
+NEWTON_TOL = 1e-14
+NEWTON_STALL = 1e-8
+MAX_NEWTON = 60
+# a box holding several zeros and smaller than CLUSTER |kappa| is not split: near an
+# exceptional point F ~ (kappa - kappa_0)^2 drowns in rounding within about sqrt(eps),
+# as the dense solve does; its zeros are reported at their mean, from CLUSTER_NODES
+# points on a circle around it (_cluster)
+CLUSTER = 1e-6
+CLUSTER_NODES = 64
+# boxes of the subdivision narrower than MIN_BOX times the search height are not split
+MIN_BOX = 1e-13
 
 
 @dataclass(frozen=True)
@@ -108,34 +146,52 @@ def _ghosts(Q, h):
     return W[0], W[1]
 
 
-def _assemble(spec, cfg):
-    """Dense matrix of the discretized operator on the grid cfg plus a per-row kind array."""
-    N, h, x = cfg.N, cfg.h, cfg.nodes
-    inv_h2 = 1.0 / (h * h)
-    i = np.arange(N)
-    M = np.zeros((N, N), dtype=complex)
-    M[i, i] = 2.0 * inv_h2
-    M[i[1:], i[:-1]] = M[i[:-1], i[1:]] = -inv_h2
-    M[[0, -1], [0, -1]] = 3.0 * inv_h2  # Dirichlet wall folded in by ghost reflection
-    kinds = np.full(N, ROW_INTERIOR, dtype=np.int8)
-    kinds[[0, -1]] = ROW_END
+def _interface_rows(spec, cfg):
+    """(m, w_L, w_R) for each interface of spec on the grid cfg, in order of position.
 
+    The interface lies between nodes m and m + 1, whose rows take the ghost
+    values w_L . u and w_R . u over (u_{m-1}, u_m, u_{m+1}, u_{m+2}) (_ghosts).
+    """
+    N, h, x = cfg.N, cfg.h, cfg.nodes
+    rows, taken = [], set()
     for s, Q in spec.interfaces():
         m = int(np.floor((s - x[0]) / h))
         if not (0 <= m < N - 1) or min(abs(x[m] - s), abs(x[m + 1] - s)) < h / 4:
             raise GridCollision(f"interface at {s} collides with a grid node (change N or L)")
         if m < 2 or m + 3 >= N:
             raise GridCollision(f"interface at {s} too close to the domain wall")
-        if kinds[m] != ROW_INTERIOR or kinds[m + 1] != ROW_INTERIOR:
+        if taken & {m, m + 1}:
             raise GridCollision("interfaces too close together for this grid; increase N")
-        w_l, w_r = _ghosts(Q, h)
+        taken |= {m, m + 1}
+        rows.append((m, *_ghosts(Q, h)))
+    return sorted(rows, key=lambda row: row[0])
+
+
+def _row_kinds(rows, N):
+    kinds = np.full(N, ROW_INTERIOR, dtype=np.int8)
+    kinds[[0, -1]] = ROW_END
+    for m, _, _ in rows:
+        kinds[m] = kinds[m + 1] = ROW_INTERFACE
+    return kinds
+
+
+def _assemble(spec, cfg):
+    """Dense matrix of the discretized operator on the grid cfg plus a per-row kind array."""
+    N, h = cfg.N, cfg.h
+    inv_h2 = 1.0 / (h * h)
+    i = np.arange(N)
+    M = np.zeros((N, N), dtype=complex)
+    M[i, i] = 2.0 * inv_h2
+    M[i[1:], i[:-1]] = M[i[:-1], i[1:]] = -inv_h2
+    M[[0, -1], [0, -1]] = 3.0 * inv_h2  # Dirichlet wall folded in by ghost reflection
+    rows = _interface_rows(spec, cfg)
+    for m, w_l, w_r in rows:
         idx = [m - 1, m, m + 1, m + 2]
         # in each row the neighbour across the interface becomes the ghost value
         M[m, m + 1] = M[m + 1, m] = 0.0
         M[m, idx] -= w_l * inv_h2
         M[m + 1, idx] -= w_r * inv_h2
-        kinds[m] = kinds[m + 1] = ROW_INTERFACE
-    return M, kinds
+    return M, _row_kinds(rows, N)
 
 
 def discretize(spec, cfg):
@@ -144,71 +200,542 @@ def discretize(spec, cfg):
     return M
 
 
-def _even_odd(M):
-    """Overwrite M with W^T M W in the real orthogonal even/odd basis W.
+def _symmetries(rows, N):
+    """(parity, pt): whether the matrix commutes with the flip J, and with J and conjugation.
 
-    Column c of W is (e_c + e_{N-1-c})/sqrt2 for c < N/2 and
-    (e_{N-1-c} - e_c)/sqrt2 otherwise.  W diag(1, i) is the basis S of
-    _eigvals: each of its columns u is invariant under u -> conj(u[::-1]).
+    Rows away from interfaces are mapped onto each other exactly by the flip, so
+    only the interface rows are compared: row r of M, over columns m-1 .. m+2,
+    against row N-1-r reversed (conjugated for PT), by the SYMMETRY_TOL rule.
     """
-    n = len(M) // 2
-    for X in (M, M.T):  # rows, then columns
-        top, bottom = X[:n], X[: n - 1 : -1]
-        total = top + bottom
-        np.subtract(top, bottom, out=bottom)
-        top[...] = total
-        del total  # one half-size temporary at a time
-    M *= 0.5
+    window = {}  # interface row -> its entries times h^2
+    for m, w_l, w_r in rows:
+        window[m] = np.array([-1.0, 2.0, 0.0, 0.0]) - w_l
+        window[m + 1] = np.array([0.0, 0.0, 2.0, -1.0]) - w_r
+    tol = SYMMETRY_TOL * np.finfo(float).eps * max(3.0, max(np.max(np.abs(w)) for w in window.values()))
+
+    def maps_onto(image):
+        return all(
+            N - 1 - r in window and np.max(np.abs(image(window[N - 1 - r][::-1]) - w)) <= tol
+            for r, w in window.items()
+        )
+
+    return maps_onto(lambda w: w), maps_onto(np.conj)
 
 
-def _peak(a):
-    """max |a|"""
-    return np.max(np.abs(a))
+class _Jet:
+    """A value v and its derivative d, carried through sums, products and quotients."""
+
+    __slots__ = ("v", "d")
+
+    def __init__(self, v, d):
+        self.v, self.d = v, d
+
+    def __add__(self, other):
+        if isinstance(other, _Jet):
+            return _Jet(self.v + other.v, self.d + other.d)
+        return _Jet(self.v + other, self.d)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _Jet(-self.v, -self.d)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        if isinstance(other, _Jet):
+            return _Jet(self.v * other.v, self.v * other.d + self.d * other.v)
+        return _Jet(self.v * other, self.d * other)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        q = self.v / other.v
+        return _Jet(q, (self.d - q * other.d) / other.v)
+
+    def exp(self):
+        e = np.exp(self.v)
+        return _Jet(e, e * self.d)
+
+    def expm1(self):
+        return _Jet(np.expm1(self.v), np.exp(self.v) * self.d)
 
 
-def _eigvals(M):
-    """Every eigenvalue of M, by the cheapest exact similarity its symmetry allows; M is overwritten.
+class _Determinant:
+    """F(kappa), the determinant of the interface rows on the stretch coefficients.
 
-    M becomes E = W^T M W (_even_odd), with blocks [[even, even_odd], [odd_even, odd]].
-    Reflection symmetry (J M J = M, J the flip) makes the off-diagonal blocks
-    vanish, and the even and odd blocks are solved apart.  Reflection plus
-    conjugation (PT, J conj(M) J = M) makes the diagonal blocks real and the
-    off-diagonal ones imaginary, so S^H M S = diag(1, -i) E diag(1, i) is real.
-    A block vanishes at or below SYMMETRY_TOL * eps * max|M|.  Whatever is real
-    is solved in real arithmetic; E is real when M is.
+    Stretch functions, with z = e^{i kappa h}, S(p) = (1 - z^p)/(1 - z) and j a node index:
+    the outer stretch [0, b] carries z^{b-j} S(2j+1), which is odd about
+    j = -1/2 as the wall's ghost value u_{-1} = -u_0 requires, and the right
+    one its mirror image; an inner stretch [a, b] carries z^{j-a} + z^{b-j} and
+    (z^{j-a} - z^{b-j})/(1 - z).  Each interface (m, w_L, w_R) gives two
+    equations on the stretches on either side of it: the left one's value at
+    m + 1 is w_L . u and the right one's at m is w_R . u.  Every term stays
+    bounded in the upper half-plane, and at kappa = 0 (z = 1) the functions
+    stay independent, so F has no spurious zero there.  The equations are
+    eliminated interface by interface along the chain of stretches.
+
+    parity = +1 or -1 selects the even or odd factor of a parity-symmetric
+    layout (u_{N-1-j} = +-u_j), 0 the whole determinant.  Calling the object
+    gives (F, dF/dkappa) on an array of kappa.
     """
-    n = len(M) // 2
-    tol = SYMMETRY_TOL * np.finfo(float).eps * _peak(M)
-    _even_odd(M)
-    even, odd, even_odd, odd_even = M[:n, :n], M[n:, n:], M[:n, n:], M[n:, :n]
-    if max(_peak(even_odd), _peak(odd_even)) <= tol:
-        blocks = [even, odd]
+
+    def __init__(self, rows, N, h, parity=0):
+        self.rows = [(m, [complex(w) for w in w_l], [complex(w) for w in w_r]) for m, w_l, w_r in rows]
+        self.N, self.h, self.parity = N, h, parity
+
+    def __call__(self, kappa):
+        F = self._value(_Jet(1j * self.h * np.asarray(kappa, dtype=complex), 1j * self.h))
+        return F.v, F.d
+
+    def _value(self, ikh):
+        N, rows, parity = self.N, self.rows, self.parity
+        e1 = ikh.expm1()
+        zt = {-1: (-ikh).exp(), 0: 1.0, 1: ikh.exp()}  # z^t
+
+        def S(p):
+            return (p * ikh).expm1() / e1
+
+        def Z(p):
+            return (p * ikh).exp()
+
+        def columns(i):
+            """Coefficients in the two equations of interface i of each basis function on either side."""
+            m, w_l, w_r = rows[i]
+            if i == 0:  # values at m-1, m, m+1 (t = -1, 0, 1 from the stretch end m)
+                left = [[zt[-t] * S(2 * m + 2 * t + 1) for t in (-1, 0, 1)]]
+            else:
+                n = m - rows[i - 1][0] - 1
+                left = [[Z(n + t) + zt[-t] for t in (-1, 0, 1)], [-zt[-t] * S(n + 2 * t) for t in (-1, 0, 1)]]
+            if i == len(rows) - 1:  # values at m, m+1, m+2 (t = -1, 0, 1 from the stretch start m+1)
+                b = N - 2 - m
+                right = [[zt[t] * S(2 * b - 2 * t + 1) for t in (-1, 0, 1)]]
+            else:
+                n = rows[i + 1][0] - m - 1
+                right = [[zt[t] + Z(n - t) for t in (-1, 0, 1)], [zt[t] * S(n - 2 * t) for t in (-1, 0, 1)]]
+            lc = [(v[2] - w_l[0] * v[0] - w_l[1] * v[1], -w_r[0] * v[0] - w_r[1] * v[1]) for v in left]
+            rc = [(-w_l[2] * v[1] - w_l[3] * v[2], v[0] - w_r[2] * v[1] - w_r[3] * v[2]) for v in right]
+            return lc, rc
+
+        # u: coefficients, up to a common factor, of the stretch left of interface i that
+        # solve the equations of every interface before it
+        u = [1.0]
+        n = len(rows)
+        last = (n - 1) // 2 if parity else n - 1
+        for i in range(last + 1):
+            lc, rc = columns(i)
+            pl = sum(c * col[0] for c, col in zip(u, lc))
+            pr = sum(c * col[1] for c, col in zip(u, lc))
+            if i < last:
+                (al, ar), (bl, br) = rc
+                u = [pl * br - bl * pr, al * pr - pl * ar]
+            elif not parity:
+                ((rl, rr),) = rc
+                return pl * rr - rl * pr
+            elif n % 2:  # the centre interface: the right stretch is the mirror image of the left
+                mirror = [c * s for c, s in zip(u, (1.0, -1.0))]
+                return pl + parity * sum(c * col[0] for c, col in zip(mirror, rc))
+            else:  # the centre stretch keeps its even (first) or odd (second) function
+                rl, rr = rc[0] if parity > 0 else rc[1]
+                return pl * rr - rl * pr
+
+
+def _unresolved(dphi, ratio, reach):
+    """Whether a segment needs splitting.
+
+    It does when its endpoint values differ in phase by over pi/2 or in
+    modulus by over a factor 8, or when its length times |F'/F| at an end
+    (``reach``) exceeds pi/2: two close zeros near a segment turn the phase by
+    2pi between its ends, which the phase step alone reads as no turn, but
+    make |F'/F| at least 4 / length there.
+    """
+    return (abs(dphi) > np.pi / 2) | (ratio > 8.0) | (ratio < 0.125) | (reach > np.pi / 2)
+
+
+def _usable(values, slopes):
+    """|F'/F|, checking that F is finite and nonzero."""
+    if not np.all(np.isfinite(values) & (values != 0) & np.isfinite(slopes)):
+        raise EigensolverFailure("the interface determinant vanishes or overflows on an edge of the zero search")
+    return np.abs(slopes / values)
+
+
+def _track(f, nodes):
+    """Change of arg f along each segment of the polylines ``nodes`` (E, n + 1), as (E, n).
+
+    Every segment is bisected until each piece is resolved (_unresolved);
+    a round splits all live pieces in one array pass through f.
+    """
+    vals, slopes = f(nodes)
+    logd = _usable(vals, slopes)
+    a, b = nodes[:, :-1].ravel(), nodes[:, 1:].ravel()
+    fa, fb = vals[:, :-1].ravel(), vals[:, 1:].ravel()
+    la, lb = logd[:, :-1].ravel(), logd[:, 1:].ravel()
+    owner = np.arange(a.size)
+    out = np.zeros(a.size)
+    for _ in range(MAX_ROUNDS):
+        dphi = np.angle(fb * np.conj(fa))
+        bad = _unresolved(dphi, np.abs(fb) / np.abs(fa), np.abs(b - a) * np.maximum(la, lb))
+        out += np.bincount(owner[~bad], weights=dphi[~bad], minlength=out.size)
+        if not np.any(bad):
+            return out.reshape(nodes.shape[0], -1)
+        a, b, fa, fb, la, lb, owner = (x[bad] for x in (a, b, fa, fb, la, lb, owner))
+        mid = 0.5 * (a + b)
+        fm, slope = f(mid)
+        lm = _usable(fm, slope)
+        a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
+        fa, fb = np.concatenate([fa, fm]), np.concatenate([fm, fb])
+        la, lb = np.concatenate([la, lm]), np.concatenate([lm, lb])
+        owner = np.concatenate([owner, owner])
+        if len(a) > MAX_SEGMENTS:
+            break
+    raise EigensolverFailure("an edge of the zero search cannot be resolved")
+
+
+def _polyline(corners, n):
+    """(E, n * (len - 1) + 1) nodes along each row of corners, n equal pieces per side."""
+    t = np.arange(n) / n
+    sides = corners[:, :-1, None] + (corners[:, 1:] - corners[:, :-1])[:, :, None] * t
+    return np.concatenate([sides.reshape(len(corners), -1), corners[:, -1:]], axis=1)
+
+
+def _counts(f, boxes, half, dx):
+    """Zeros of f in each box (x1, x2, y1, y2) of the (B, 4) array boxes.
+
+    Every side gets the same number of initial nodes (see NODES_PER_GAP).
+
+    half: the boxes are [-x2, x2] x [y1, y2] (x1 = 0) of a function with
+    f(-conj(k)) = +-conj(f(k)); the phase change along the right half of
+    the boundary, from i y1 to i y2, is then half the winding.
+    """
+    if not len(boxes):
+        return np.zeros(0, dtype=int)
+    x1, x2, y1, y2 = boxes.T
+    if half:
+        corners = np.stack([1j * y1, x2 + 1j * y1, x2 + 1j * y2, 1j * y2], axis=1)
     else:
-        blocks = [M]
-        if max(_peak(even.imag), _peak(odd.imag), _peak(even_odd.real), _peak(odd_even.real)) <= tol:
-            even_odd *= 1j  # M <- diag(1, -i) M diag(1, i): S^H M S, real
-            odd_even *= -1j
-    if max(_peak(b.imag) for b in blocks) <= tol:
-        blocks = [b.real for b in blocks]
-    return np.concatenate([np.linalg.eigvals(b) for b in blocks])
+        corners = np.stack([x1 + 1j * y1, x2 + 1j * y1, x2 + 1j * y2, x1 + 1j * y2, x1 + 1j * y1], axis=1)
+    n = max(NODES_PER_EDGE, int(np.ceil(np.max(NODES_PER_GAP * np.maximum(x2 - x1, y2 - y1) / np.maximum(dx, y1)))))
+    turns = _track(f, _polyline(corners, n)).sum(axis=1) / (np.pi if half else 2 * np.pi)
+    return _whole(turns)
+
+
+def _require_counts(counts):
+    """counts, after checking that none is negative, as the difference of two counts may be."""
+    if np.any(counts < 0):
+        raise EigensolverFailure("inconsistent winding numbers in the zero search")
+    return counts
+
+
+def _whole(turns):
+    """Zero counts from turns of the phase, in units of 2 pi."""
+    counts = np.round(turns)
+    if not np.all(np.abs(turns - counts) <= 0.25):
+        raise EigensolverFailure(f"winding numbers of the zero search are not counts: {turns}")
+    return _require_counts(counts.astype(int))
+
+
+def _newton(f, boxes):
+    """Newton iteration from the centre of each box (B, 4); nan where it did not converge.
+
+    An iterate that leaves the box by more than its diagonal stops there.
+    """
+    x1, x2, y1, y2 = boxes.T
+    centre = 0.5 * (x1 + x2) + 0.5j * (y1 + y2)
+    reach = np.hypot(x2 - x1, y2 - y1)
+    k = centre
+    live = np.ones(k.shape, dtype=bool)
+    done = np.zeros(k.shape, dtype=bool)
+    last = np.full(k.shape, np.inf)
+    with np.errstate(all="ignore"):  # far below the real axis z^N overflows
+        for _ in range(MAX_NEWTON):
+            F, slope = f(k[live])
+            step = np.full(k.shape, np.nan, dtype=complex)
+            step[live] = F / slope
+            live &= np.isfinite(step)
+            k = np.where(live, k - step, k)
+            size = np.abs(step)
+            stalled = (size >= 0.5 * last) & (size <= NEWTON_STALL * np.abs(k))
+            done |= live & ((size <= NEWTON_TOL * np.abs(k)) | stalled)
+            last = size
+            live &= ~done & (np.abs(k - centre) <= reach)
+            if not np.any(live):
+                break
+    return np.where(done, k, np.nan)
+
+
+class _Search:
+    """Zeros of one F in the search rectangle, by the argument principle (see _zeros)."""
+
+    def __init__(self, f, top, y0, dx, mirror):
+        self.f, self.top, self.y0, self.dx, self.mirror = f, top, y0, dx, mirror
+        self.min_size = MIN_BOX * top
+        self.found = []  # zeros with Re kappa > 0 in mirror mode, all zeros otherwise
+        self.axis = []  # mirror mode: Im kappa of the zeros on the imaginary axis
+
+    def boxes(self, boxes, counts):
+        """Find the zeros of the boxes (B, 4) that hold counts (B,) zeros each."""
+        while len(boxes):
+            width, height = boxes[:, 1] - boxes[:, 0], boxes[:, 3] - boxes[:, 2]
+            single = (counts == 1) & (width <= 2 * height) & (height <= 2 * width)
+            solved = np.zeros(len(boxes), dtype=bool)
+            if np.any(single):
+                solved[single] = self._solve_single(boxes[single])
+            size = np.hypot(width, height)
+            small = (counts > 1) & (size < CLUSTER * np.abs(boxes[:, 1] + 1j * boxes[:, 3]))
+            for (x1, x2, y1, y2), d, c in zip(boxes[small], size[small], counts[small]):
+                self.found += [self._cluster(complex(0.5 * (x1 + x2), 0.5 * (y1 + y2)), d, c)] * c
+            keep = ~solved & ~small
+            if np.any(np.minimum(width, height)[keep] < self.min_size):
+                raise EigensolverFailure("the zero search cannot separate close zeros")
+            boxes, counts = self._split(boxes[keep], counts[keep])
+
+    def _solve_single(self, boxes):
+        x1, x2, y1, y2 = boxes.T
+        k = _newton(self.f, boxes)
+        inside = (k.real >= x1) & (k.real < x2) & (k.imag >= y1) & (k.imag < y2)
+        self.found.extend(k[inside].tolist())
+        return inside
+
+    def _split(self, boxes, counts):
+        """Halve each box across its longer side; the first half is counted, the second is the rest."""
+        x1, x2, y1, y2 = boxes.T
+        wide = x2 - x1 >= y2 - y1
+        xm, ym = 0.5 * (x1 + x2), 0.5 * (y1 + y2)
+        first = np.stack([x1, np.where(wide, xm, x2), y1, np.where(wide, y2, ym)], axis=1)
+        second = np.stack([np.where(wide, xm, x1), x2, np.where(wide, y1, ym), y2], axis=1)
+        c1 = _counts(self.f, first, False, self.dx)
+        boxes, counts = np.concatenate([first, second]), np.concatenate([c1, _require_counts(counts - c1)])
+        return boxes[counts > 0], counts[counts > 0]
+
+    def axis_boxes(self, boxes, counts):
+        """Mirror mode: zeros of the boxes [-x2, x2] x [y1, y2] (x1 = 0) around the imaginary axis."""
+        while len(boxes):
+            roots, sign_changes, cut = self._axis_roots(boxes[:, 2], boxes[:, 3])
+            done = _require_counts(counts - sign_changes) == 0
+            self.axis += [y for r, d in zip(roots, done) if d for y in r.tolist()]
+            size = np.hypot(2 * boxes[:, 1], boxes[:, 3] - boxes[:, 2])
+            small = ~done & (size < CLUSTER * boxes[:, 3])
+            for (_, _, y1, y2), d, c in zip(boxes[small], size[small], counts[small]):
+                self.axis += [self._cluster(0.5j * (y1 + y2), d, c).imag] * c
+            keep = ~done & ~small
+            boxes, counts, ym = boxes[keep], counts[keep], cut[keep]
+            zero, x2, y1, y2 = boxes.T
+            if np.any(np.minimum(x2, y2 - y1) < self.min_size):
+                raise EigensolverFailure("the zero search cannot separate close zeros")
+            # a tall box is cut at ym and the upper part holds the rest; otherwise
+            # the rest lies in the strip [x2/2, x2] and its mirror image, evenly
+            tall = y2 - y1 > 2 * x2
+            lower = np.stack([zero, x2, y1, ym], axis=1)
+            inner = np.stack([zero, 0.5 * x2, y1, y2], axis=1)
+            first = np.where(tall[:, None], lower, inner)
+            c1 = _counts(self.f, first, True, self.dx)
+            rest = _require_counts(counts - c1)
+            if np.any(~tall & (rest % 2 == 1)):
+                raise EigensolverFailure("inconsistent winding numbers in the zero search")
+            strips = ~tall & (rest > 0)
+            self.boxes(np.stack([0.5 * x2, x2, y1, y2], axis=1)[strips], rest[strips] // 2)
+            upper = np.stack([zero, x2, ym, y2], axis=1)
+            boxes, counts = np.concatenate([first, upper[tall]]), np.concatenate([c1, rest[tall]])
+            boxes, counts = boxes[counts > 0], counts[counts > 0]
+
+    def _cluster(self, centre, size, count):
+        """The mean of the ``count`` zeros in a box of diameter ``size`` around centre.
+
+        By the trapezoidal rule on a circle around centre, (1/2 pi i) times the
+        integral of kappa F'/F is the sum of the zeros inside, and the integral
+        of F'/F their number.  The widest circle of radius 1000, 100, 10 or 1
+        times size that holds just ``count`` zeros is used: F is accurate
+        farther from the cluster.
+        """
+        for radius in size * 10.0 ** np.arange(3, -1, -1):
+            kappa = centre + radius * np.exp(2j * np.pi * np.arange(CLUSTER_NODES) / CLUSTER_NODES)
+            F, slope = self.f(kappa)
+            weights = slope / F * (kappa - centre) / CLUSTER_NODES
+            if abs(np.sum(weights) - count) <= 0.25:
+                return centre + np.sum(weights * (kappa - centre)) / count
+        raise EigensolverFailure("the zero search cannot separate close zeros")
+
+    def _axis_roots(self, y1, y2):
+        """Zeros of F on i [y1, y2] for each box, and a height to cut the box at.
+
+        Each sign change among 2 NODES_PER_EDGE + 1 samples is refined to a
+        root by bisection.  The cut is the sample of the middle half where |F|
+        is largest, so that cuts keep away from zeros: cutting through the
+        middle of a box closes in on a cluster, where F is rounding.
+        """
+        t = np.linspace(0.0, 1.0, NODES_PER_EDGE * 2 + 1)
+        y = y1[:, None] + (y2 - y1)[:, None] * t
+        g = self._real(y)
+        middle = slice(NODES_PER_EDGE // 2, 3 * NODES_PER_EDGE // 2 + 1)
+        cut = y[:, middle][np.arange(len(y)), np.argmax(np.abs(g[:, middle]), axis=1)]
+        flips = np.signbit(g[:, 1:]) != np.signbit(g[:, :-1])
+        box, j = np.nonzero(flips)
+        lo, hi, g_lo = y[box, j], y[box, j + 1], g[box, j]
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            moving = (mid > lo) & (mid < hi)
+            if not np.any(moving):
+                break
+            g_mid = self._real(mid)
+            same = np.signbit(g_mid) == np.signbit(g_lo)
+            lo, g_lo = np.where(moving & same, mid, lo), np.where(moving & same, g_mid, g_lo)
+            hi = np.where(moving & ~same, mid, hi)
+        roots = np.where(np.abs(self._real(hi)) < np.abs(self._real(lo)), hi, lo)
+        return [roots[box == b] for b in range(len(y1))], np.bincount(box, minlength=len(y1)), cut
+
+    def _real(self, y):
+        """F(i y), which is real times the fixed phase self.phase on the axis."""
+        return (self.f(1j * y)[0] * np.conj(self.phase)).real
+
+    def run(self):
+        """Count, isolate and refine every zero in the search rectangle.
+
+        Columns of width dx (one continuum spacing), centred on the imaginary
+        axis, share the bottom and top edges, which are tracked once.  Ranges
+        of columns are halved level by level, each level tracking the vertical
+        lines it needs over one grid of heights; then each column holding
+        zeros is halved over that grid, each level tracking one segment across
+        the column, so that a range or a cell without zeros costs nothing more.
+        The cells left go to the box solvers.
+        """
+        f, y0, dx, mirror = self.f, self.y0, self.dx, self.mirror
+        cuts = (np.arange(int(np.ceil(self.top / dx - 0.5)) + 1) + 0.5) * dx
+        top = cuts[-1]
+        xs = np.concatenate([[0.0], cuts]) if mirror else np.concatenate([-cuts[::-1], cuts])
+        ncol = len(xs) - 1
+        # heights: NODES_PER_GAP steps up to dx, then NODES_PER_GAP per factor e (top >= 1.5 dx)
+        steps = int(np.ceil(NODES_PER_GAP * np.log(top / dx)))
+        ys = np.concatenate([np.arange(1, NODES_PER_GAP + 1) * dx / NODES_PER_GAP,
+                             dx * (top / dx) ** (np.arange(1, steps + 1) / steps)])
+        ys = np.concatenate([[y0], ys[ys > y0]])
+        edges = np.stack([xs + 1j * y0, xs + 1j * top])
+        bottom, lid = _track(f, _polyline(edges, NODES_PER_SPACING)).reshape(2, ncol, -1).sum(axis=2)
+        rising = {}  # column edge -> phase change over each step of ys, upward
+        across = {}  # (column, index into ys) -> phase change across the column, left to right
+        for lo in range(ncol):
+            across[lo, 0], across[lo, len(ys) - 1] = bottom[lo], lid[lo]
+
+        def track(keys, store, points):
+            new = sorted(set(keys) - store.keys())
+            if new:
+                store.update(zip(new, points(new)))
+
+        def lines(new):
+            return _track(f, xs[new][:, None] + 1j * ys)
+
+        def segments(new):
+            lo, i = np.array(new).T
+            ends = np.stack([xs[lo], xs[lo + 1]], axis=1) + 1j * ys[i][:, None]
+            return _track(f, _polyline(ends, NODES_PER_EDGE)).sum(axis=1)
+
+        def counts(turns, lo):
+            """Counts from the phase turns around boxes of columns starting at lo."""
+            symmetric = mirror & (np.array(lo) == 0)
+            return _whole(np.array(turns) / np.where(symmetric, np.pi, 2 * np.pi))
+
+        # ranges (lo, hi, count) of columns, halved until single
+        track([ncol] if mirror else [0, ncol], rising, lines)
+        turn = bottom.sum() + rising[ncol].sum() - lid.sum() - (0 if mirror else rising[0].sum())
+        self.total = int(counts([turn], [0])[0])
+        ranges, columns = [(0, ncol, self.total)], []
+        while ranges:
+            ranges = [r for r in ranges if r[2] > 0]
+            columns += [(lo, 0, len(ys) - 1, c) for lo, hi, c in ranges if hi - lo == 1]
+            ranges = [(lo, (lo + hi) // 2, hi, c) for lo, hi, c in ranges if hi - lo > 1]
+            track([mid for _, mid, _, _ in ranges], rising, lines)
+            turns = [
+                bottom[mid:hi].sum() + rising[hi].sum() - lid[mid:hi].sum() - rising[mid].sum()
+                for _, mid, hi, _ in ranges
+            ]
+            right = counts(turns, [mid for _, mid, _, _ in ranges])
+            # a range from the axis counts its zeros off the axis twice
+            twice = np.array([1 + (mirror and lo == 0) for lo, *_ in ranges], dtype=int)
+            left = _require_counts(np.array([c for *_, c in ranges], dtype=int) - twice * right)
+            ranges = [(lo, mid, a) for (lo, mid, _, _), a in zip(ranges, left)] + [
+                (mid, hi, b) for (_, mid, hi, _), b in zip(ranges, right)
+            ]
+        # cells (column, ia, ib, count) between heights ys[ia] and ys[ib], halved until single
+        cells = []
+        while columns:
+            columns = [c for c in columns if c[3] > 0]
+            cells += [c for c in columns if c[2] - c[1] == 1]
+            columns = [(lo, ia, (ia + ib) // 2, ib, c) for lo, ia, ib, c in columns if ib - ia > 1]
+            track([(lo, im) for lo, _, im, _, _ in columns], across, segments)
+            # the centre column of mirror mode has no left edge: its boxes are symmetric
+            turns = [
+                across[lo, ia] + rising[lo + 1][ia:im].sum() - across[lo, im]
+                - (0 if mirror and lo == 0 else rising[lo][ia:im].sum())
+                for lo, ia, im, _, _ in columns
+            ]
+            lower = counts(turns, [lo for lo, *_ in columns])
+            upper = _require_counts(np.array([c for *_, c in columns], dtype=int) - lower)
+            columns = [(lo, ia, im, a) for (lo, ia, im, _, _), a in zip(columns, lower)] + [
+                (lo, im, ib, b) for (lo, _, im, ib, _), b in zip(columns, upper)
+            ]
+        lo, ia, ib, c = np.array(cells, dtype=int).reshape(-1, 4).T
+        boxes = np.stack([xs[lo], xs[lo + 1], ys[ia], ys[ib]], axis=1)
+        centre = mirror & (lo == 0)
+        if np.any(centre):
+            self.phase = self._axis_phase(top)
+            self.axis_boxes(boxes[centre], c[centre])
+        self.boxes(boxes[~centre], c[~centre])
+        found = len(self.found) * (2 if mirror else 1) + len(self.axis)
+        if found != self.total:
+            raise EigensolverFailure(f"the zero search found {found} zeros of {self.total} counted")
+
+    def _axis_phase(self, top):
+        """The phase of F on the imaginary axis, 1 or i: F(-conj k) = +-conj F(k)."""
+        probe = np.linspace(0.3, 0.9, 7) * top * (1 + 1j)
+        F, mirror = self.f(probe)[0], self.f(-np.conj(probe))[0]
+        sigma = np.sum(mirror * F) / np.sum(np.abs(F) ** 2)
+        if abs(abs(sigma.real) - 1) > 1e-6 or abs(sigma.imag) > 1e-6:
+            raise EigensolverFailure("the interface determinant lacks the PT mirror symmetry of its rows")
+        return 1.0 if sigma.real > 0 else 1j
+
+
+def _zeros(f, K, y0, dx, mirror):
+    """Zeros of f with |Re kappa| <= K and y0 <= Im kappa <= K, as (kappa, mirrored).
+
+    In mirror mode (f(-conj k) = +-conj f(k)) the returned kappa have
+    Re kappa >= 0, those with Re kappa > 0 standing for a pair, and the zeros
+    on the imaginary axis have a real part of exactly 0.
+    """
+    search = _Search(f, K, y0, dx, mirror)
+    search.run()
+    kappa = np.array(search.found + [1j * y for y in search.axis], dtype=complex)
+    return kappa, np.arange(len(kappa)) < (len(search.found) if mirror else 0)
 
 
 def oracle_discrete_spectrum(spec, cfg):
     """Discrete-spectrum candidates of the discretized operator.
 
-    All eigenvalues of the matrix of discretize are computed by a dense
-    eigensolver in a symmetry-adapted basis (_eigvals): in real arithmetic
-    when the model is PT-symmetric, as two half-size real blocks when it is
-    also parity-symmetric, and as a complex matrix otherwise.  Returned are
-    those with Re < -DROP_TOL or |Im| > DROP_TOL, capped at the resolution
-    horizon (see OracleConfig).  Converges to the true discrete eigenvalues
-    as O(h^2) + O(e^{-2 Im(k) L}).
+    The eigenvalues of the matrix of discretize, found as the zeros of the
+    interface determinant F(kappa), lam = 4 sin^2(kappa h / 2) / h^2 (see the
+    module docstring), without building the matrix.  Zeros are counted by the
+    argument principle over |Re kappa| <= K, DROP_TOL/(4K) <= Im kappa <= K,
+    K = SEARCH_K / h, isolated by subdivision and refined by Newton steps.
+    A parity-symmetric model is searched as its even and odd factors, a
+    PT-symmetric one over Re kappa >= 0 and mirrored, so its non-real
+    candidates come in exact conjugate pairs and its negative ones are exactly
+    real.  Raises EigensolverFailure, never a partial list, when the refined
+    zeros do not add up to the winding count or an edge cannot be resolved.
+    Returned are the eigenvalues with Re < -DROP_TOL or |Im| > DROP_TOL,
+    capped at the resolution horizon (see OracleConfig).  Converges to the
+    true discrete eigenvalues as O(h^2) + O(e^{-2 Im(k) L}).
     """
-    M = discretize(spec, cfg)
-    try:
-        ev = _eigvals(M).astype(complex)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverFailure(str(exc)) from exc
+    rows = _interface_rows(spec, cfg)
+    if cfg.resolved_lambda_max <= DROP_TOL:  # no eigenvalue can pass both filters
+        return np.zeros(0, dtype=complex)
+    parity, pt = _symmetries(rows, cfg.N)
+    h = cfg.h
+    K = SEARCH_K / h
+    lams = []
+    for factor in (1, -1) if parity else (0,):
+        kappa, mirrored = _zeros(_Determinant(rows, cfg.N, h, factor), K, DROP_TOL / (4 * K), np.pi / (2 * cfg.L), pt)
+        lam = (2.0 / h * np.sin(0.5 * h * kappa)) ** 2
+        lams += [lam, np.conj(lam[mirrored])]
+    ev = np.concatenate(lams)
     keep = (ev.real < -DROP_TOL) | (np.abs(ev.imag) > DROP_TOL)
     keep &= np.abs(ev) <= cfg.resolved_lambda_max
     out = ev[keep]
@@ -219,9 +746,9 @@ def oracle_resolvent_residual(spec, lam, U, F):
     """|| (M - lam) U - F || / ||F|| over the interior (pure differential) rows."""
     if not U.same_grid(F):
         raise GridMismatch("U and F must share the same grid")
-    M, kinds = _assemble(spec, U)
+    M = discretize(spec, U)
     r = M @ U.values - lam * U.values - F.values
-    interior = kinds == ROW_INTERIOR
+    interior = _row_kinds(_interface_rows(spec, U), U.N) == ROW_INTERIOR
     denom = float(np.linalg.norm(F.values[interior]))
     if denom == 0.0:
         raise InvalidParams("F vanishes on the interior rows; residual undefined")

@@ -1,0 +1,167 @@
+"""The oracle's interface-determinant zero search against dense eigensolves of the same matrix.
+
+finitediff.oracle_discrete_spectrum finds the eigenvalues of the matrix of
+finitediff.discretize as zeros of a small determinant, without building the
+matrix.  Here every candidate is checked against np.linalg.eigvals of that
+matrix, filtered the same way, on models that stress the search: decoupled
+halves with double continuum eigenvalues, near-double continuum pairs, an
+exceptional point, delta couplings with delta != 0.
+"""
+
+import ast
+import functools
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from ptpoint import finitediff
+from ptpoint.boundary import (
+    ConnectedOrigin,
+    DeltaPair,
+    SeparatedOrigin,
+    TwoPoint,
+    TypeIIParams,
+    TypeIParams,
+    matrix_from_type_I,
+)
+from ptpoint.errors import EigensolverFailure
+from ptpoint.finitediff import (
+    DROP_TOL,
+    SYMMETRY_TOL,
+    OracleConfig,
+    _interface_rows,
+    _symmetries,
+    discretize,
+    oracle_discrete_spectrum,
+)
+from ptpoint.spectra import delta_pair_matrix, two_point_spectrum
+
+from test_finitediff import ALL_MODELS, DELTA_WELL
+
+
+def _seeded_two_point(seed):
+    """A type_I two-point model with 1 + bc > 0, so delta != 0."""
+    rng = np.random.default_rng(seed)
+    b = rng.uniform(0.3, 2.0)
+    c = rng.uniform(-0.9 / b, 2.0)
+    return TwoPoint(1.0, matrix_from_type_I(TypeIParams(rng.uniform(0, 2 * np.pi), rng.uniform(0, 2 * np.pi), b, c)))
+
+
+EXCEPTIONAL_POINT = ConnectedOrigin(matrix_from_type_I(TypeIParams(0.0, 3 * np.pi / 4, 1.0, 1.0)))
+
+# name -> (model, N); L = 12 throughout
+MODELS = {
+    **{name: (spec, 600) for name, spec in ALL_MODELS.items()},
+    "delta_pair_u-1": (DeltaPair(-1.0, 0.5, 1.0), 600),
+    **{f"two_point_seed{seed}": (_seeded_two_point(seed), 600) for seed in (141, 142, 143)},
+    # decoupled halves: every continuum eigenvalue is double
+    "separated_dirichlet": (SeparatedOrigin(TypeIIParams(0.7, 0.0, 1.0)), 600),
+    "delta_pair_zero": (DeltaPair(0.0, 0.0, 1.0), 1200),
+    "separated_double": (SeparatedOrigin(TypeIIParams(0.0, 1.0, -1.0)), 600),
+    "exceptional_point": (EXCEPTIONAL_POINT, 1200),
+}
+
+
+def _filtered(ev, cfg):
+    keep = (ev.real < -DROP_TOL) | (np.abs(ev.imag) > DROP_TOL)
+    return ev[keep & (np.abs(ev) <= cfg.resolved_lambda_max)]
+
+
+@functools.lru_cache(maxsize=None)
+def _both(name):
+    spec, N = MODELS[name]
+    cfg = OracleConfig(L=12.0, N=N)
+    M = discretize(spec, cfg)
+    return oracle_discrete_spectrum(spec, cfg), _filtered(np.linalg.eigvals(M), cfg), np.max(np.abs(M))
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_same_candidates_as_dense_solve(name):
+    cand, reference, peak = _both(name)
+    assert len(cand) == len(reference)
+    # at the exceptional point's Jordan pair the dense solve is only good to about
+    # sqrt(eps max|M|): at N = 1200 it splits the pair by 4.8e-6 (the mean is
+    # checked to 1e-9 below)
+    tol = 4 * np.sqrt(np.finfo(float).eps * peak) if name == "exceptional_point" else 1e-9
+    for a, b in ((cand, reference), (reference, cand)):
+        for lam in a:
+            assert np.min(np.abs(b - lam)) <= tol * max(1.0, abs(lam))
+
+
+@pytest.mark.parametrize("name", [n for n, (spec, N) in MODELS.items()
+                                  if _symmetries(_interface_rows(spec, OracleConfig(12.0, N)), N)[1]])
+def test_pt_and_real_models_pair_exactly(name):
+    cand = _both(name)[0]
+    non_real = cand[cand.imag != 0]
+    assert all(np.count_nonzero(cand == np.conj(lam)) == 1 for lam in non_real)
+    assert np.count_nonzero(non_real.imag > 0) == np.count_nonzero(non_real.imag < 0)
+    # negative candidates come from the imaginary kappa axis, solved in real arithmetic
+    assert not np.any((cand.real < 0) & (np.abs(cand.imag) > 0) & (np.abs(cand.imag) <= DROP_TOL))
+
+
+def test_exceptional_pair_and_cluster_both_come_out():
+    cand, reference, _ = _both("exceptional_point")
+    pair = cand[np.abs(cand + 1) < 1e-3]
+    assert len(pair) == 2 and np.all(pair.imag == 0)
+    # the mean of a Jordan pair is well conditioned even where its members are not
+    assert abs(pair.mean() - reference[np.abs(reference + 1) < 1e-3].mean()) <= 1e-9
+    cluster = _both("separated_double")[0]
+    assert np.count_nonzero(np.abs(cluster + 1) <= 1e-3) == 2
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_symmetry_read_off_the_interface_rows(name):
+    # the rows decide what the dense matrix shows: J M J = M, J conj(M) J = M for the flip J
+    spec, N = MODELS[name]
+    cfg = OracleConfig(L=12.0, N=N)
+    M = discretize(spec, cfg)
+    tol = SYMMETRY_TOL * np.finfo(float).eps * np.max(np.abs(M))
+    dense = (np.max(np.abs(M[::-1, ::-1] - M)) <= tol, np.max(np.abs(np.conj(M[::-1, ::-1]) - M)) <= tol)
+    assert _symmetries(_interface_rows(spec, cfg), N) == dense
+
+
+class TestLargeN:
+    """Grids no dense solve could handle: the cost of the search does not grow like N^3."""
+
+    def test_delta_well_at_96000(self):
+        cand = oracle_discrete_spectrum(DELTA_WELL, OracleConfig(L=12.0, N=96000))
+        assert len(cand) == 1
+        assert abs(cand[0] + 1) <= 1e-9
+
+    def test_delta_pair_at_24000(self):
+        # O(h^2) error, about 8e-8 for the root -1.07698 and 3e-7 for the pair
+        # 0.876 +- 1.533i; L = 16 keeps the box truncation e^{-2 Im(k) L} of the
+        # pair (Im k = 0.667) under that, where L = 12 leaves 1.3e-6
+        cand = oracle_discrete_spectrum(DeltaPair(-2.0, 0.5, 1.0), OracleConfig(L=16.0, N=24000))
+        rep = two_point_spectrum(delta_pair_matrix(-2.0, 0.5), 1.0, relation="operator")
+        roots = [e.lam for e in rep.eigenvalues if abs(e.lam) < 3]
+        assert len(roots) == 3
+        for lam in roots:
+            assert np.min(np.abs(cand - lam)) <= 1e-6
+
+
+class TestFailure:
+    """The search raises rather than return a partial list."""
+
+    def test_unresolved_edge(self, monkeypatch):
+        monkeypatch.setattr(finitediff, "MAX_ROUNDS", 1)
+        with pytest.raises(EigensolverFailure, match="cannot be resolved"):
+            oracle_discrete_spectrum(DeltaPair(-2.0, 0.5, 1.0), OracleConfig(L=12.0, N=600))
+
+    def test_zeros_that_cannot_be_refined(self, monkeypatch):
+        monkeypatch.setattr(finitediff, "MAX_NEWTON", 0)
+        with pytest.raises(EigensolverFailure):
+            oracle_discrete_spectrum(DeltaPair(-2.0, 0.5, 1.0), OracleConfig(L=12.0, N=600))
+
+
+def test_finitediff_imports_nothing_from_ptpoint_but_errors():
+    # the oracle stays independent of the routes it checks
+    tree = ast.parse(Path(finitediff.__file__).read_text(encoding="utf-8"))
+    local = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("ptpoint")):
+            local.add((node.level, node.module))
+        elif isinstance(node, ast.Import):
+            assert not any(alias.name.startswith("ptpoint") for alias in node.names)
+    assert local == {(1, "errors")}
