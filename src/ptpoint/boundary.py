@@ -177,6 +177,8 @@ class TypeIIParams:
     def __post_init__(self):
         require(self.conditions(**vars(self)))
         n = np.hypot(self.h0, self.h1)
+        # a pair normalized once stays as it is: hypot of it may be 1 +- eps
+        n = np.where(abs(n - 1.0) <= 2 * np.finfo(float).eps, 1.0, n)
         h0, h1 = self.h0 / n, self.h1 / n
         flip = (h0 < 0) | ((h0 == 0) & (h1 < 0))
         _store(self, theta=np.mod(self.theta, TWO_PI), h0=np.where(flip, -h0, h0), h1=np.where(flip, -h1, h1))

@@ -27,12 +27,13 @@ whose zeros are the eigenvalues of the operator the interface conditions
 define.  The two agree whenever delta = 0.
 
 Zeros inside a user contour are located by the argument principle (adaptive
-phase tracking on all rectangle edges at once: array passes while many
-segments need bisection, plain complex arithmetic for the last few), isolated
-by subdivision, and refined by Newton iteration on an overflow-free rescaling
-of D.  Every two-point root is then certified against the interface system
-itself (states.two_point_kernel), independently of either relation's
-coefficients.
+phase tracking on all rectangle edges at once: the starting nodes evaluated
+and tested in one array pass, then bisection in plain complex arithmetic),
+isolated by subdivision, and refined by Newton iteration on an overflow-free
+rescaling of D.  Bisection and Newton share one scalar evaluation of the
+rescaled D and its derivative.  Every two-point root is then certified against
+the interface system itself (states.two_point_kernel), independently of either
+relation's coefficients.
 """
 
 import cmath
@@ -74,9 +75,6 @@ NODES_PER_SIDE = 64
 # _phase_track: bisection rounds, and live segments over the whole contour
 MAX_ROUNDS = 80
 MAX_SEGMENTS = 400_000
-# live segments at or below which _phase_track bisects on Python complex
-# numbers: a round on arrays costs about the same for 2 segments as for 200
-SCALAR_SEGMENTS = 8
 
 # Newton refinement of a zero: relative step that ends it, and its iteration cap
 NEWTON_TOL = 1e-12
@@ -483,9 +481,11 @@ class _ScaledDispersion:
         Dt  = -(i/2)(q-1) P1 + (k/2)(1+q) P2
         Dt' = 2 l q P1 - (i/2)(q-1) P1' + (1/2)(1+q) P2 + 2 i l k q P2 + (k/2)(1+q) P2'
 
-    Same zeros as D in the open upper half-plane.  Below the real axis q
-    overflows; mirrored=True evaluates e^{-4ikl} Dt with q' = e^{-4ikl} instead.
-    Raises InvalidParams when an entry of B exceeds MAX_ENTRY and
+    Same zeros as D in the open upper half-plane.  Calling it evaluates Dt on
+    an array of k; below the real axis q overflows, and mirrored=True
+    evaluates e^{-4ikl} Dt with q' = e^{-4ikl} instead.  at(k) gives Dt and
+    Dt' at one k, for bisection and Newton steps.  Raises
+    InvalidParams when an entry of B exceeds MAX_ENTRY and
     DegenerateIdenticallyZero when P1 and P2 both vanish (no coefficient above 1e-300).
     """
 
@@ -495,8 +495,6 @@ class _ScaledDispersion:
         self.p1, self.p2 = _bracket_coeffs(require_bounded(B), relation)
         if max(np.max(np.abs(self.p1)), np.max(np.abs(self.p2))) <= 1e-300:  # default_contour's zero
             raise DegenerateIdenticallyZero("two-point dispersion vanishes identically")
-        self.dp1 = np.polyder(self.p1)
-        self.dp2 = np.polyder(self.p2)
         self._p1, self._p2 = self.p1.tolist(), self.p2.tolist()
 
     def __call__(self, k, mirrored=False):
@@ -508,30 +506,20 @@ class _ScaledDispersion:
         return -s * 0.5j * (q - 1.0) * P1 + 0.5 * k * (1.0 + q) * P2
 
     def at(self, k):
-        """Dt(k) at one complex k in plain complex arithmetic: __call__ to rounding, at a fraction of its cost."""
-        q = cmath.exp(4j * k * self.l)
-        P1, P2 = self._p1[0], self._p2[0]
-        for c in self._p1[1:]:
-            P1 = P1 * k + c
-        for c in self._p2[1:]:
-            P2 = P2 * k + c
-        return -0.5j * (q - 1.0) * P1 + 0.5 * k * (1.0 + q) * P2
+        """(Dt(k), Dt'(k)) at one complex k: __call__ to rounding, at a fraction of its cost.
 
-    def with_derivative(self, k):
-        """(Dt(k), Dt'(k)) as complex numbers, from one evaluation of q, P1 and P2."""
-        k = np.asarray(k, dtype=complex)
-        q = np.exp(4j * k * self.l)
-        P1 = np.polyval(self.p1, k)
-        P2 = np.polyval(self.p2, k)
-        d = -0.5j * (q - 1.0) * P1 + 0.5 * k * (1.0 + q) * P2
-        dp = (
-            2.0 * self.l * q * P1
-            - 0.5j * (q - 1.0) * np.polyval(self.dp1, k)
-            + 0.5 * (1.0 + q) * P2
-            + 2j * self.l * k * q * P2
-            + 0.5 * k * (1.0 + q) * np.polyval(self.dp2, k)
-        )
-        return complex(d), complex(dp)
+        Raises OverflowError where q overflows, far below the real axis.
+        """
+        l = self.l
+        q = cmath.exp(4j * k * l)
+        P1, P2, dP1, dP2 = self._p1[0], self._p2[0], 0.0, 0.0
+        for c in self._p1[1:]:  # Horner for P1 and P1' in one pass
+            P1, dP1 = P1 * k + c, dP1 * k + P1
+        for c in self._p2[1:]:
+            P2, dP2 = P2 * k + c, dP2 * k + P2
+        a, b = -0.5j * (q - 1.0), 0.5 * k * (1.0 + q)  # Dt = a P1 + b P2
+        dp = 2.0 * l * q * P1 + a * dP1 + 0.5 * (1.0 + q) * P2 + 2j * l * k * q * P2 + b * dP2
+        return a * P1 + b * P2, dp
 
 
 def two_point_dispersion_value(B, l, k, relation=PRINTED):
@@ -564,10 +552,6 @@ def default_contour(B, l, relation=PRINTED):
     return ContourSpec(-K, K, 1e-6, K)
 
 
-_ZERO_ON_CONTOUR = "dispersion zero on or near the contour; perturb the rectangle"
-_BELOW_GUARD = "dispersion value below safety threshold on the contour; perturb the rectangle"
-
-
 def _successors(x):
     """x[i + 1] for each node i of a closed polygon, x[0] for the last: np.roll(x, -1) at a tenth of its cost."""
     return np.concatenate([x[1:], x[:1]])
@@ -576,7 +560,7 @@ def _successors(x):
 def _unresolved(dphi, ratio):
     """Whether a segment needs splitting: a phase step over pi/2 or a modulus ratio outside [1/8, 8].
 
-    Takes the phase steps and modulus ratios as arrays or as floats.
+    Takes arrays or floats; a NaN ratio counts as resolved.
     """
     return (abs(dphi) > np.pi / 2) | (ratio > 8.0) | (ratio < 0.125)
 
@@ -586,52 +570,35 @@ def _phase_track(f, z, w, guard):
 
     Splits any segment whose endpoint phase difference exceeds pi/2 or whose
     modulus ratio exceeds 8; each keeps the floor of its edge.  Raises
-    ContourThroughZero when |f| falls under ``guard`` at a node or a segment
-    cannot be resolved.  While more than SCALAR_SEGMENTS segments are live, a
-    round splits them all in one array pass through f; the rounds after that
-    run in _phase_track_few, one point at a time through f.at (a
-    _ScaledDispersion has it) or else through f.
+    ContourThroughZero when |f| falls under ``guard`` at a new point or a
+    segment cannot be resolved.  The starting segments are tested in one array
+    pass; the ones that need splitting are bisected on Python numbers, one
+    point at a time through f.at (a _ScaledDispersion has it) or else f.
     """
-    seg_a, seg_b = z, _successors(z)
-    val_a, val_b = w, _successors(w)
-    floor = 1e-13 * np.maximum(np.abs(seg_b - seg_a), 1.0)
-    total = 0.0
-    for rounds_left in range(MAX_ROUNDS, 0, -1):
-        if len(seg_a) <= SCALAR_SEGMENTS:
-            segs = list(zip(*(x.tolist() for x in (seg_a, seg_b, val_a, val_b, floor))))
-            at = getattr(f, "at", None) or (lambda k: complex(f(k)))
-            return total + _phase_track_few(at, segs, guard, rounds_left)
-        dphi = np.angle(val_b * np.conj(val_a))
-        bad = _unresolved(dphi, np.abs(val_b) / np.abs(val_a))
-        total += float(np.sum(dphi[~bad]))
-        if not np.any(bad):
+    at = getattr(f, "at", None)
+    value = (lambda k: at(k)[0]) if at else (lambda k: complex(f(k)))
+    z1, w1 = _successors(z), _successors(w)
+    dphi = np.angle(w1 * np.conj(w))
+    bad = _unresolved(dphi, np.abs(w1) / np.abs(w))
+    total = float(np.sum(dphi[~bad]))
+    floor = 1e-13 * np.maximum(np.abs(z1 - z), 1.0)
+    live = list(zip(*(x[bad].tolist() for x in (z, z1, w, w1, floor))))
+    for _ in range(MAX_ROUNDS):
+        if not live:
             return total
-        seg_a, seg_b, floor = seg_a[bad], seg_b[bad], floor[bad]
-        val_a, val_b = val_a[bad], val_b[bad]
-        if np.any(np.abs(seg_b - seg_a) < floor):
-            raise ContourThroughZero(_ZERO_ON_CONTOUR)
-        mid = 0.5 * (seg_a + seg_b)
-        val_m = f(mid)
-        if np.any(np.abs(val_m) <= guard):
-            raise ContourThroughZero(_BELOW_GUARD)
-        seg_a = np.concatenate([seg_a, mid])
-        seg_b = np.concatenate([mid, seg_b])
-        floor = np.concatenate([floor, floor])
-        val_a = np.concatenate([val_a, val_m])
-        val_b = np.concatenate([val_m, val_b])
-        if len(seg_a) > MAX_SEGMENTS:
+        if any(abs(b - a) < floor for a, b, _, _, floor in live):
+            raise ContourThroughZero("dispersion zero on or near the contour; perturb the rectangle")
+        segs = []
+        for a, b, va, vb, floor in live:
+            m = 0.5 * (a + b)
+            vm = value(m)
+            if abs(vm) <= guard:
+                raise ContourThroughZero(
+                    "dispersion value below safety threshold on the contour; perturb the rectangle"
+                )
+            segs += [(a, m, va, vm, floor), (m, b, vm, vb, floor)]
+        if len(segs) > MAX_SEGMENTS:
             raise NoConvergence("phase tracking exceeded the segment budget")
-    raise NoConvergence("phase tracking did not resolve the contour")
-
-
-def _phase_track_few(f, segs, guard, rounds):
-    """The last ``rounds`` rounds of _phase_track on Python numbers; f takes one k.
-
-    segs lists the live segments as tuples (a, b, f(a), f(b), floor).  The
-    rules, checks and their order are those of _phase_track.
-    """
-    total = 0.0
-    for _ in range(rounds):
         live = []
         for seg in segs:
             _, _, va, vb, _ = seg
@@ -640,19 +607,6 @@ def _phase_track_few(f, segs, guard, rounds):
                 live.append(seg)
             else:
                 total += dphi
-        if not live:
-            return total
-        if any(abs(b - a) < floor for a, b, _, _, floor in live):
-            raise ContourThroughZero(_ZERO_ON_CONTOUR)
-        segs = []
-        for a, b, va, vb, floor in live:
-            m = 0.5 * (a + b)
-            vm = f(m)
-            if abs(vm) <= guard:
-                raise ContourThroughZero(_BELOW_GUARD)
-            segs += [(a, m, va, vm, floor), (m, b, vm, vb, floor)]
-        if len(segs) > MAX_SEGMENTS:
-            raise NoConvergence("phase tracking exceeded the segment budget")
     raise NoConvergence("phase tracking did not resolve the contour")
 
 
@@ -663,9 +617,13 @@ def _winding_rectangle(f, re_min, re_max, im_min, im_max):
     )
     t = np.arange(NODES_PER_SIDE) / NODES_PER_SIDE
     z = (corners[:, None] + (_successors(corners) - corners)[:, None] * t).ravel()
-    w = f(z)
-    guard = 1e-14 * float(np.max(np.abs(w)))
-    if not np.all(np.abs(w) > guard):  # also when an overflow made a value, and so the guard, nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = f(z)
+        size = np.abs(w)
+    if not np.all(np.isfinite(size)):
+        raise NoConvergence("dispersion value overflows at a contour node: interface entries too large")
+    guard = 1e-14 * float(np.max(size))
+    if not np.all(size > guard):
         raise ContourThroughZero(
             "dispersion value below safety threshold at a contour node; perturb the rectangle"
         )
@@ -679,32 +637,39 @@ def _newton_refine(disp, k0, multiplicity):
     """Multiplicity-aware Newton iteration on the rescaled dispersion."""
     k = complex(k0)
     m = max(1, multiplicity)
-    for _ in range(MAX_NEWTON_ITER):
-        d, dp = disp.with_derivative(k)
-        if dp == 0:
-            raise NoConvergence("vanishing dispersion derivative during Newton refinement")
-        step = m * d / dp
-        k -= step
-        if abs(step) <= NEWTON_TOL * max(1.0, abs(k)):
-            for _ in range(2):  # polish to machine accuracy
-                d, dp = disp.with_derivative(k)
-                if dp == 0:
-                    break
-                k -= m * d / dp
-            return k
+    try:
+        for _ in range(MAX_NEWTON_ITER):
+            d, dp = disp.at(k)
+            if dp == 0:
+                raise NoConvergence("vanishing dispersion derivative during Newton refinement")
+            step = m * d / dp
+            k -= step
+            if abs(step) <= NEWTON_TOL * max(1.0, abs(k)):
+                for _ in range(2):  # polish to machine accuracy
+                    d, dp = disp.at(k)
+                    if dp == 0:
+                        break
+                    k -= m * d / dp
+                return k
+    except OverflowError:  # an iterate far below the real axis
+        pass
     raise NoConvergence(f"Newton refinement failed to converge from {k0}")
 
 
 def _axis_polish(disp, k):
     """Four real Newton steps on g(y) = Im Dt(iy) for a near-axis root; exact Re k = 0 on success."""
     y = k.imag
-    for _ in range(4):
-        g, gp = disp.with_derivative(1j * y)
-        if gp.real == 0.0:
-            return k
-        y = y - g.imag / gp.real
-    d, dp = disp.with_derivative(k)
-    if abs(np.imag(disp(1j * y))) <= abs(d) + 1e-12 * abs(dp) * abs(k.real):
+    try:
+        for _ in range(4):
+            g, gp = disp.at(1j * y)
+            if gp.real == 0.0:
+                return k
+            y = y - g.imag / gp.real
+        g = disp.at(1j * y)[0]
+    except OverflowError:  # a step far below the real axis
+        return k
+    d, dp = disp.at(k)
+    if abs(g.imag) <= abs(d) + 1e-12 * abs(dp) * abs(k.real):
         return complex(0.0, y)
     return k
 

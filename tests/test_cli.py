@@ -141,6 +141,13 @@ class TestSpectrumCommand:
             err = capsys.readouterr().err
             assert err == "error: interface matrix entries must not exceed 1.341e+154 in modulus\n"
 
+    def test_delta_pair_coupling_below_max_entry_overflows_on_the_contour(self, tmp_path, capsys):
+        # |u|^2 fits in a float but k^2 |u|^2 at the contour's corners does not: a solver
+        # error that names the overflow, and no RuntimeWarning
+        path = write_json(tmp_path / "m.json", {"type": "delta_pair", "u": 1.3e154, "v": 1.0, "l": 1.0})
+        assert main(["spectrum", path]) == EXIT_SOLVER
+        assert "overflows" in capsys.readouterr().err
+
     def test_unimodular_matrix_with_a_large_entry(self, tmp_path, capsys):
         # det B = 1 is not singular however large b is, as long as the rows stay apart
         doc = {"type": "type_I", "theta": 0.0, "phi": 0.5, "b": 1e5, "c": 0.0}

@@ -46,14 +46,7 @@ def test_json_round_trip(mtype):
         _round_trip(textbook)
 
 
-# TypeIIParams normalizes (h0, h1) again when the document is read back, and
-# hypot of a normalized pair is not always exactly 1, so a last bit can move
-INEXACT = pytest.mark.xfail(strict=True, reason="separated (h0, h1) are normalized again on reading")
-
-
-@pytest.mark.parametrize(
-    "mtype", [pytest.param(m, marks=INEXACT) if m == "separated" else m for m in cli.MODEL_FILE_TYPES]
-)
+@pytest.mark.parametrize("mtype", cli.MODEL_FILE_TYPES)
 def test_json_round_trip_is_exact(mtype):
     spec = cli.model_from_dict(SAMPLES[mtype][0])
     written = cli.model_to_dict(spec)

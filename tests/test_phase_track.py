@@ -1,10 +1,12 @@
-"""Winding counts finish their last bisection rounds on Python numbers; no outcome changes.
+"""Winding counts bisect on Python numbers; no outcome changes.
 
-The reference below is the all-array phase tracker, in which every round,
-however few segments are live, is one array pass.  Two-point solves with it
-and with spectra._phase_track must give the same roots (bit for bit),
-multiplicities, operator certificates and exceptions.  No golden values are
-used, so the comparison holds on any numpy version and CPU.
+The reference below is the all-array phase tracker, in which every round is
+one array pass through the dispersion.  spectra._phase_track tests the same
+starting segments and bisects the ones that need it on Python numbers, one
+point at a time through _ScaledDispersion.at.  Two-point solves with either
+must give the same roots (bit for bit), multiplicities, operator certificates
+and exceptions.  No golden values are used, so the comparison holds on any
+numpy version and CPU.
 """
 
 import functools
@@ -81,28 +83,18 @@ def outcome(B, relation):
 
 @functools.lru_cache(maxsize=None)
 def outcomes(name, relation, tracker):
-    """The outcomes of one model set under the reference tracker or spectra's own, with its scalar rounds counted."""
-    calls = []
-    few = spectra._phase_track_few
-
-    def counted(*args):
-        calls.append(1)
-        return few(*args)
-
+    """The outcomes of one model set under the reference tracker ("array") or spectra's own ("python")."""
     with pytest.MonkeyPatch.context() as mp:
         if tracker == "array":
             mp.setattr(spectra, "_phase_track", array_phase_track)
-        else:
-            mp.setattr(spectra, "SCALAR_SEGMENTS", {"default": spectra.SCALAR_SEGMENTS, "scalar": 10**9}[tracker])
-            mp.setattr(spectra, "_phase_track_few", counted)
-        return [outcome(B, relation) for B in MODEL_SETS[name]], len(calls)
+        return [outcome(B, relation) for B in MODEL_SETS[name]]
 
 
 @pytest.mark.parametrize("relation", spectra.RELATIONS)
 @pytest.mark.parametrize("name", MODEL_SETS)
 def test_sets_cover_their_cases(name, relation):
     """Every set has failed solves; all but the c = 0 set also have solves that report."""
-    got = outcomes(name, relation, "array")[0]
+    got = outcomes(name, relation, "array")
     failed = [text for text in got if text.startswith(("ContourThroughZero", "NoConvergence"))]
     assert 0 < len(failed) and (len(failed) == len(got)) == (name == "type_I_c0")
 
@@ -110,25 +102,62 @@ def test_sets_cover_their_cases(name, relation):
 @pytest.mark.parametrize("relation", spectra.RELATIONS)
 @pytest.mark.parametrize("name", MODEL_SETS)
 def test_outcomes_equal_the_array_tracker(name, relation):
-    got, scalar_calls = outcomes(name, relation, "default")
-    # the c = 0 solves fail at a node of the first contour, before any bisection
-    assert (scalar_calls > 0) == (name != "type_I_c0")
-    assert got == outcomes(name, relation, "array")[0]
+    """Every bisection on Python numbers, from the first one on, solves as the array tracker does."""
+    assert outcomes(name, relation, "python") == outcomes(name, relation, "array")
+
+
+class _CountedDispersion:
+    """A dispersion that counts its array passes and the Python numbers it is bisected at."""
+
+    def __init__(self, disp, counts):
+        self.disp, self.counts = disp, counts
+
+    def __call__(self, k, mirrored=False):
+        self.counts["array"] += 1
+        return self.disp(k, mirrored)
+
+    def at(self, k):
+        self.counts["python" if type(k) is complex else "other"] += 1
+        return self.disp.at(k)
 
 
 @pytest.mark.parametrize("relation", spectra.RELATIONS)
 def test_all_rounds_on_python_numbers(relation):
-    """With every round on Python numbers, from the first one on, the draws solve as with the array tracker."""
-    got, scalar_calls = outcomes("type_I_draws", relation, "scalar")
-    assert scalar_calls > 0 and got == outcomes("type_I_draws", relation, "array")[0]
+    """Every bisection round, from the first one on, evaluates at Python complex numbers; the draws solve as with the array tracker."""
+    counts = {"array": 0, "python": 0, "other": 0}
+    track = spectra._phase_track
+
+    def counted(f, z, w, guard):
+        return track(_CountedDispersion(f, counts), z, w, guard)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectra, "_phase_track", counted)
+        got = [outcome(B, relation) for B in MODEL_SETS["type_I_draws"]]
+    assert counts["python"] > 0 and counts["array"] == counts["other"] == 0
+    assert got == outcomes("type_I_draws", relation, "array")
+
+
+def polyder_derivative(disp, k):
+    """Dt'(k) on an array of k in numpy, through np.polyder and np.polyval, and the sum of its terms' moduli."""
+    q = np.exp(4j * k * disp.l)
+    P1, P2 = np.polyval(disp.p1, k), np.polyval(disp.p2, k)
+    terms = [
+        2.0 * disp.l * q * P1,
+        -0.5j * (q - 1.0) * np.polyval(np.polyder(disp.p1), k),
+        0.5 * (1.0 + q) * P2,
+        2j * disp.l * k * q * P2,
+        0.5 * k * (1.0 + q) * np.polyval(np.polyder(disp.p2), k),
+    ]
+    return sum(terms), sum(np.abs(t) for t in terms)
 
 
 @pytest.mark.parametrize("relation", spectra.RELATIONS)
 def test_scalar_evaluation_matches_array_evaluation(relation):
-    """_ScaledDispersion.at agrees with __call__ to 1e-14 of the size of the two terms of Dt.
+    """_ScaledDispersion.at gives Dt as __call__ does and Dt' as np.polyder does, to 1e-14 of the size of their terms.
 
-    Dt = -(i/2)(q-1) P1 + (k/2)(1+q) P2: where the terms cancel, neither
-    evaluation keeps more digits of Dt than of the terms, so they are the scale.
+    Dt = -(i/2)(q-1) P1 + (k/2)(1+q) P2, and Dt' has five terms: where the
+    terms cancel, neither evaluation keeps more digits than the terms have,
+    so their size is the scale.
     """
     rng = np.random.default_rng(13)
     for _ in range(60):
@@ -139,5 +168,7 @@ def test_scalar_evaluation_matches_array_evaluation(relation):
         k = np.concatenate([k, 1e-6j + rng.uniform(-1e-3, 1e-3, 10)])
         q = np.exp(4j * k * disp.l)
         terms = np.abs(0.5 * (q - 1) * np.polyval(disp.p1, k)) + np.abs(0.5 * k * (1 + q) * np.polyval(disp.p2, k))
-        scalar = np.array([disp.at(z) for z in k.tolist()])
-        assert np.all(np.abs(scalar - disp(k)) <= 1e-14 * terms)
+        value, slope = np.array([disp.at(z) for z in k.tolist()]).T
+        assert np.all(np.abs(value - disp(k)) <= 1e-14 * terms)
+        expected, slope_terms = polyder_derivative(disp, k)
+        assert np.all(np.abs(slope - expected) <= 1e-14 * slope_terms)
