@@ -20,14 +20,18 @@ stretches take the one combination that meets their wall.  The two rows of
 each interface are then two linear equations on the stretch coefficients, and
 the eigenvalues of the matrix are exactly the zeros of their determinant
 F(kappa) (_Determinant): 2x2 for an origin model, 4x4 for a two-point model,
-at a cost that does not depend on N.  The zeros are counted by the argument
+at a cost that does not depend on N.  Each call evaluates F and F' on an
+array of kappa from one table of exponentials e^{i p kappa h} over the
+integer exponents p that the rows fix.  The zeros are counted by the argument
 principle and isolated by subdivision over a rectangle of the kappa upper
 half-plane that holds every candidate (_zeros), then refined by Newton steps
 (_newton).  Symmetries of the interface rows shrink the search: a
 parity-symmetric model has even and odd factors, each searched apart, and the
 zeros of a model invariant under reflection plus conjugation (PT) are mirror
 images under kappa -> -conj(kappa), so only Re kappa >= 0 is searched and the
-imaginary axis is solved as a real problem.
+imaginary axis is solved as a real problem: its roots are refined by Newton
+steps on the real function F(i y), with the F' each call returns, kept inside
+the bracket of a sign change.
 """
 
 from dataclasses import dataclass
@@ -222,46 +226,6 @@ def _symmetries(rows, N):
     return maps_onto(lambda w: w), maps_onto(np.conj)
 
 
-class _Jet:
-    """A value v and its derivative d, carried through sums, products and quotients."""
-
-    __slots__ = ("v", "d")
-
-    def __init__(self, v, d):
-        self.v, self.d = v, d
-
-    def __add__(self, other):
-        if isinstance(other, _Jet):
-            return _Jet(self.v + other.v, self.d + other.d)
-        return _Jet(self.v + other, self.d)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _Jet(-self.v, -self.d)
-
-    def __sub__(self, other):
-        return self + -other
-
-    def __mul__(self, other):
-        if isinstance(other, _Jet):
-            return _Jet(self.v * other.v, self.v * other.d + self.d * other.v)
-        return _Jet(self.v * other, self.d * other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        q = self.v / other.v
-        return _Jet(q, (self.d - q * other.d) / other.v)
-
-    def exp(self):
-        e = np.exp(self.v)
-        return _Jet(e, e * self.d)
-
-    def expm1(self):
-        return _Jet(np.expm1(self.v), np.exp(self.v) * self.d)
-
-
 class _Determinant:
     """F(kappa), the determinant of the interface rows on the stretch coefficients.
 
@@ -279,52 +243,110 @@ class _Determinant:
     parity = +1 or -1 selects the even or odd factor of a parity-symmetric
     layout (u_{N-1-j} = +-u_j), 0 the whole determinant.  Calling the object
     gives (F, dF/dkappa) on an array of kappa.
+
+    Every coefficient of the equations is a fixed linear combination of
+    z^p and z^p S(q) over integer exponents that the rows fix, so a call
+    takes exp and expm1 once over those exponents and sums the combinations
+    over one table of the terms and their derivatives.
+    F is linear in the left columns and in the right columns of each
+    interface (a group), so dF/dkappa is the sum over groups of F with that
+    group's columns replaced by their derivatives; the elimination runs once
+    on F and all these at the same time.
     """
 
     def __init__(self, rows, N, h, parity=0):
-        self.rows = [(m, [complex(w) for w in w_l], [complex(w) for w in w_r]) for m, w_l, w_r in rows]
-        self.N, self.h, self.parity = N, h, parity
+        self.h, self.parity = h, parity
+        n = len(rows)
+        self.odd = n % 2 == 1
+        last = (n - 1) // 2 if parity else n - 1
+        # the coefficient of a basis function in an equation (a quantity), as {(p, q): c}
+        # for the sum of c z^p S(q), where q None stands for c z^p
+        combos, groups, self.columns = [], [], []
 
-    def __call__(self, kappa):
-        F = self._value(_Jet(1j * self.h * np.asarray(kappa, dtype=complex), 1j * self.h))
-        return F.v, F.d
+        def add(functions, weights, group):
+            """Append the quantities of each basis function, given by its terms [(c, p, q)] at t = -1, 0, 1."""
+            out = []
+            for f in functions:
+                pair = []
+                for row in weights:
+                    combo = {}
+                    for entry, w in zip(f, row):
+                        for c, p, q in entry:
+                            combo[p, q] = combo.get((p, q), 0) + w * c
+                    pair.append(len(combos))
+                    combos.append(combo)
+                    groups.append(group)
+                out.append(pair)
+            return out
 
-    def _value(self, ikh):
-        N, rows, parity = self.N, self.rows, self.parity
-        e1 = ikh.expm1()
-        zt = {-1: (-ikh).exp(), 0: 1.0, 1: ikh.exp()}  # z^t
-
-        def S(p):
-            return (p * ikh).expm1() / e1
-
-        def Z(p):
-            return (p * ikh).exp()
-
-        def columns(i):
-            """Coefficients in the two equations of interface i of each basis function on either side."""
+        T = (-1, 0, 1)
+        for i in range(last + 1):
             m, w_l, w_r = rows[i]
             if i == 0:  # values at m-1, m, m+1 (t = -1, 0, 1 from the stretch end m)
-                left = [[zt[-t] * S(2 * m + 2 * t + 1) for t in (-1, 0, 1)]]
+                left = [[[(1, -t, 2 * m + 2 * t + 1)] for t in T]]
             else:
-                n = m - rows[i - 1][0] - 1
-                left = [[Z(n + t) + zt[-t] for t in (-1, 0, 1)], [-zt[-t] * S(n + 2 * t) for t in (-1, 0, 1)]]
-            if i == len(rows) - 1:  # values at m, m+1, m+2 (t = -1, 0, 1 from the stretch start m+1)
+                a = m - rows[i - 1][0] - 1
+                left = [[[(1, a + t, None), (1, -t, None)] for t in T], [[(-1, -t, a + 2 * t)] for t in T]]
+            if i == n - 1:  # values at m, m+1, m+2 (t = -1, 0, 1 from the stretch start m+1)
                 b = N - 2 - m
-                right = [[zt[t] * S(2 * b - 2 * t + 1) for t in (-1, 0, 1)]]
+                right = [[[(1, t, 2 * b - 2 * t + 1)] for t in T]]
             else:
-                n = rows[i + 1][0] - m - 1
-                right = [[zt[t] + Z(n - t) for t in (-1, 0, 1)], [zt[t] * S(n - 2 * t) for t in (-1, 0, 1)]]
-            lc = [(v[2] - w_l[0] * v[0] - w_l[1] * v[1], -w_r[0] * v[0] - w_r[1] * v[1]) for v in left]
-            rc = [(-w_l[2] * v[1] - w_l[3] * v[2], v[0] - w_r[2] * v[1] - w_r[3] * v[2]) for v in right]
-            return lc, rc
+                b = rows[i + 1][0] - m - 1
+                right = [[[(1, t, None), (1, b - t, None)] for t in T], [[(1, t, b - 2 * t)] for t in T]]
+            # the centre interface of an odd layout enters F as one sum over both sides
+            centre = bool(parity) and self.odd and i == last
+            self.columns.append((
+                add(left, [[-w_l[0], -w_l[1], 1.0], [-w_r[0], -w_r[1], 0.0]], 2 * i),
+                add(right, [[0.0, -w_l[2], -w_l[3]], [1.0, -w_r[2], -w_r[3]]], 2 * i + (not centre)),
+            ))
+        products = sorted({key for combo in combos for key in combo if key[1] is not None})
+        sums = sorted({q for _, q in products})
+        powers = sorted({p for combo in combos for p, _ in combo} | set(sums) | {1})
+        index = {p: j for j, p in enumerate(powers)}
+        self.powers, self.one = np.array(powers), index[1]
+        self.sums = np.array([index[q] for q in sums])  # the rows of the S(q) among the powers
+        self.pairs = (np.array([index[p] for p, _ in products]), np.array([sums.index(q) for _, q in products]))
+        # a call stacks z^p over the powers, z^p S(q) over the products and then the
+        # derivatives of both in one table; each quantity is a sum over `width` slots of
+        # a coefficient (0 in unused slots) times a table row
+        position = {(p, None): j for j, p in enumerate(powers)}
+        position.update({key: len(powers) + j for j, key in enumerate(products)})
+        width = max(len(combo) for combo in combos)
+        slots = np.zeros((len(combos), width), dtype=int)
+        self.coefficients = np.zeros((len(combos), width, 1), dtype=complex)
+        for r, combo in enumerate(combos):
+            for k, (key, c) in enumerate(combo.items()):
+                slots[r, k], self.coefficients[r, k] = position[key], c
+        self.slots = np.stack([slots, slots + len(position)])
+        # stacked axis of the elimination: 0 holds F's columns, 1 + g those with group g
+        # differentiated, so quantity r is taken from the derivatives at 1 + groups[r]
+        self.pick = ((1 + np.array(groups))[:, None] == np.arange(max(groups) + 2)).astype(int)
+        self.quantity = np.arange(len(groups))[:, None]
 
+    def __call__(self, kappa):
+        kappa = np.asarray(kappa, dtype=complex)
+        x = np.multiply.outer(self.powers, 1j * self.h * kappa.ravel())
+        z = np.exp(x)  # z^p
+        dz = (1j * self.h * self.powers)[:, None] * z
+        e1 = np.expm1(x[self.one])
+        S = np.expm1(x[self.sums]) / e1
+        dS = (dz[self.sums] - S * dz[self.one]) / e1
+        a, b = self.pairs
+        table = np.concatenate([z, z[a] * S[b], dz, dz[a] * S[b] + z[a] * dS[b]])[self.slots]
+        table *= self.coefficients
+        quantities = table.sum(axis=2)  # values, then derivatives
+        F = self._eliminate(quantities[self.pick, self.quantity])
+        return F[0].reshape(kappa.shape), F[1:].sum(axis=0).reshape(kappa.shape)
+
+    def _eliminate(self, X):
+        parity = self.parity
         # u: coefficients, up to a common factor, of the stretch left of interface i that
         # solve the equations of every interface before it
         u = [1.0]
-        n = len(rows)
-        last = (n - 1) // 2 if parity else n - 1
-        for i in range(last + 1):
-            lc, rc = columns(i)
+        last = len(self.columns) - 1
+        for i, (left, right) in enumerate(self.columns):
+            lc = [(X[l], X[r]) for l, r in left]
+            rc = [(X[l], X[r]) for l, r in right]
             pl = sum(c * col[0] for c, col in zip(u, lc))
             pr = sum(c * col[1] for c, col in zip(u, lc))
             if i < last:
@@ -333,7 +355,7 @@ class _Determinant:
             elif not parity:
                 ((rl, rr),) = rc
                 return pl * rr - rl * pr
-            elif n % 2:  # the centre interface: the right stretch is the mirror image of the left
+            elif self.odd:  # the centre interface: the right stretch is the mirror image of the left
                 mirror = [c * s for c, s in zip(u, (1.0, -1.0))]
                 return pl + parity * sum(c * col[0] for c, col in zip(mirror, rc))
             else:  # the centre stretch keeps its even (first) or odd (second) function
@@ -559,34 +581,54 @@ class _Search:
     def _axis_roots(self, y1, y2):
         """Zeros of F on i [y1, y2] for each box, and a height to cut the box at.
 
-        Each sign change among 2 NODES_PER_EDGE + 1 samples is refined to a
-        root by bisection.  The cut is the sample of the middle half where |F|
-        is largest, so that cuts keep away from zeros: cutting through the
-        middle of a box closes in on a cluster, where F is rounding.
+        Each sign change of g(y) = Re(F(i y) conj(phase)) among
+        2 NODES_PER_EDGE + 1 samples is refined by Newton steps on g, whose
+        slope g'(y) = Re(i F'(i y) conj(phase)) comes with every F, starting
+        from the sample of smaller |g|.  A step that leaves the bracket of
+        the sign change, or is not finite, goes to the bracket's midpoint, and
+        every point taken narrows the bracket, so each root stays real and
+        inside it.  Steps stop as in _newton; a sign change not refined within
+        MAX_NEWTON steps is left out of the roots and of the count.  The cut
+        is the sample of the middle half where |g| is largest, so that cuts
+        keep away from zeros: cutting through the middle of a box closes in
+        on a cluster, where F is rounding.
         """
         t = np.linspace(0.0, 1.0, NODES_PER_EDGE * 2 + 1)
         y = y1[:, None] + (y2 - y1)[:, None] * t
-        g = self._real(y)
+        g, slope = self._real(y)
         middle = slice(NODES_PER_EDGE // 2, 3 * NODES_PER_EDGE // 2 + 1)
         cut = y[:, middle][np.arange(len(y)), np.argmax(np.abs(g[:, middle]), axis=1)]
         flips = np.signbit(g[:, 1:]) != np.signbit(g[:, :-1])
         box, j = np.nonzero(flips)
-        lo, hi, g_lo = y[box, j], y[box, j + 1], g[box, j]
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            moving = (mid > lo) & (mid < hi)
-            if not np.any(moving):
+        lo, hi, sign = y[box, j], y[box, j + 1], np.signbit(g[box, j])
+        start = j + (np.abs(g[box, j + 1]) < np.abs(g[box, j]))
+        at, g_at, slope_at = y[box, start], g[box, start], slope[box, start]
+        roots = np.full(len(box), np.nan)
+        live = np.arange(len(box))
+        last = np.full(len(box), np.inf)
+        for _ in range(MAX_NEWTON):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                point = at - g_at / slope_at
+            newton = (point >= lo) & (point <= hi)
+            point = np.where(newton, point, 0.5 * (lo + hi))
+            size = np.abs(point - at)
+            stalled = newton & (size >= 0.5 * last) & (size <= NEWTON_STALL * point)
+            done = (size <= NEWTON_TOL * point) | stalled
+            roots[live[done]] = point[done]
+            live, lo, hi, sign, at, last = (v[~done] for v in (live, lo, hi, sign, point, size))
+            if not len(live):
                 break
-            g_mid = self._real(mid)
-            same = np.signbit(g_mid) == np.signbit(g_lo)
-            lo, g_lo = np.where(moving & same, mid, lo), np.where(moving & same, g_mid, g_lo)
-            hi = np.where(moving & ~same, mid, hi)
-        roots = np.where(np.abs(self._real(hi)) < np.abs(self._real(lo)), hi, lo)
-        return [roots[box == b] for b in range(len(y1))], np.bincount(box, minlength=len(y1)), cut
+            g_at, slope_at = self._real(at)
+            same = np.signbit(g_at) == sign
+            lo, hi = np.where(same, at, lo), np.where(same, hi, at)
+        found = np.isfinite(roots)
+        return [roots[found & (box == b)] for b in range(len(y1))], np.bincount(box[found], minlength=len(y1)), cut
 
     def _real(self, y):
-        """F(i y), which is real times the fixed phase self.phase on the axis."""
-        return (self.f(1j * y)[0] * np.conj(self.phase)).real
+        """g(y) = Re(F(i y) conj(phase)) and g'(y): F is real times the fixed phase on the axis."""
+        F, slope = self.f(1j * y)
+        turn = np.conj(self.phase)
+        return (F * turn).real, (1j * slope * turn).real
 
     def run(self):
         """Count, isolate and refine every zero in the search rectangle.

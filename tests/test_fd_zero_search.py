@@ -60,6 +60,8 @@ MODELS = {
     "delta_pair_zero": (DeltaPair(0.0, 0.0, 1.0), 1200),
     "separated_double": (SeparatedOrigin(TypeIIParams(0.0, 1.0, -1.0)), 600),
     "exceptional_point": (EXCEPTIONAL_POINT, 1200),
+    # two zeros on the imaginary kappa axis, lambda = -7.36377 and -7.23080
+    "close_axis_pair": (TwoPoint(1.0, matrix_from_type_I(TypeIParams(0.0, 3.0, 0.7, -0.25))), 600),
 }
 
 
@@ -119,6 +121,29 @@ def test_symmetry_read_off_the_interface_rows(name):
     tol = SYMMETRY_TOL * np.finfo(float).eps * np.max(np.abs(M))
     dense = (np.max(np.abs(M[::-1, ::-1] - M)) <= tol, np.max(np.abs(np.conj(M[::-1, ::-1]) - M)) <= tol)
     assert _symmetries(_interface_rows(spec, cfg), N) == dense
+
+
+@pytest.mark.parametrize("name", ["connected_complex", "delta_well", "delta_pair_v0", "two_point_seed141"])
+def test_determinant_derivative_matches_difference_quotient(name):
+    # an origin model, parity-split models (the centre interface and the centre
+    # stretch) searched as both factors, and a PT two-point model; the fourth-order
+    # central difference with step 3e-4 is good to about 1e-9 where F varies on the
+    # scale 1/(2L)
+    spec, N = MODELS[name]
+    cfg = OracleConfig(L=12.0, N=N)
+    rows = _interface_rows(spec, cfg)
+    K = finitediff.SEARCH_K / cfg.h
+    rng = np.random.default_rng(29)
+    kappa = rng.uniform(-K, K, 200) + 1j * rng.uniform(DROP_TOL / (4 * K), K, 200)
+    step = 3e-4
+    factors = (1, -1) if _symmetries(rows, N)[0] else (0,)
+    assert len(factors) == (2 if name in ("delta_well", "delta_pair_v0") else 1)
+    for factor in factors:
+        det = finitediff._Determinant(rows, N, cfg.h, factor)
+        _, slope = det(kappa)
+        F = {j: det(kappa + j * step)[0] for j in (-2, -1, 1, 2)}
+        quotient = (8 * (F[1] - F[-1]) - (F[2] - F[-2])) / (12 * step)
+        assert np.all(np.abs(slope - quotient) <= 1e-7 * np.abs(slope))
 
 
 class TestLargeN:

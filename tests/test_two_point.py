@@ -27,6 +27,8 @@ from ptpoint.states import (
     two_point_kernel,
 )
 
+from test_phase_track import _type_I_draws
+
 # fixtures with vanishing lower-right entry: for these the closed-form
 # dispersion equals the 4x4 interface-system determinant identically, so the
 # contour solver, the kernel construction, and the finite-difference oracle
@@ -240,6 +242,26 @@ class TestTwoPointSpectrum:
         expect = -1j / (1 - v)
         assert rep.total_multiplicity == 1
         assert abs(rep.eigenvalues[0].k.k - expect) < 1e-6 * abs(expect)
+
+
+# seed-7 type_I draws (l = 1) whose default-contour solve reports part of the
+# spectrum and no error: (relation, draw, the full root count, as 1024 nodes per
+# contour side count it); with 64 nodes the solve reports 2, 0, 4, 4, 2, 6, 0, 2
+SILENT_MISCOUNTS = [
+    ("printed", 1, 4), ("printed", 81, 4), ("printed", 93, 6), ("printed", 219, 8),
+    ("printed", 258, 6), ("printed", 268, 8), ("operator", 22, 12), ("operator", 173, 4),
+]
+
+
+@pytest.mark.xfail(strict=True, reason="the winding count on 64 nodes per side misses zeros and reports no error")
+@pytest.mark.parametrize("relation, draw, count", SILENT_MISCOUNTS)
+def test_silent_miscounts_give_the_whole_mirrored_spectrum(relation, draw, count):
+    rep = two_point_spectrum(_type_I_draws(300, seed=7)[draw], 1.0, relation=relation)
+    ks = [e.k.k for e in rep.eigenvalues for _ in range(e.multiplicity)]
+    assert len(ks) == count
+    # a two-point model is PT: each root k comes with -conj(k)
+    for k in ks:
+        assert min(abs(-np.conj(k) - kk) for kk in ks) <= 1e-8 * max(1.0, abs(k))
 
 
 class TestInterfaceSystem:
