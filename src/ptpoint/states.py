@@ -298,16 +298,20 @@ def apply_resolvent(spec, lam, F):
     convolution, C^1 everywhere, and psi is the interface_system Ansatz whose
     coefficients make u0 + psi satisfy every interface condition; k = sqrt(lam),
     Im k > 0.  Quadratures use the midpoint rule on the staggered grid (O(h^2));
-    on it u0 is one Toeplitz convolution, O(N) in memory.
+    on it u0 is one Toeplitz convolution, taken as one FFT product:
+    O(N log N) in time and O(N) in memory.
     """
     if not isinstance(F, GridFunction):
         raise InvalidParams("F must be a GridFunction")
     interfaces = spec.interfaces()
     k = _sqrt_upper(lam)
     x, h, f, N = F.nodes, F.h, F.values, F.N
-    # x_i - x_j = (i - j) h: one Toeplitz convolution with e^{ikh|m|}, |m| < N
+    # x_i - x_j = (i - j) h: one Toeplitz convolution with e^{ikh|m|}, |m| < N.  Its
+    # full length is 3N - 2; with n >= 2N - 1 the circular wrap lands on indices
+    # below N - 1 and misses the entries N - 1 .. 2N - 2 kept
     kernel = np.exp(1j * k * h * np.abs(np.arange(1 - N, N)))
-    u0 = -h / (2j * k) * np.convolve(f, kernel)[N - 1 : 2 * N - 1]
+    n = 1 << (2 * N - 2).bit_length()
+    u0 = -h / (2j * k) * np.fft.ifft(np.fft.fft(f, n) * np.fft.fft(kernel, n))[N - 1 : 2 * N - 1]
 
     # u0 and u0' at each interface, the same from both sides, enter the conditions as data
     data = []

@@ -59,6 +59,11 @@ def test_every_target_records_spans(tracing, tmp_path, capsys):
     capsys.readouterr()
     recorded = {tracer.labels[i] for i in tracer.name}
     for mod_name, attr, span in tracing.TARGETS:
-        assert span in recorded, f"no span from ptpoint.{mod_name}.{attr}"
+        if span == "finitediff.discretize":
+            # no package route builds the dense matrix: the oracle and the residual
+            # work without it, and only the tests' dense reference calls discretize
+            assert span not in recorded, f"a package route called ptpoint.{mod_name}.{attr}"
+        else:
+            assert span in recorded, f"no span from ptpoint.{mod_name}.{attr}"
     for mod_name, attr, _ in tracing.TARGETS:
         assert not hasattr(getattr(modules[mod_name], attr), "__wrapped__")

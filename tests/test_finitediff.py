@@ -17,6 +17,7 @@ from ptpoint.finitediff import (
     DROP_TOL,
     OracleConfig,
     ROW_INTERFACE,
+    ROW_INTERIOR,
     SYMMETRY_TOL,
     _assemble,
     discretize,
@@ -27,7 +28,7 @@ from ptpoint.spectra import (
     discrete_spectrum_origin_connected,
     real_spectrum_predicate_type_I,
 )
-from ptpoint.states import GridFunction
+from ptpoint.states import GridFunction, apply_resolvent
 
 DELTA_WELL = ConnectedOrigin(np.array([[1, 0], [-2, 1]], dtype=complex))
 
@@ -221,6 +222,25 @@ class TestResolventResidual:
         F = GridFunction.sample(lambda x: np.exp(-(x**2)), 12.0, 300)
         with pytest.raises(InvalidParams, match="finite"):
             oracle_resolvent_residual(DELTA_WELL, 1 + 1j, GridFunction(12.0, 300, np.full(300, bad)), F)
+
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, complex(np.nan, 1)])
+    def test_non_finite_lambda_rejected(self, lam):
+        F = GridFunction.sample(lambda x: np.exp(-(x**2)), 12.0, 300)
+        with pytest.raises(InvalidParams, match="finite"):
+            oracle_resolvent_residual(DELTA_WELL, lam, F, F)
+
+    @pytest.mark.parametrize("N", [600, 1440])
+    @pytest.mark.parametrize("name", ALL_MODELS)
+    def test_stencil_equals_dense_residual(self, name, N):
+        # the residual of the dense matrix of discretize, restricted to its interior rows
+        spec = ALL_MODELS[name]
+        F = GridFunction.sample(lambda x: np.exp(-(x**2)), 12.0, N)
+        U = apply_resolvent(spec, 1 + 1j, F)
+        M, kinds = _assemble(spec, U)
+        interior = kinds == ROW_INTERIOR
+        dense = np.linalg.norm((M @ U.values - (1 + 1j) * U.values - F.values)[interior])
+        dense /= np.linalg.norm(F.values[interior])
+        assert abs(oracle_resolvent_residual(spec, 1 + 1j, U, F) - dense) <= 1e-8 * dense
 
 
 class TestConfig:

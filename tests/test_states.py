@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -334,3 +336,42 @@ class TestFreeConvolution:
         x = F.nodes
         dense = F.h * (-np.exp(1j * k * np.abs(x[:, None] - x[None, :])) / (2j * k) @ F.values)
         assert np.max(np.abs(U.values - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+    @pytest.mark.parametrize("N", [16, 602, 2400])
+    @pytest.mark.parametrize("lam", [1 + 1j, 2 + 0.5j, 100 + 1j, 0.01 + 50j])
+    def test_fft_convolution_equals_direct(self, N, lam):
+        # the FFT product against the direct Toeplitz convolution np.convolve(f, kernel)
+        F = GridFunction.sample(lambda x: np.exp(-(((x - 0.3) / 1.1) ** 2)) * (1 + 0.5j * x), 12.0, N)
+        U = apply_resolvent(ConnectedOrigin(np.eye(2)), lam, F)
+        k = np.sqrt(lam)
+        kernel = np.exp(1j * k * F.h * np.abs(np.arange(1 - N, N)))
+        direct = -F.h / (2j * k) * np.convolve(F.values, kernel)[N - 1 : 2 * N - 1]
+        assert np.max(np.abs(U.values - direct)) <= 1e-13 * np.max(np.abs(direct))
+
+
+class TestResolventScaling:
+    SPECS = [ConnectedOrigin(DELTA_WELL), DeltaPair(-2, 0.5, 1)]
+
+    def test_no_dense_allocation(self):
+        # a dense N x N complex matrix at N = 2400 alone takes 87.9 MiB
+        F = GridFunction.sample(lambda x: np.exp(-(x**2)), 12.0, 2400)
+        tracemalloc.start()
+        try:
+            for spec in self.SPECS:
+                U = apply_resolvent(spec, 1 + 1j, F)
+                oracle_resolvent_residual(spec, 1 + 1j, U, F)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+    @pytest.mark.parametrize("spec", SPECS, ids=["delta_well", "delta_pair"])
+    def test_residual_over_h2_constant_to_large_n(self, spec):
+        # O(h^2) up to N = 24 000; much further out, rounding in the second
+        # difference (about eps |U| / h^2) overtakes the truncation error
+        ratios = []
+        for N in (600, 2400, 24000):
+            F = GridFunction.sample(lambda x: np.exp(-(x**2)), 12.0, N)
+            U = apply_resolvent(spec, 1 + 1j, F)
+            ratios.append(oracle_resolvent_residual(spec, 1 + 1j, U, F) / F.h**2)
+        assert max(ratios) / min(ratios) - 1 < 0.02
