@@ -25,13 +25,12 @@ array of kappa from one table of exponentials e^{i p kappa h} over the
 integer exponents p that the rows fix.  The zeros are counted by the argument
 principle and isolated by subdivision over a rectangle of the kappa upper
 half-plane that holds every candidate (_zeros), then refined by Newton steps
-(_newton).  Symmetries of the interface rows shrink the search: a
-parity-symmetric model has even and odd factors, each searched apart, and the
-zeros of a model invariant under reflection plus conjugation (PT) are mirror
-images under kappa -> -conj(kappa), so only Re kappa >= 0 is searched and the
+(_newton); zeros closer than CLUSTER |kappa|, such as the double zeros of
+decoupled mirror-image halves, come out at their mean (_cluster).  The zeros
+of a model invariant under reflection plus conjugation (PT) are mirror images
+under kappa -> -conj(kappa), so only Re kappa >= 0 is searched and the
 imaginary axis is solved as a real problem: its roots are refined by Newton
-steps on the real function F(i y), with the F' each call returns, kept inside
-the bracket of a sign change.
+steps on F(i y), kept inside the bracket of a sign change.
 """
 
 from dataclasses import dataclass
@@ -52,9 +51,9 @@ ROW_INTERFACE = 2
 # eigenvalues with Re < -DROP_TOL or |Im| > DROP_TOL are discrete-spectrum candidates
 DROP_TOL = 1e-4
 
-# two interface rows that a symmetry maps onto each other match when they differ by at
-# most SYMMETRY_TOL * eps * max|M|: over 15 models at N = 600, 1440 and 2400 they
-# differed by <= 2.9 eps * max|M| where the symmetry holds, and >= 8e12 where it fails
+# two interface rows that PT maps onto each other match when they differ by at most
+# SYMMETRY_TOL * eps * max|M|: over 17 models at N = 600, 1440 and 2400 they differed
+# by <= 3.2 eps * max|M| where PT holds, and >= 4e12 where it fails
 SYMMETRY_TOL = 64
 
 # the zero search covers |Re kappa| <= K and DROP_TOL / (4K) <= Im kappa <= K with
@@ -204,26 +203,22 @@ def discretize(spec, cfg):
     return M
 
 
-def _symmetries(rows, N):
-    """(parity, pt): whether the matrix commutes with the flip J, and with J and conjugation.
+def _pt_symmetric(rows, N):
+    """Whether the matrix commutes with the flip J composed with conjugation (PT).
 
     Rows away from interfaces are mapped onto each other exactly by the flip, so
     only the interface rows are compared: row r of M, over columns m-1 .. m+2,
-    against row N-1-r reversed (conjugated for PT), by the SYMMETRY_TOL rule.
+    against row N-1-r reversed and conjugated, by the SYMMETRY_TOL rule.
     """
     window = {}  # interface row -> its entries times h^2
     for m, w_l, w_r in rows:
         window[m] = np.array([-1.0, 2.0, 0.0, 0.0]) - w_l
         window[m + 1] = np.array([0.0, 0.0, 2.0, -1.0]) - w_r
     tol = SYMMETRY_TOL * np.finfo(float).eps * max(3.0, max(np.max(np.abs(w)) for w in window.values()))
-
-    def maps_onto(image):
-        return all(
-            N - 1 - r in window and np.max(np.abs(image(window[N - 1 - r][::-1]) - w)) <= tol
-            for r, w in window.items()
-        )
-
-    return maps_onto(lambda w: w), maps_onto(np.conj)
+    return all(
+        N - 1 - r in window and np.max(np.abs(np.conj(window[N - 1 - r][::-1]) - w)) <= tol
+        for r, w in window.items()
+    )
 
 
 class _Determinant:
@@ -238,11 +233,8 @@ class _Determinant:
     m + 1 is w_L . u and the right one's at m is w_R . u.  Every term stays
     bounded in the upper half-plane, and at kappa = 0 (z = 1) the functions
     stay independent, so F has no spurious zero there.  The equations are
-    eliminated interface by interface along the chain of stretches.
-
-    parity = +1 or -1 selects the even or odd factor of a parity-symmetric
-    layout (u_{N-1-j} = +-u_j), 0 the whole determinant.  Calling the object
-    gives (F, dF/dkappa) on an array of kappa.
+    eliminated interface by interface along the chain of stretches.  Calling
+    the object gives (F, dF/dkappa) on an array of kappa.
 
     Every coefficient of the equations is a fixed linear combination of
     z^p and z^p S(q) over integer exponents that the rows fix, so a call
@@ -254,11 +246,8 @@ class _Determinant:
     on F and all these at the same time.
     """
 
-    def __init__(self, rows, N, h, parity=0):
-        self.h, self.parity = h, parity
-        n = len(rows)
-        self.odd = n % 2 == 1
-        last = (n - 1) // 2 if parity else n - 1
+    def __init__(self, rows, N, h):
+        self.h = h
         # the coefficient of a basis function in an equation (a quantity), as {(p, q): c}
         # for the sum of c z^p S(q), where q None stands for c z^p
         combos, groups, self.columns = [], [], []
@@ -280,24 +269,21 @@ class _Determinant:
             return out
 
         T = (-1, 0, 1)
-        for i in range(last + 1):
-            m, w_l, w_r = rows[i]
+        for i, (m, w_l, w_r) in enumerate(rows):
             if i == 0:  # values at m-1, m, m+1 (t = -1, 0, 1 from the stretch end m)
                 left = [[[(1, -t, 2 * m + 2 * t + 1)] for t in T]]
             else:
                 a = m - rows[i - 1][0] - 1
                 left = [[[(1, a + t, None), (1, -t, None)] for t in T], [[(-1, -t, a + 2 * t)] for t in T]]
-            if i == n - 1:  # values at m, m+1, m+2 (t = -1, 0, 1 from the stretch start m+1)
+            if i == len(rows) - 1:  # values at m, m+1, m+2 (t = -1, 0, 1 from the stretch start m+1)
                 b = N - 2 - m
                 right = [[[(1, t, 2 * b - 2 * t + 1)] for t in T]]
             else:
                 b = rows[i + 1][0] - m - 1
                 right = [[[(1, t, None), (1, b - t, None)] for t in T], [[(1, t, b - 2 * t)] for t in T]]
-            # the centre interface of an odd layout enters F as one sum over both sides
-            centre = bool(parity) and self.odd and i == last
             self.columns.append((
                 add(left, [[-w_l[0], -w_l[1], 1.0], [-w_r[0], -w_r[1], 0.0]], 2 * i),
-                add(right, [[0.0, -w_l[2], -w_l[3]], [1.0, -w_r[2], -w_r[3]]], 2 * i + (not centre)),
+                add(right, [[0.0, -w_l[2], -w_l[3]], [1.0, -w_r[2], -w_r[3]]], 2 * i + 1),
             ))
         products = sorted({key for combo in combos for key in combo if key[1] is not None})
         sums = sorted({q for _, q in products})
@@ -308,16 +294,16 @@ class _Determinant:
         self.pairs = (np.array([index[p] for p, _ in products]), np.array([sums.index(q) for _, q in products]))
         # a call stacks z^p over the powers, z^p S(q) over the products and then the
         # derivatives of both in one table; each quantity is a sum over `width` slots of
-        # a coefficient (0 in unused slots) times a table row
+        # a coefficient (0 in unused slots) times a table row, stored slot by slot
         position = {(p, None): j for j, p in enumerate(powers)}
         position.update({key: len(powers) + j for j, key in enumerate(products)})
         width = max(len(combo) for combo in combos)
-        slots = np.zeros((len(combos), width), dtype=int)
-        self.coefficients = np.zeros((len(combos), width, 1), dtype=complex)
+        slots = np.zeros((width, len(combos)), dtype=int)
+        self.coefficients = np.zeros((width, len(combos), 1), dtype=complex)
         for r, combo in enumerate(combos):
             for k, (key, c) in enumerate(combo.items()):
-                slots[r, k], self.coefficients[r, k] = position[key], c
-        self.slots = np.stack([slots, slots + len(position)])
+                slots[k, r], self.coefficients[k, r] = position[key], c
+        self.slots = np.stack([slots, slots + len(position)], axis=1)
         # stacked axis of the elimination: 0 holds F's columns, 1 + g those with group g
         # differentiated, so quantity r is taken from the derivatives at 1 + groups[r]
         self.pick = ((1 + np.array(groups))[:, None] == np.arange(max(groups) + 2)).astype(int)
@@ -332,35 +318,26 @@ class _Determinant:
         S = np.expm1(x[self.sums]) / e1
         dS = (dz[self.sums] - S * dz[self.one]) / e1
         a, b = self.pairs
-        table = np.concatenate([z, z[a] * S[b], dz, dz[a] * S[b] + z[a] * dS[b]])[self.slots]
-        table *= self.coefficients
-        quantities = table.sum(axis=2)  # values, then derivatives
+        table = np.concatenate([z, z[a] * S[b], dz, dz[a] * S[b] + z[a] * dS[b]])
+        # values, then derivatives, summed slot by slot to hold no (2, quantities, width, kappa) gather
+        quantities = sum(table[slot] * c for slot, c in zip(self.slots, self.coefficients))
         F = self._eliminate(quantities[self.pick, self.quantity])
         return F[0].reshape(kappa.shape), F[1:].sum(axis=0).reshape(kappa.shape)
 
     def _eliminate(self, X):
-        parity = self.parity
         # u: coefficients, up to a common factor, of the stretch left of interface i that
         # solve the equations of every interface before it
         u = [1.0]
-        last = len(self.columns) - 1
-        for i, (left, right) in enumerate(self.columns):
+        for left, right in self.columns:
             lc = [(X[l], X[r]) for l, r in left]
             rc = [(X[l], X[r]) for l, r in right]
             pl = sum(c * col[0] for c, col in zip(u, lc))
             pr = sum(c * col[1] for c, col in zip(u, lc))
-            if i < last:
-                (al, ar), (bl, br) = rc
-                u = [pl * br - bl * pr, al * pr - pl * ar]
-            elif not parity:
+            if len(rc) == 1:  # the right outer stretch closes the chain
                 ((rl, rr),) = rc
                 return pl * rr - rl * pr
-            elif self.odd:  # the centre interface: the right stretch is the mirror image of the left
-                mirror = [c * s for c, s in zip(u, (1.0, -1.0))]
-                return pl + parity * sum(c * col[0] for c, col in zip(mirror, rc))
-            else:  # the centre stretch keeps its even (first) or odd (second) function
-                rl, rr = rc[0] if parity > 0 else rc[1]
-                return pl * rr - rl * pr
+            (al, ar), (bl, br) = rc
+            u = [pl * br - bl * pr, al * pr - pl * ar]
 
 
 def _unresolved(dphi, ratio, reach):
@@ -757,27 +734,25 @@ def oracle_discrete_spectrum(spec, cfg):
     module docstring), without building the matrix.  Zeros are counted by the
     argument principle over |Re kappa| <= K, DROP_TOL/(4K) <= Im kappa <= K,
     K = SEARCH_K / h, isolated by subdivision and refined by Newton steps.
-    A parity-symmetric model is searched as its even and odd factors, a
-    PT-symmetric one over Re kappa >= 0 and mirrored, so its non-real
-    candidates come in exact conjugate pairs and its negative ones are exactly
-    real.  Raises EigensolverFailure, never a partial list, when the refined
-    zeros do not add up to the winding count or an edge cannot be resolved.
-    Returned are the eigenvalues with Re < -DROP_TOL or |Im| > DROP_TOL,
-    capped at the resolution horizon (see OracleConfig).  Converges to the
-    true discrete eigenvalues as O(h^2) + O(e^{-2 Im(k) L}).
+    A PT-symmetric model is searched over Re kappa >= 0 and mirrored, so its
+    non-real candidates come in exact conjugate pairs and its negative ones
+    are exactly real.  Raises EigensolverFailure, never a partial list, when
+    the refined zeros do not add up to the winding count or an edge cannot be
+    resolved.  Returned are the eigenvalues with Re < -DROP_TOL or
+    |Im| > DROP_TOL, capped at the resolution horizon (see OracleConfig).
+    Converges to the true discrete eigenvalues as O(h^2) + O(e^{-2 Im(k) L}).
+    The outer stretch terms grow like 1/(kappa h), which sets a rounding floor:
+    at N = 96 000 the delta well's root lambda = -1 is defined to about 1e-12.
     """
     rows = _interface_rows(spec, cfg)
     if cfg.resolved_lambda_max <= DROP_TOL:  # no eigenvalue can pass both filters
         return np.zeros(0, dtype=complex)
-    parity, pt = _symmetries(rows, cfg.N)
     h = cfg.h
     K = SEARCH_K / h
-    lams = []
-    for factor in (1, -1) if parity else (0,):
-        kappa, mirrored = _zeros(_Determinant(rows, cfg.N, h, factor), K, DROP_TOL / (4 * K), np.pi / (2 * cfg.L), pt)
-        lam = (2.0 / h * np.sin(0.5 * h * kappa)) ** 2
-        lams += [lam, np.conj(lam[mirrored])]
-    ev = np.concatenate(lams)
+    f = _Determinant(rows, cfg.N, h)
+    kappa, mirrored = _zeros(f, K, DROP_TOL / (4 * K), np.pi / (2 * cfg.L), _pt_symmetric(rows, cfg.N))
+    lam = (2.0 / h * np.sin(0.5 * h * kappa)) ** 2
+    ev = np.concatenate([lam, np.conj(lam[mirrored])])
     keep = (ev.real < -DROP_TOL) | (np.abs(ev.imag) > DROP_TOL)
     keep &= np.abs(ev) <= cfg.resolved_lambda_max
     out = ev[keep]
@@ -790,6 +765,8 @@ def oracle_resolvent_residual(spec, lam, U, F):
     M is the matrix of discretize, but it is never built: _assemble edits only
     the interface and end rows, so every interior row is the three-point
     stencil (2 u_j - u_{j-1} - u_{j+1}) / h^2, taken on arrays in O(N).
+    Rounding in U, about eps |U|, enters divided by h^2, a floor under the
+    O(h^2) residual: at N = 96 000 residual / h^2 is no longer constant.
     """
     if not U.same_grid(F):
         raise GridMismatch("U and F must share the same grid")

@@ -10,6 +10,7 @@ exceptional point, delta couplings with delta != 0.
 
 import ast
 import functools
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,7 @@ from ptpoint.finitediff import (
     SYMMETRY_TOL,
     OracleConfig,
     _interface_rows,
-    _symmetries,
+    _pt_symmetric,
     discretize,
     oracle_discrete_spectrum,
 )
@@ -62,6 +63,8 @@ MODELS = {
     "exceptional_point": (EXCEPTIONAL_POINT, 1200),
     # two zeros on the imaginary kappa axis, lambda = -7.36377 and -7.23080
     "close_axis_pair": (TwoPoint(1.0, matrix_from_type_I(TypeIParams(0.0, 3.0, 0.7, -0.25))), 600),
+    # a complex delta: parity-symmetric but not PT, so searched without mirroring
+    "complex_delta": (ConnectedOrigin(np.array([[1, 0], [-2 + 0.5j, 1]], dtype=complex)), 600),
 }
 
 
@@ -92,7 +95,7 @@ def test_same_candidates_as_dense_solve(name):
 
 
 @pytest.mark.parametrize("name", [n for n, (spec, N) in MODELS.items()
-                                  if _symmetries(_interface_rows(spec, OracleConfig(12.0, N)), N)[1]])
+                                  if _pt_symmetric(_interface_rows(spec, OracleConfig(12.0, N)), N)])
 def test_pt_and_real_models_pair_exactly(name):
     cand = _both(name)[0]
     non_real = cand[cand.imag != 0]
@@ -114,36 +117,30 @@ def test_exceptional_pair_and_cluster_both_come_out():
 
 @pytest.mark.parametrize("name", MODELS)
 def test_symmetry_read_off_the_interface_rows(name):
-    # the rows decide what the dense matrix shows: J M J = M, J conj(M) J = M for the flip J
+    # the rows decide what the dense matrix shows: J conj(M) J = M for the flip J
     spec, N = MODELS[name]
     cfg = OracleConfig(L=12.0, N=N)
     M = discretize(spec, cfg)
     tol = SYMMETRY_TOL * np.finfo(float).eps * np.max(np.abs(M))
-    dense = (np.max(np.abs(M[::-1, ::-1] - M)) <= tol, np.max(np.abs(np.conj(M[::-1, ::-1]) - M)) <= tol)
-    assert _symmetries(_interface_rows(spec, cfg), N) == dense
+    assert _pt_symmetric(_interface_rows(spec, cfg), N) == (np.max(np.abs(np.conj(M[::-1, ::-1]) - M)) <= tol)
 
 
 @pytest.mark.parametrize("name", ["connected_complex", "delta_well", "delta_pair_v0", "two_point_seed141"])
 def test_determinant_derivative_matches_difference_quotient(name):
-    # an origin model, parity-split models (the centre interface and the centre
-    # stretch) searched as both factors, and a PT two-point model; the fourth-order
-    # central difference with step 3e-4 is good to about 1e-9 where F varies on the
-    # scale 1/(2L)
+    # origin models (asymmetric and parity-symmetric) and two-point models (parity-
+    # symmetric and PT); the fourth-order central difference with step 3e-4 is good
+    # to about 1e-9 where F varies on the scale 1/(2L)
     spec, N = MODELS[name]
     cfg = OracleConfig(L=12.0, N=N)
-    rows = _interface_rows(spec, cfg)
     K = finitediff.SEARCH_K / cfg.h
     rng = np.random.default_rng(29)
     kappa = rng.uniform(-K, K, 200) + 1j * rng.uniform(DROP_TOL / (4 * K), K, 200)
     step = 3e-4
-    factors = (1, -1) if _symmetries(rows, N)[0] else (0,)
-    assert len(factors) == (2 if name in ("delta_well", "delta_pair_v0") else 1)
-    for factor in factors:
-        det = finitediff._Determinant(rows, N, cfg.h, factor)
-        _, slope = det(kappa)
-        F = {j: det(kappa + j * step)[0] for j in (-2, -1, 1, 2)}
-        quotient = (8 * (F[1] - F[-1]) - (F[2] - F[-2])) / (12 * step)
-        assert np.all(np.abs(slope - quotient) <= 1e-7 * np.abs(slope))
+    det = finitediff._Determinant(_interface_rows(spec, cfg), N, cfg.h)
+    _, slope = det(kappa)
+    F = {j: det(kappa + j * step)[0] for j in (-2, -1, 1, 2)}
+    quotient = (8 * (F[1] - F[-1]) - (F[2] - F[-2])) / (12 * step)
+    assert np.all(np.abs(slope - quotient) <= 1e-7 * np.abs(slope))
 
 
 class TestLargeN:
@@ -164,6 +161,25 @@ class TestLargeN:
         assert len(roots) == 3
         for lam in roots:
             assert np.min(np.abs(cand - lam)) <= 1e-6
+
+    def test_small_peak_memory(self):
+        # the models and grids of the benchmark's FD cross-check (L = 12): at most
+        # 6.0 MiB each, where gathering every slot of the determinant's quantities
+        # in one table took 9.3 MiB on the delta pair
+        models = [
+            (ConnectedOrigin(np.array([[1, 0], [-2, 1]], dtype=complex)), 2400),
+            (SeparatedOrigin(TypeIIParams(0.4, 1.0, -1.0)), 1440),
+            (DeltaPair(-2.0, 0.0, 1.0), 2400),
+            (TwoPoint(1.0, matrix_from_type_I(TypeIParams(0.0, 2.8, 1.0, -0.5))), 1440),
+        ]
+        for spec, N in models:
+            tracemalloc.start()
+            try:
+                oracle_discrete_spectrum(spec, OracleConfig(L=12.0, N=N))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * 2**20
 
 
 class TestFailure:

@@ -32,8 +32,8 @@ from ptpoint.states import GridFunction, apply_resolvent
 
 DELTA_WELL = ConnectedOrigin(np.array([[1, 0], [-2, 1]], dtype=complex))
 
-# models by the symmetry of their matrix: real and parity-symmetric (even and
-# odd blocks), PT-symmetric (real in the PT basis), neither (complex)
+# models by the symmetry of their matrix: real and parity-symmetric (so also
+# PT-symmetric), PT-symmetric only (real in the PT basis), neither (complex)
 PARITY_MODELS = {
     "delta_well": DELTA_WELL,
     "delta_pair_v0": DeltaPair(-2.0, 0.0, 1.0),
