@@ -22,12 +22,18 @@ the eigenvalues of the matrix are exactly the zeros of their determinant
 F(kappa) (_Determinant): 2x2 for an origin model, 4x4 for a two-point model,
 at a cost that does not depend on N.  Each call evaluates F and F' on an
 array of kappa from one table of exponentials e^{i p kappa h} over the
-integer exponents p that the rows fix.  The zeros are counted by the argument
-principle and isolated by subdivision over a rectangle of the kappa upper
-half-plane that holds every candidate (_zeros), then refined by Newton steps
-(_newton); zeros closer than CLUSTER |kappa|, such as the double zeros of
-decoupled mirror-image halves, come out at their mean (_cluster).  The zeros
-of a model invariant under reflection plus conjugation (PT) are mirror images
+integer exponents p that the rows fix; the exponents come in runs a few
+apart, and each run takes one exp and one expm1, the rest by products.  The
+zeros are counted by the argument principle and isolated by subdivision over
+a rectangle of the kappa upper half-plane that holds every candidate
+(_zeros), then refined by Newton steps (_newton).  The bottom edge of the
+rectangle passes DROP_TOL/(4K) above the box-truncated continuum (1.6e-6 at
+h = 0.01), and each continuum zero turns the phase by about pi within that
+distance; phase tracking (_track) locates such a zero by Newton steps and
+divides it out of the segment instead of bisecting down to its scale.
+Zeros closer than CLUSTER |kappa|, such as the double zeros of decoupled
+mirror-image halves, come out at their mean (_cluster).  The zeros of a
+model invariant under reflection plus conjugation (PT) are mirror images
 under kappa -> -conj(kappa), so only Re kappa >= 0 is searched and the
 imaginary axis is solved as a real problem: its roots are refined by Newton
 steps on F(i y), kept inside the bracket of a sign change.
@@ -63,14 +69,20 @@ SEARCH_K = 0.16
 # above the box-truncated continuum; with 64 nodes per side the count came out wrong
 NODES_PER_SPACING = 8
 # along every other edge, initial nodes max(dx, y) / NODES_PER_GAP apart at height y,
-# dx = pi/(2L), and at least NODES_PER_EDGE per edge; |F'/F| (_unresolved) refines
-# wherever that is too coarse
+# dx = pi/(2L), and at least NODES_PER_EDGE per edge; the lid (y = K >= dx) starts
+# from its column edges, dx apart, as each column needs its own phase change;
+# |F'/F| (_unresolved) refines wherever that is too coarse
 NODES_PER_GAP = 4
 NODES_PER_EDGE = 8
 
 # phase tracking (_track): rounds of bisection and live segments
 MAX_ROUNDS = 80
 MAX_SEGMENTS = 400_000
+# a segment still unresolved after DEFLATE_ROUND rounds gets a zero divided out, taken
+# only at a distance from its line over DEFLATE_MARGIN times Newton's last step
+# (_deflation); earlier, Newton costs more calls than the bisection it saves
+DEFLATE_ROUND = 3
+DEFLATE_MARGIN = 64
 
 # Newton refinement (_newton) stops at a relative step of NEWTON_TOL, or once the step
 # stops shrinking below NEWTON_STALL |kappa|: rounding in F, whose terms can exceed
@@ -238,8 +250,11 @@ class _Determinant:
 
     Every coefficient of the equations is a fixed linear combination of
     z^p and z^p S(q) over integer exponents that the rows fix, so a call
-    takes exp and expm1 once over those exponents and sums the combinations
-    over one table of the terms and their derivatives.
+    sums the combinations over one table of the terms and their derivatives.
+    The exponents come in runs at most 2 apart (such as 197 .. 201 and
+    2197, 2199, 2201): each run takes exp and expm1 once, at its first
+    exponent s, and z^(s + j) = z^s z^j, S(s + j) = S(s) + z^s S(j) with
+    z^j and S(j) = 1 + z + ... + z^(j-1) from a few products.
     F is linear in the left columns and in the right columns of each
     interface (a group), so dF/dkappa is the sum over groups of F with that
     group's columns replaced by their derivatives; the elimination runs once
@@ -285,25 +300,40 @@ class _Determinant:
                 add(left, [[-w_l[0], -w_l[1], 1.0], [-w_r[0], -w_r[1], 0.0]], 2 * i),
                 add(right, [[0.0, -w_l[2], -w_l[3]], [1.0, -w_r[2], -w_r[3]]], 2 * i + 1),
             ))
+        # the quantities by their number of terms, most first, so that each slot of the
+        # sums in a call covers a leading block of them
+        combos = [{key: c for key, c in combo.items() if c != 0} for combo in combos]
+        order = sorted(range(len(combos)), key=lambda r: -len(combos[r]))
+        rank = np.argsort(order)
+        self.columns = [[[(rank[l], rank[r]) for l, r in side] for side in sides] for sides in self.columns]
+        combos, groups = [combos[r] for r in order], [groups[r] for r in order]
         products = sorted({key for combo in combos for key in combo if key[1] is not None})
-        sums = sorted({q for _, q in products})
-        powers = sorted({p for combo in combos for p, _ in combo} | set(sums) | {1})
-        index = {p: j for j, p in enumerate(powers)}
-        self.powers, self.one = np.array(powers), index[1]
-        self.sums = np.array([index[q] for q in sums])  # the rows of the S(q) among the powers
-        self.pairs = (np.array([index[p] for p, _ in products]), np.array([sums.index(q) for _, q in products]))
-        # a call stacks z^p over the powers, z^p S(q) over the products and then the
-        # derivatives of both in one table; each quantity is a sum over `width` slots of
-        # a coefficient (0 in unused slots) times a table row, stored slot by slot
-        position = {(p, None): j for j, p in enumerate(powers)}
+        sums = np.array(sorted({q for _, q in products}), dtype=int)
+        powers = np.array(sorted({p for combo in combos for p, _ in combo} | set(sums)))
+        self.ihp = 1j * h * powers[:, None]  # d(z^p)/dkappa = i p h z^p
+        index = {p: j for j, p in enumerate(powers.tolist())}
+        # runs of exponents at most 2 apart: z^p = z^s z^(p - s) from the run's start s,
+        # and S(q) = S(s) + z^s S(q - s), so exp and expm1 are taken once per run
+        first, run, offset = _runs(powers)
+        self.runs = first, run, offset + 1  # row offset + 1 of a call's table of steps holds z^offset
+        self.steps = max(np.max(offset), 1) + 1  # that table holds z^j for j < steps
+        self.sum_runs = first, run, _ = _runs(sums)  # each within a run of the powers
+        self.sum_power = np.searchsorted(powers, sums)  # the row of each z^q among the powers
+        self.start_power = np.searchsorted(powers, first[run, 0])  # and of its run's start
+        self.pairs = (np.array([index[p] for p, _ in products]), np.searchsorted(sums, [q for _, q in products]))
+        # a call stacks z^p over the powers and z^p S(q) over the products, then the
+        # derivatives of both, in one table; slot k of the sums adds the k-th term of
+        # each quantity that has one, as table rows (values, derivatives) and coefficients
+        position = {(p, None): j for j, p in enumerate(powers.tolist())}
         position.update({key: len(powers) + j for j, key in enumerate(products)})
-        width = max(len(combo) for combo in combos)
-        slots = np.zeros((width, len(combos)), dtype=int)
-        self.coefficients = np.zeros((width, len(combos), 1), dtype=complex)
-        for r, combo in enumerate(combos):
-            for k, (key, c) in enumerate(combo.items()):
-                slots[k, r], self.coefficients[k, r] = position[key], c
-        self.slots = np.stack([slots, slots + len(position)], axis=1)
+        # an equation that one side's functions do not enter (a decoupled interface) gives
+        # them no terms: a zero coefficient keeps slot 0 over every quantity
+        terms = [list(combo.items()) or [((powers[0], None), 0)] for combo in combos]
+        self.slots = []
+        for k in range(len(terms[0])):
+            used = [t[k] for t in terms if len(t) > k]
+            rows = np.array([position[key] for key, _ in used])
+            self.slots.append((np.stack([rows, rows + len(position)]), np.array([[c] for _, c in used], dtype=complex)))
         # stacked axis of the elimination: 0 holds F's columns, 1 + g those with group g
         # differentiated, so quantity r is taken from the derivatives at 1 + groups[r]
         self.pick = ((1 + np.array(groups))[:, None] == np.arange(max(groups) + 2)).astype(int)
@@ -311,28 +341,41 @@ class _Determinant:
 
     def __call__(self, kappa):
         kappa = np.asarray(kappa, dtype=complex)
-        x = np.multiply.outer(self.powers, 1j * self.h * kappa.ravel())
-        z = np.exp(x)  # z^p
-        dz = (1j * self.h * self.powers)[:, None] * z
-        e1 = np.expm1(x[self.one])
-        S = np.expm1(x[self.sums]) / e1
-        dS = (dz[self.sums] - S * dz[self.one]) / e1
+        x = 1j * self.h * kappa.ravel()
+        e1 = np.expm1(x)  # z - 1
+        # rows 0 and z^(j - 1) for j = 1 .. steps, whose running sums are the S(j)
+        step = np.empty((self.steps + 1, x.size), dtype=complex)
+        step[0], step[1], step[2] = 0.0, 1.0, 1.0 + e1
+        for j in range(3, self.steps + 1):
+            step[j] = step[j - 1] * step[2]
+        first, run, row = self.runs
+        z = np.exp(first * x)[run] * step[row]  # z^p
+        dz = self.ihp * z
+        first, run, offset = self.sum_runs
+        S = (np.expm1(first * x) / e1)[run] + z[self.start_power] * step.cumsum(axis=0)[offset]
+        dS = (dz[self.sum_power] - (1j * self.h) * step[2] * S) / e1
         a, b = self.pairs
-        table = np.concatenate([z, z[a] * S[b], dz, dz[a] * S[b] + z[a] * dS[b]])
-        # values, then derivatives, summed slot by slot to hold no (2, quantities, width, kappa) gather
-        quantities = sum(table[slot] * c for slot, c in zip(self.slots, self.coefficients))
+        za, Sb = z[a], S[b]
+        table = np.concatenate([z, za * Sb, dz, dz[a] * Sb + za * dS[b]])
+        rows, c = self.slots[0]
+        quantities = table[rows] * c  # values, then derivatives
+        for rows, c in self.slots[1:]:
+            quantities[:, :len(c)] += table[rows] * c
         F = self._eliminate(quantities[self.pick, self.quantity])
         return F[0].reshape(kappa.shape), F[1:].sum(axis=0).reshape(kappa.shape)
 
     def _eliminate(self, X):
         # u: coefficients, up to a common factor, of the stretch left of interface i that
-        # solve the equations of every interface before it
-        u = [1.0]
+        # solve the equations of every interface before it; an outer stretch has one basis
+        # function, an inner stretch two
         for left, right in self.columns:
             lc = [(X[l], X[r]) for l, r in left]
             rc = [(X[l], X[r]) for l, r in right]
-            pl = sum(c * col[0] for c, col in zip(u, lc))
-            pr = sum(c * col[1] for c, col in zip(u, lc))
+            if len(lc) == 1:
+                ((pl, pr),) = lc
+            else:
+                (cl, cr), (dl, dr) = lc
+                pl, pr = u[0] * cl + u[1] * dl, u[0] * cr + u[1] * dr
             if len(rc) == 1:  # the right outer stretch closes the chain
                 ((rl, rr),) = rc
                 return pl * rr - rl * pr
@@ -340,30 +383,79 @@ class _Determinant:
             u = [pl * br - bl * pr, al * pr - pl * ar]
 
 
-def _unresolved(dphi, ratio, reach):
-    """Whether a segment needs splitting.
+def _runs(values):
+    """Runs of the sorted integers values, each next one at most 2 above the last.
+
+    Returns the first value of each run as a column, and for each value its
+    run and its offset from that run's first value.
+    """
+    start = np.diff(values, prepend=values[0] - 3) > 2
+    first = values[start]
+    run = np.cumsum(start) - 1
+    return first[:, None], run, values - first[run]
+
+
+def _unresolved(a, b, fa, fb, la, lb):
+    """The phase step of each segment [a, b] from the values fa, fb, and whether it needs splitting.
 
     It does when its endpoint values differ in phase by over pi/2 or in
     modulus by over a factor 8, or when its length times |F'/F| at an end
-    (``reach``) exceeds pi/2: two close zeros near a segment turn the phase by
-    2pi between its ends, which the phase step alone reads as no turn, but
-    make |F'/F| at least 4 / length there.
+    (la, lb hold F'/F) exceeds pi/2: two close zeros near a segment turn the
+    phase by 2pi between its ends, which the phase step alone reads as no
+    turn, but make |F'/F| at least 4 / length there.
     """
-    return (abs(dphi) > np.pi / 2) | (ratio > 8.0) | (ratio < 0.125) | (reach > np.pi / 2)
+    dphi = np.angle(fb * np.conj(fa))
+    ratio = np.abs(fb) / np.abs(fa)
+    reach = np.abs(b - a) * np.maximum(np.abs(la), np.abs(lb))
+    return dphi, (abs(dphi) > np.pi / 2) | (ratio > 8.0) | (ratio < 0.125) | (reach > np.pi / 2)
 
 
 def _usable(values, slopes):
-    """|F'/F|, checking that F is finite and nonzero."""
+    """F'/F, checking that F is finite and nonzero."""
     if not np.all(np.isfinite(values) & (values != 0) & np.isfinite(slopes)):
         raise EigensolverFailure("the interface determinant vanishes or overflows on an edge of the zero search")
-    return np.abs(slopes / values)
+    return slopes / values
+
+
+def _divided(kappa, values, logd, c):
+    """F/(kappa - c) and its logarithmic derivative F'/F - 1/(kappa - c); F and F'/F where c is nan."""
+    on = ~np.isnan(c)
+    off = kappa[on] - c[on]
+    values, logd = values.copy(), logd.copy()
+    values[on] /= off
+    logd[on] -= 1 / off
+    return values, logd
+
+
+def _deflation(f, a, b, la, lb):
+    """A zero of f to divide out of each segment [a, b]; nan where none is taken.
+
+    Newton steps (_newton) start from the prediction k - F/F' of the end k
+    with the larger |F'/F|, the nearer to a zero, and stop when they leave
+    the segment's reach or converge only linearly, as to a double zero, of
+    which one factor would not resolve the segment.  A zero is taken only
+    when they converged and its distance from the segment's line exceeds
+    DEFLATE_MARGIN times the last step, which puts the zero it stands for on
+    the same side of the line.
+    """
+    with np.errstate(all="ignore"):  # c and last are nan where Newton did not converge
+        start = np.where(np.abs(la) >= np.abs(lb), a - 1 / la, b - 1 / lb)
+        c, last = _newton(f, start, 0.5 * (a + b), np.abs(b - a), simple=True)
+        away = np.abs(((c - a) * np.conj(b - a)).imag) > DEFLATE_MARGIN * last * np.abs(b - a)
+    return np.where(away, c, np.nan)
 
 
 def _track(f, nodes):
     """Change of arg f along each segment of the polylines ``nodes`` (E, n + 1), as (E, n).
 
     Every segment is bisected until each piece is resolved (_unresolved);
-    a round splits all live pieces in one array pass through f.
+    a round splits all live pieces in one array pass through f.  A segment
+    still unresolved after DEFLATE_ROUND rounds, such as one of the bottom
+    edge over a continuum zero, gets a zero c of f divided out (_deflation):
+    for c off the segment's line, arg f = arg(kappa - c) + arg g with
+    g = f/(kappa - c), the first term turns by the principal angle of
+    (b - c)/(a - c), and g is tracked instead, by the same test on g and
+    g'/g = f'/f - 1/(kappa - c).  Both halves of a bisected segment keep its c.
     """
     vals, slopes = f(nodes)
     logd = _usable(vals, slopes)
@@ -372,9 +464,19 @@ def _track(f, nodes):
     la, lb = logd[:, :-1].ravel(), logd[:, 1:].ravel()
     owner = np.arange(a.size)
     out = np.zeros(a.size)
-    for _ in range(MAX_ROUNDS):
-        dphi = np.angle(fb * np.conj(fa))
-        bad = _unresolved(dphi, np.abs(fb) / np.abs(fa), np.abs(b - a) * np.maximum(la, lb))
+    c = None  # from DEFLATE_ROUND on, the zero divided out of each segment, nan for none
+    for rounds in range(MAX_ROUNDS):
+        dphi, bad = _unresolved(a, b, fa, fb, la, lb)
+        if rounds == DEFLATE_ROUND:
+            c = np.full(a.size, np.nan, dtype=complex)
+            if np.any(bad):
+                c[bad] = _deflation(f, a[bad], b[bad], la[bad], lb[bad])
+                fa, la = _divided(a, fa, la, c)
+                fb, lb = _divided(b, fb, lb, c)
+                dphi, bad = _unresolved(a, b, fa, fb, la, lb)
+        if c is not None:
+            on = ~bad & ~np.isnan(c)
+            dphi[on] += np.angle((b[on] - c[on]) / (a[on] - c[on]))
         out += np.bincount(owner[~bad], weights=dphi[~bad], minlength=out.size)
         if not np.any(bad):
             return out.reshape(nodes.shape[0], -1)
@@ -382,6 +484,10 @@ def _track(f, nodes):
         mid = 0.5 * (a + b)
         fm, slope = f(mid)
         lm = _usable(fm, slope)
+        if c is not None:
+            c = c[bad]
+            fm, lm = _divided(mid, fm, lm, c)
+            c = np.concatenate([c, c])
         a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
         fa, fb = np.concatenate([fa, fm]), np.concatenate([fm, fb])
         la, lb = np.concatenate([la, lm]), np.concatenate([lm, lb])
@@ -434,15 +540,13 @@ def _whole(turns):
     return _require_counts(counts.astype(int))
 
 
-def _newton(f, boxes):
-    """Newton iteration from the centre of each box (B, 4); nan where it did not converge.
+def _newton(f, k, centre, reach, simple=False):
+    """Newton iteration from each k; the zeros, nan where it did not converge, and the last steps.
 
-    An iterate that leaves the box by more than its diagonal stops there.
+    An iterate farther than reach from centre stops there.  With simple, so
+    does one whose step does not shrink below a quarter of the step before,
+    as near a multiple zero, where Newton steps only halve.
     """
-    x1, x2, y1, y2 = boxes.T
-    centre = 0.5 * (x1 + x2) + 0.5j * (y1 + y2)
-    reach = np.hypot(x2 - x1, y2 - y1)
-    k = centre
     live = np.ones(k.shape, dtype=bool)
     done = np.zeros(k.shape, dtype=bool)
     last = np.full(k.shape, np.inf)
@@ -456,11 +560,12 @@ def _newton(f, boxes):
             size = np.abs(step)
             stalled = (size >= 0.5 * last) & (size <= NEWTON_STALL * np.abs(k))
             done |= live & ((size <= NEWTON_TOL * np.abs(k)) | stalled)
-            last = size
-            live &= ~done & (np.abs(k - centre) <= reach)
+            slow = simple & (size > 0.25 * last)
+            last = np.where(live, size, last)
+            live &= ~done & ~slow & (np.abs(k - centre) <= reach)
             if not np.any(live):
                 break
-    return np.where(done, k, np.nan)
+    return np.where(done, k, np.nan), np.where(done, last, np.nan)
 
 
 class _Search:
@@ -491,7 +596,8 @@ class _Search:
 
     def _solve_single(self, boxes):
         x1, x2, y1, y2 = boxes.T
-        k = _newton(self.f, boxes)
+        centre = 0.5 * (x1 + x2) + 0.5j * (y1 + y2)
+        k = _newton(self.f, centre, centre, np.hypot(x2 - x1, y2 - y1))[0]
         inside = (k.real >= x1) & (k.real < x2) & (k.imag >= y1) & (k.imag < y2)
         self.found.extend(k[inside].tolist())
         return inside
@@ -611,7 +717,9 @@ class _Search:
         """Count, isolate and refine every zero in the search rectangle.
 
         Columns of width dx (one continuum spacing), centred on the imaginary
-        axis, share the bottom and top edges, which are tracked once.  Ranges
+        axis, share the bottom and top edges, which are tracked once: the
+        bottom edge from NODES_PER_SPACING nodes per column, the lid from the
+        column edges alone (see NODES_PER_GAP).  Ranges
         of columns are halved level by level, each level tracking the vertical
         lines it needs over one grid of heights; then each column holding
         zeros is halved over that grid, each level tracking one segment across
@@ -628,8 +736,8 @@ class _Search:
         ys = np.concatenate([np.arange(1, NODES_PER_GAP + 1) * dx / NODES_PER_GAP,
                              dx * (top / dx) ** (np.arange(1, steps + 1) / steps)])
         ys = np.concatenate([[y0], ys[ys > y0]])
-        edges = np.stack([xs + 1j * y0, xs + 1j * top])
-        bottom, lid = _track(f, _polyline(edges, NODES_PER_SPACING)).reshape(2, ncol, -1).sum(axis=2)
+        bottom = _track(f, _polyline((xs + 1j * y0)[None], NODES_PER_SPACING)).reshape(ncol, -1).sum(axis=1)
+        lid = _track(f, (xs + 1j * top)[None])[0]
         rising = {}  # column edge -> phase change over each step of ys, upward
         across = {}  # (column, index into ys) -> phase change across the column, left to right
         for lo in range(ncol):

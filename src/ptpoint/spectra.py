@@ -80,6 +80,9 @@ MAX_SEGMENTS = 400_000
 NEWTON_TOL = 1e-12
 MAX_NEWTON_ITER = 60
 
+# default_contour's largest coefficient ratio: K = 2 (1 + ratio) and the width 2K stay finite
+CONTOUR_RATIO_MAX = float(np.finfo(float).max) / 8
+
 
 @dataclass(frozen=True)
 class WaveNumber:
@@ -539,15 +542,25 @@ def two_point_dispersion_value(B, l, k, relation=PRINTED):
 
 
 def default_contour(B, l, relation=PRINTED):
-    """Cauchy-style default search rectangle from the bracket coefficient ratios."""
+    """Cauchy-style default search rectangle from the bracket coefficient ratios.
+
+    Raises InvalidParams when the rectangle overflows: with an entry of B
+    near MAX_ENTRY a coefficient ratio can pass CONTOUR_RATIO_MAX, past
+    which the half-width K or the width 2K is not a finite float.
+    """
     disp = _ScaledDispersion(B, l, relation)
     ratios = []
     for poly in (disp.p1, disp.p2):
         mags = np.abs(poly)
         nz = np.nonzero(mags > 1e-300)[0]
         if len(nz):
-            lead = mags[nz[0]]
-            ratios.append(np.max(mags[nz[0]:]) / lead)
+            lead, top = float(mags[nz[0]]), float(np.max(mags[nz[0]:]))
+            if top > lead * CONTOUR_RATIO_MAX:  # Python floats: an overflow here is inf, not a warning
+                raise InvalidParams(
+                    "the default contour overflows: the dispersion coefficients of this interface "
+                    "matrix differ by more than the float range; pass a contour (--contour)"
+                )
+            ratios.append(top / lead)
     K = 2.0 * (1.0 + max(ratios))
     return ContourSpec(-K, K, 1e-6, K)
 

@@ -148,6 +148,14 @@ class TestSpectrumCommand:
         assert main(["spectrum", path]) == EXIT_SOLVER
         assert "overflows" in capsys.readouterr().err
 
+    def test_two_point_entry_near_max_entry_overflows_the_default_contour(self, tmp_path, capsys):
+        # |g|^2 / |b|^2 overflows in the default rectangle: a usage error that names the
+        # overflow, and no RuntimeWarning
+        doc = {"type": "two_point", "l": 1.0, "B": [[[1, 0], [-0.173, 0]], [[3.98e153, 0], [1, 0]]]}
+        path = write_json(tmp_path / "m.json", doc)
+        assert main(["spectrum", path]) == EXIT_PARSE
+        assert "default contour overflows" in capsys.readouterr().err
+
     def test_unimodular_matrix_with_a_large_entry(self, tmp_path, capsys):
         # det B = 1 is not singular however large b is, as long as the rows stay apart
         doc = {"type": "type_I", "theta": 0.0, "phi": 0.5, "b": 1e5, "c": 0.0}

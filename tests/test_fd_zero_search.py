@@ -143,6 +143,49 @@ def test_determinant_derivative_matches_difference_quotient(name):
     assert np.all(np.abs(slope - quotient) <= 1e-7 * np.abs(slope))
 
 
+def test_tracked_edge_passing_close_zeros():
+    # one to three zeros 1e-12 .. 1e-5 above or below an edge, and in one trial in three
+    # a pair 1e-9 .. 1e-4 apart that straddles it: the phase change along the edge is
+    # exact, whichever zero a segment divides out
+    rng = np.random.default_rng(19)
+    nodes = np.linspace(0.0, 2.0, 129) + 1.5e-6j
+    a, b = nodes[0], nodes[-1]
+    for trial in range(300):
+        n = rng.integers(1, 4)
+        zeros = rng.uniform(0.05, 1.95, n) + 1.5e-6j + 1j * rng.choice([-1.0, 1.0], n) * 10 ** rng.uniform(-12, -5, n)
+        if trial % 3 == 0:
+            centre, gap = rng.uniform(0.05, 1.95) + 1.5e-6j, 10 ** rng.uniform(-9, -4)
+            half = 0.5 * gap * np.exp(1j * rng.uniform(0.1, np.pi - 0.1))
+            zeros = np.append(zeros, [centre + half, centre - half])
+
+        def f(kappa):
+            d = kappa[..., None] - zeros
+            P = np.prod(d, axis=-1)
+            dP = sum(np.prod(np.delete(d, j, axis=-1), axis=-1) for j in range(len(zeros)))
+            e = np.exp(0.3j * kappa)
+            return e * P, e * (0.3j * P + dP)
+
+        turn = finitediff._track(f, nodes[None]).sum()
+        assert abs(turn - (np.sum(np.angle((b - zeros) / (a - zeros))) + 0.6)) < 1e-6
+
+
+@pytest.mark.parametrize("spec, before", [(DELTA_WELL, 5593), (DeltaPair(-2.0, 0.0, 1.0), 6791)])
+def test_search_evaluation_budget(spec, before, monkeypatch):
+    # kappa points at which the search evaluates F at L = 12, N = 2400: `before` with
+    # every continuum zero under the bottom edge bisected for 13 rounds and 8 lid nodes
+    # per spacing; dividing those zeros out and the lid's node rule take 2779 and 4310
+    points = []
+    call = finitediff._Determinant.__call__
+
+    def counted(self, kappa):
+        points.append(np.size(kappa))
+        return call(self, kappa)
+
+    monkeypatch.setattr(finitediff._Determinant, "__call__", counted)
+    oracle_discrete_spectrum(spec, OracleConfig(L=12.0, N=2400))
+    assert sum(points) <= 0.8 * before
+
+
 class TestLargeN:
     """Grids no dense solve could handle: the cost of the search does not grow like N^3."""
 

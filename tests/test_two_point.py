@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from ptpoint.boundary import TwoPoint, is_selfadjoint_connected, two_point_interfaces
+from ptpoint.boundary import MAX_ENTRY, TwoPoint, is_selfadjoint_connected, two_point_interfaces
 from ptpoint.errors import (
     ContourThroughZero,
     DegenerateIdenticallyZero,
     InvalidParams,
     NotAnEigenvalue,
+    PointInteractionError,
 )
 from ptpoint.finitediff import OracleConfig, oracle_discrete_spectrum
 from ptpoint.spectra import (
@@ -365,6 +366,26 @@ class TestTwoPointEigenfunctions:
 
 
 class TestContourSpec:
+    def test_default_contour_overflow_is_invalid_params(self):
+        # |g|^2 / |b|^2 passes the float range: the default rectangle cannot be written down
+        B = np.array([[1.0, -0.173], [3.98e153, 1.0]], dtype=complex)
+        for solve in (lambda: default_contour(B, 1.0), lambda: two_point_spectrum(B, 1.0)):
+            with pytest.raises(InvalidParams, match="default contour overflows"):
+                solve()
+
+    def test_entries_near_max_entry_give_errors_not_warnings(self):
+        # one entry of modulus 1e153 .. MAX_ENTRY: every solve returns or raises a package
+        # error, and none warns (RuntimeWarning is an error in this suite)
+        rng = np.random.default_rng(153)
+        for _ in range(600):
+            B = rng.uniform(-1, 1, (2, 2)) + 1j * rng.uniform(-1, 1, (2, 2))
+            B[rng.integers(2), rng.integers(2)] = 10 ** rng.uniform(153, np.log10(MAX_ENTRY)) * np.exp(
+                1j * rng.uniform(0, 2 * np.pi))
+            try:
+                two_point_spectrum(B, 1.0)
+            except PointInteractionError:
+                pass
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("field", ["re_min", "re_max", "im_min", "im_max"])
     def test_rejects_non_finite_field(self, field, value):
