@@ -3,7 +3,10 @@
 Discretizes -d^2/dx^2 on [-L, L] with Dirichlet walls and the model's
 interface conditions encoded by ghost-value elimination.  Nothing here reuses
 the closed-form dispersion machinery: agreement between the two routes is the
-validation.
+validation.  The argument-principle zero search (find_zeros) takes any
+function that gives its values and derivatives on arrays, and the two-point
+route (spectra.two_point_spectrum) runs its dispersion through it too; the
+determinant F searched here stays independent of that dispersion.
 
 Scheme: on the staggered grid of OracleConfig every row is a second-order
 central difference.  At each interface (which falls midway between two
@@ -26,7 +29,7 @@ integer exponents p that the rows fix; the exponents come in runs a few
 apart, and each run takes one exp and one expm1, the rest by products.  The
 zeros are counted by the argument principle and isolated by subdivision over
 a rectangle of the kappa upper half-plane that holds every candidate
-(_zeros), then refined by Newton steps (_newton).  The bottom edge of the
+(find_zeros), then refined by Newton steps (_newton).  The bottom edge of the
 rectangle passes DROP_TOL/(4K) above the box-truncated continuum (1.6e-6 at
 h = 0.01), and each continuum zero turns the phase by about pi within that
 distance; phase tracking (_track) locates such a zero by Newton steps and
@@ -39,6 +42,7 @@ imaginary axis is solved as a real problem: its roots are refined by Newton
 steps on F(i y), kept inside the bracket of a sign change.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -395,19 +399,22 @@ def _runs(values):
     return first[:, None], run, values - first[run]
 
 
-def _unresolved(a, b, fa, fb, la, lb):
-    """The phase step of each segment [a, b] from the values fa, fb, and whether it needs splitting.
+def _unresolved(seg):
+    """The phase step of each segment, a column (a, b, fa, fb, la, lb) of seg, and whether it needs splitting.
 
-    It does when its endpoint values differ in phase by over pi/2 or in
-    modulus by over a factor 8, or when its length times |F'/F| at an end
+    It does when its endpoint values fa, fb differ in phase by over pi/2 or
+    in modulus by over a factor 8, or when its length times |F'/F| at an end
     (la, lb hold F'/F) exceeds pi/2: two close zeros near a segment turn the
     phase by 2pi between its ends, which the phase step alone reads as no
     turn, but make |F'/F| at least 4 / length there.
     """
-    dphi = np.angle(fb * np.conj(fa))
-    ratio = np.abs(fb) / np.abs(fa)
-    reach = np.abs(b - a) * np.maximum(np.abs(la), np.abs(lb))
-    return dphi, (abs(dphi) > np.pi / 2) | (ratio > 8.0) | (ratio < 0.125) | (reach > np.pi / 2)
+    a, b, fa, fb = seg[:4]
+    size = np.abs(seg[2:])
+    turn = fb * np.conj(fa)
+    dphi = np.arctan2(turn.imag, turn.real)
+    ratio = size[1] / size[0]
+    reach = np.abs(b - a) * np.maximum(size[2], size[3])
+    return dphi, (np.fmax(abs(dphi), reach) > np.pi / 2) | (ratio > 8.0) | (ratio < 0.125)
 
 
 def _usable(values, slopes):
@@ -459,40 +466,43 @@ def _track(f, nodes):
     """
     vals, slopes = f(nodes)
     logd = _usable(vals, slopes)
-    a, b = nodes[:, :-1].ravel(), nodes[:, 1:].ravel()
-    fa, fb = vals[:, :-1].ravel(), vals[:, 1:].ravel()
-    la, lb = logd[:, :-1].ravel(), logd[:, 1:].ravel()
-    owner = np.arange(a.size)
-    out = np.zeros(a.size)
+    # the live segments, one column each: ends a, b, values fa, fb and F'/F there, la, lb
+    seg = np.stack([nodes[:, :-1], nodes[:, 1:], vals[:, :-1], vals[:, 1:], logd[:, :-1], logd[:, 1:]])
+    seg = seg.reshape(6, -1)
+    owner = np.arange(seg.shape[1])
+    out = np.zeros(seg.shape[1])
     c = None  # from DEFLATE_ROUND on, the zero divided out of each segment, nan for none
     for rounds in range(MAX_ROUNDS):
-        dphi, bad = _unresolved(a, b, fa, fb, la, lb)
+        dphi, bad = _unresolved(seg)
         if rounds == DEFLATE_ROUND:
-            c = np.full(a.size, np.nan, dtype=complex)
+            c = np.full(seg.shape[1], np.nan, dtype=complex)
             if np.any(bad):
-                c[bad] = _deflation(f, a[bad], b[bad], la[bad], lb[bad])
-                fa, la = _divided(a, fa, la, c)
-                fb, lb = _divided(b, fb, lb, c)
-                dphi, bad = _unresolved(a, b, fa, fb, la, lb)
+                a, b, _, _, la, lb = seg[:, bad]
+                c[bad] = _deflation(f, a, b, la, lb)
+                seg[2], seg[4] = _divided(seg[0], seg[2], seg[4], c)
+                seg[3], seg[5] = _divided(seg[1], seg[3], seg[5], c)
+                dphi, bad = _unresolved(seg)
         if c is not None:
             on = ~bad & ~np.isnan(c)
-            dphi[on] += np.angle((b[on] - c[on]) / (a[on] - c[on]))
-        out += np.bincount(owner[~bad], weights=dphi[~bad], minlength=out.size)
+            dphi[on] += np.angle((seg[1, on] - c[on]) / (seg[0, on] - c[on]))
+        done = ~bad
+        out += np.bincount(owner[done], weights=dphi[done], minlength=out.size)
         if not np.any(bad):
             return out.reshape(nodes.shape[0], -1)
-        a, b, fa, fb, la, lb, owner = (x[bad] for x in (a, b, fa, fb, la, lb, owner))
-        mid = 0.5 * (a + b)
+        seg, owner = seg[:, bad], owner[bad]
+        mid = 0.5 * (seg[0] + seg[1])
         fm, slope = f(mid)
         lm = _usable(fm, slope)
         if c is not None:
             c = c[bad]
             fm, lm = _divided(mid, fm, lm, c)
             c = np.concatenate([c, c])
-        a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
-        fa, fb = np.concatenate([fa, fm]), np.concatenate([fm, fb])
-        la, lb = np.concatenate([la, lm]), np.concatenate([lm, lb])
+        # the left halves (a, mid), then the right halves (mid, b)
+        n, half = mid.size, np.stack([mid, fm, lm])
+        seg = np.concatenate([seg, seg], axis=1)
+        seg[1::2, :n] = seg[0::2, n:] = half
         owner = np.concatenate([owner, owner])
-        if len(a) > MAX_SEGMENTS:
+        if seg.shape[1] > MAX_SEGMENTS:
             break
     raise EigensolverFailure("an edge of the zero search cannot be resolved")
 
@@ -569,10 +579,11 @@ def _newton(f, k, centre, reach, simple=False):
 
 
 class _Search:
-    """Zeros of one F in the search rectangle, by the argument principle (see _zeros)."""
+    """Zeros of one F in the search rectangle, by the argument principle (see find_zeros)."""
 
-    def __init__(self, f, top, y0, dx, mirror):
+    def __init__(self, f, top, y0, dx, mirror, spacing_nodes):
         self.f, self.top, self.y0, self.dx, self.mirror = f, top, y0, dx, mirror
+        self.spacing_nodes = spacing_nodes
         self.min_size = MIN_BOX * top
         self.found = []  # zeros with Re kappa > 0 in mirror mode, all zeros otherwise
         self.axis = []  # mirror mode: Im kappa of the zeros on the imaginary axis
@@ -581,7 +592,7 @@ class _Search:
         """Find the zeros of the boxes (B, 4) that hold counts (B,) zeros each."""
         while len(boxes):
             width, height = boxes[:, 1] - boxes[:, 0], boxes[:, 3] - boxes[:, 2]
-            single = (counts == 1) & (width <= 2 * height) & (height <= 2 * width)
+            single = counts == 1
             solved = np.zeros(len(boxes), dtype=bool)
             if np.any(single):
                 solved[single] = self._solve_single(boxes[single])
@@ -595,6 +606,7 @@ class _Search:
             boxes, counts = self._split(boxes[keep], counts[keep])
 
     def _solve_single(self, boxes):
+        """Newton steps from the centre of each box that holds one zero; whether they reached a zero inside it."""
         x1, x2, y1, y2 = boxes.T
         centre = 0.5 * (x1 + x2) + 0.5j * (y1 + y2)
         k = _newton(self.f, centre, centre, np.hypot(x2 - x1, y2 - y1))[0]
@@ -717,9 +729,10 @@ class _Search:
         """Count, isolate and refine every zero in the search rectangle.
 
         Columns of width dx (one continuum spacing), centred on the imaginary
-        axis, share the bottom and top edges, which are tracked once: the
-        bottom edge from NODES_PER_SPACING nodes per column, the lid from the
-        column edges alone (see NODES_PER_GAP).  Ranges
+        axis, share the bottom and top edges.  The whole boundary is tracked
+        in one pass, which counts the zeros: the bottom edge from
+        spacing_nodes nodes per column, the lid from the column edges alone
+        (see NODES_PER_GAP).  Ranges
         of columns are halved level by level, each level tracking the vertical
         lines it needs over one grid of heights; then each column holding
         zeros is halved over that grid, each level tracking one segment across
@@ -727,18 +740,31 @@ class _Search:
         The cells left go to the box solvers.
         """
         f, y0, dx, mirror = self.f, self.y0, self.dx, self.mirror
-        cuts = (np.arange(int(np.ceil(self.top / dx - 0.5)) + 1) + 0.5) * dx
-        top = cuts[-1]
+        cuts = (np.arange(math.ceil(self.top / dx - 0.5) + 1) + 0.5) * dx
+        top = float(cuts[-1])
         xs = np.concatenate([[0.0], cuts]) if mirror else np.concatenate([-cuts[::-1], cuts])
         ncol = len(xs) - 1
         # heights: NODES_PER_GAP steps up to dx, then NODES_PER_GAP per factor e (top >= 1.5 dx)
-        steps = int(np.ceil(NODES_PER_GAP * np.log(top / dx)))
-        ys = np.concatenate([np.arange(1, NODES_PER_GAP + 1) * dx / NODES_PER_GAP,
-                             dx * (top / dx) ** (np.arange(1, steps + 1) / steps)])
-        ys = np.concatenate([[y0], ys[ys > y0]])
-        bottom = _track(f, _polyline((xs + 1j * y0)[None], NODES_PER_SPACING)).reshape(ncol, -1).sum(axis=1)
-        lid = _track(f, (xs + 1j * top)[None])[0]
-        rising = {}  # column edge -> phase change over each step of ys, upward
+        steps = math.ceil(NODES_PER_GAP * math.log(top / dx))
+        ys = [j * dx / NODES_PER_GAP for j in range(1, NODES_PER_GAP + 1)]
+        ys += [dx * (top / dx) ** (j / steps) for j in range(1, steps)]
+        ys = np.array([y0, *(y for y in ys if y > y0), top])
+        # the boundary in one pass: the bottom edge, the right edge, the lid from right to
+        # left and, unmirrored, the left edge down
+        edges = [_polyline((xs + 1j * y0)[None], self.spacing_nodes)[0, :-1], xs[-1] + 1j * ys[:-1],
+                 xs[::-1] + 1j * top]
+        if not mirror:
+            edges.append(xs[0] + 1j * ys[-2::-1])
+        boundary = _track(f, np.concatenate(edges)[None])[0]
+        self.total = int(_whole(np.array([boundary.sum() / (np.pi if mirror else 2 * np.pi)]))[0])
+        if not self.total:
+            return
+        nb, ny = ncol * self.spacing_nodes, len(ys) - 1
+        bottom = boundary[:nb].reshape(ncol, -1).sum(axis=1)
+        lid = -boundary[nb + ny:nb + ny + ncol][::-1]
+        rising = {ncol: boundary[nb:nb + ny]}  # column edge -> phase change over each step of ys, upward
+        if not mirror:
+            rising[0] = -boundary[nb + ny + ncol:][::-1]
         across = {}  # (column, index into ys) -> phase change across the column, left to right
         for lo in range(ncol):
             across[lo, 0], across[lo, len(ys) - 1] = bottom[lo], lid[lo]
@@ -762,9 +788,6 @@ class _Search:
             return _whole(np.array(turns) / np.where(symmetric, np.pi, 2 * np.pi))
 
         # ranges (lo, hi, count) of columns, halved until single
-        track([ncol] if mirror else [0, ncol], rising, lines)
-        turn = bottom.sum() + rising[ncol].sum() - lid.sum() - (0 if mirror else rising[0].sum())
-        self.total = int(counts([turn], [0])[0])
         ranges, columns = [(0, ncol, self.total)], []
         while ranges:
             ranges = [r for r in ranges if r[2] > 0]
@@ -821,14 +844,16 @@ class _Search:
         return 1.0 if sigma.real > 0 else 1j
 
 
-def _zeros(f, K, y0, dx, mirror):
+def find_zeros(f, K, y0, dx, mirror, spacing_nodes=NODES_PER_SPACING):
     """Zeros of f with |Re kappa| <= K and y0 <= Im kappa <= K, as (kappa, mirrored).
 
-    In mirror mode (f(-conj k) = +-conj f(k)) the returned kappa have
+    f maps an array of kappa to (f, df/dkappa).  dx is the width of the
+    search's columns, and the bottom edge starts from spacing_nodes nodes per
+    column.  In mirror mode (f(-conj k) = +-conj f(k)) the returned kappa have
     Re kappa >= 0, those with Re kappa > 0 standing for a pair, and the zeros
     on the imaginary axis have a real part of exactly 0.
     """
-    search = _Search(f, K, y0, dx, mirror)
+    search = _Search(f, K, y0, dx, mirror, spacing_nodes)
     search.run()
     kappa = np.array(search.found + [1j * y for y in search.axis], dtype=complex)
     return kappa, np.arange(len(kappa)) < (len(search.found) if mirror else 0)
@@ -858,7 +883,7 @@ def oracle_discrete_spectrum(spec, cfg):
     h = cfg.h
     K = SEARCH_K / h
     f = _Determinant(rows, cfg.N, h)
-    kappa, mirrored = _zeros(f, K, DROP_TOL / (4 * K), np.pi / (2 * cfg.L), _pt_symmetric(rows, cfg.N))
+    kappa, mirrored = find_zeros(f, K, DROP_TOL / (4 * K), np.pi / (2 * cfg.L), _pt_symmetric(rows, cfg.N))
     lam = (2.0 / h * np.sin(0.5 * h * kappa)) ** 2
     ev = np.concatenate([lam, np.conj(lam[mirrored])])
     keep = (ev.real < -DROP_TOL) | (np.abs(ev.imag) > DROP_TOL)

@@ -26,17 +26,15 @@ det states.interface_system(two_point_interfaces(B, l), k) = -2i e^{2ikl} D(k),
 whose zeros are the eigenvalues of the operator the interface conditions
 define.  The two agree whenever delta = 0.
 
-Zeros inside a user contour are located by the argument principle (adaptive
-phase tracking on all rectangle edges at once: the starting nodes evaluated
-and tested in one array pass, then bisection in plain complex arithmetic),
-isolated by subdivision, and refined by Newton iteration on an overflow-free
-rescaling of D.  Bisection and Newton share one scalar evaluation of the
-rescaled D and its derivative.  Every two-point root is then certified against
-the interface system itself (states.two_point_kernel), independently of either
-relation's coefficients.
+Zeros inside a contour are found by the finite-difference oracle's
+argument-principle search (finitediff.find_zeros: phase tracking with
+bisection and deflation, subdivision, Newton steps) in mirror mode, on an
+overflow-free rescaling Dt of D divided by its zero at k = 0 (see
+_ScaledDispersion and two_point_spectrum).  Every two-point root is then
+certified against the interface system itself (states.two_point_kernel),
+independently of either relation's coefficients.
 """
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -44,14 +42,16 @@ from typing import Optional
 import numpy as np
 
 from .boundary import DEFAULT_TOL, delta_pair_matrix, require_nondegenerate  # noqa: F401 (re-exported)
-from .boundary import finite, require, require_bounded, require_length, singular, theta_mod_pi
+from .boundary import require_bounded, require_length, singular, theta_mod_pi
 from .boundary import zero_coefficient_threshold
 from .errors import (
     ContourThroughZero,
     DegenerateIdenticallyZero,
+    EigensolverFailure,
     InvalidParams,
     NoConvergence,
 )
+from .finitediff import find_zeros
 from .states import KERNEL_TOL, two_point_kernel
 
 AC_BRANCH = "[0, inf)"
@@ -69,16 +69,11 @@ PRINTED = "printed"
 OPERATOR = "operator"
 RELATIONS = (PRINTED, OPERATOR)
 
-# starting nodes on each side of a winding-count rectangle; _phase_track
-# bisects between them wherever the dispersion values need it
-NODES_PER_SIDE = 64
-# _phase_track: bisection rounds, and live segments over the whole contour
-MAX_ROUNDS = 80
-MAX_SEGMENTS = 400_000
-
-# Newton refinement of a zero: relative step that ends it, and its iteration cap
-NEWTON_TOL = 1e-12
-MAX_NEWTON_ITER = 60
+# the two-point zero search (finitediff.find_zeros) runs on columns one period pi/(2l)
+# of e^{4ikl} wide, at most MAX_COLUMNS of them, and starts its bottom edge, which
+# passes over the zeros just below the real axis, from SPACING_NODES nodes per column
+SPACING_NODES = 64
+MAX_COLUMNS = 64
 
 # default_contour's largest coefficient ratio: K = 2 (1 + ratio) and the width 2K stay finite
 CONTOUR_RATIO_MAX = float(np.finfo(float).max) / 8
@@ -146,7 +141,9 @@ class ContourSpec:
     im_max: float
 
     def __post_init__(self):
-        require(finite(**vars(self)))
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise InvalidParams(f"{name} must be finite, got {value}")
         if not (self.im_min > 0):
             raise InvalidParams("im_min must be positive (contour stays off the real axis)")
         if not (self.re_min < self.re_max and self.im_min < self.im_max):
@@ -190,6 +187,8 @@ def _report_from_roots(roots, multiplicities=None, kernel_sv=None):
 
     kernel_sv, when given, maps a root k to its operator certificate value.
     """
+    if not roots:
+        return SpectrumReport((), (), True)
     if multiplicities is None:
         multiplicities = [1] * len(roots)
     lams, eigen, negative_real = _eigenvalue_test(np.array(roots, dtype=complex))
@@ -449,80 +448,101 @@ def real_spectrum_classify_general(B):
 
 
 def _bracket_coeffs(B, relation=PRINTED):
-    """Coefficient arrays (highest power first) of P1 (quartic) and P2 (quadratic)."""
+    """Coefficient lists (highest power first) of P1 (quartic) and P2 (quadratic)."""
     if relation not in RELATIONS:
         raise InvalidParams(f"unknown dispersion relation {relation!r}; expected one of {RELATIONS}")
     delta_sign = -1.0 if relation == PRINTED else 1.0
-    a, b = B[0, 0], B[0, 1]
-    g, d = B[1, 0], B[1, 1]
-    p1 = np.array(
-        [
-            -abs(b) ** 2,
-            -1j * (b * np.conj(d) + np.conj(b) * d),
-            abs(a) ** 2 + delta_sign * abs(d) ** 2,
-            1j * (a * np.conj(g) + np.conj(a) * g),
-            -abs(g) ** 2,
-        ],
-        dtype=complex,
-    )
-    p2 = np.array(
-        [
-            a * np.conj(b) + np.conj(a) * b,
-            1j * (a * np.conj(d) + np.conj(a) * d + b * np.conj(g) + np.conj(b) * g),
-            -(g * np.conj(d) + np.conj(g) * d),
-        ],
-        dtype=complex,
-    )
+    a, b, g, d = B.ravel().tolist()
+
+    def twice_re(x, y):  # x conj(y) + conj(x) y
+        return 2.0 * (x * y.conjugate()).real
+
+    p1 = [-abs(b) * abs(b), -1j * twice_re(b, d), abs(a) * abs(a) + delta_sign * abs(d) * abs(d),
+          1j * twice_re(a, g), -abs(g) * abs(g)]
+    p2 = [twice_re(a, b), 1j * (twice_re(a, d) + twice_re(b, g)), -twice_re(g, d)]
     return p1, p2
 
 
 class _ScaledDispersion:
     """Overflow-free rescaling Dt(k) = e^{2ikl} D(k) and its derivative.
 
-    With q = e^{4ikl} (|q| <= 1 for Im k >= 0):
+    With e = e^{4ikl} - 1 (|1 + e| <= 1 for Im k >= 0), W = k P2 and
+    U = (W - i P1)/2:
 
-        Dt  = -(i/2)(q-1) P1 + (k/2)(1+q) P2
-        Dt' = 2 l q P1 - (i/2)(q-1) P1' + (1/2)(1+q) P2 + 2 i l k q P2 + (k/2)(1+q) P2'
+        Dt  = -(i/2) e P1 + (1 + e/2) W = e U + W
+        Dt' = e U' + W' + 4il e^{4ikl} U
 
-    Same zeros as D in the open upper half-plane.  Calling it evaluates Dt on
-    an array of k; below the real axis q overflows, and mirrored=True
-    evaluates e^{-4ikl} Dt with q' = e^{-4ikl} instead.  at(k) gives Dt and
-    Dt' at one k, for bisection and Newton steps.  Raises
-    InvalidParams when an entry of B exceeds MAX_ENTRY and
-    DegenerateIdenticallyZero when P1 and P2 both vanish (no coefficient above 1e-300).
+    Same zeros as D in the open upper half-plane.  e comes from expm1, so Dt
+    keeps its digits near its zero at k = 0.  Calling it evaluates Dt on an
+    array of k; below the real axis e^{4ikl} overflows, and mirrored=True
+    evaluates e^{-4ikl} Dt with e^{-4ikl} in its place.  with_slope(k) gives
+    Dt and Dt' from one Horner pass over the polynomials U, U', W and W'
+    stacked.  Raises InvalidParams when an entry of B exceeds MAX_ENTRY and
+    DegenerateIdenticallyZero when P1 and P2 both vanish (no coefficient
+    above 1e-300).
     """
 
     def __init__(self, B, l, relation=PRINTED):
         require_length(l)
         self.l = float(l)
         self.p1, self.p2 = _bracket_coeffs(require_bounded(B), relation)
-        if max(np.max(np.abs(self.p1)), np.max(np.abs(self.p2))) <= 1e-300:  # default_contour's zero
+        if max(map(abs, self.p1 + self.p2)) <= 1e-300:  # default_contour's zero
             raise DegenerateIdenticallyZero("two-point dispersion vanishes identically")
-        self._p1, self._p2 = self.p1.tolist(), self.p2.tolist()
 
     def __call__(self, k, mirrored=False):
         k = np.asarray(k, dtype=complex)
         s = -1 if mirrored else 1
-        q = np.exp(s * 4j * k * self.l)
-        P1 = np.polyval(self.p1, k)
-        P2 = np.polyval(self.p2, k)
-        return -s * 0.5j * (q - 1.0) * P1 + 0.5 * k * (1.0 + q) * P2
+        e = np.expm1(s * 4j * k * self.l)
+        return -s * 0.5j * e * np.polyval(self.p1, k) + (1.0 + 0.5 * e) * k * np.polyval(self.p2, k)
 
-    def at(self, k):
-        """(Dt(k), Dt'(k)) at one complex k: __call__ to rounding, at a fraction of its cost.
+    def with_slope(self, k, columns=None):
+        """(Dt(k), Dt'(k)) stacked, on an array of k in the upper half-plane.
 
-        Raises OverflowError where q overflows, far below the real axis.
+        columns are the coefficients of rows as _columns gives them; those
+        times s give s Dt and s Dt'.
         """
-        l = self.l
-        q = cmath.exp(4j * k * l)
-        P1, P2, dP1, dP2 = self._p1[0], self._p2[0], 0.0, 0.0
-        for c in self._p1[1:]:  # Horner for P1 and P1' in one pass
-            P1, dP1 = P1 * k + c, dP1 * k + P1
-        for c in self._p2[1:]:
-            P2, dP2 = P2 * k + c, dP2 * k + P2
-        a, b = -0.5j * (q - 1.0), 0.5 * k * (1.0 + q)  # Dt = a P1 + b P2
-        dp = 2.0 * l * q * P1 + a * dP1 + 0.5 * (1.0 + q) * P2 + 2j * l * k * q * P2 + b * dP2
-        return a * P1 + b * P2, dp
+        k = np.asarray(k)
+        x = k.ravel()
+        first, *rest = self._columns() if columns is None else columns
+        y = first * x + rest[0]
+        for c in rest[1:]:
+            y = y * x + c
+        x = (4j * self.l) * x
+        out = y[:2] * np.expm1(x) + y[2:]
+        out[1] += (4j * self.l) * np.exp(x) * y[0]  # not 1 + e, which loses e^{4ikl} where it is small
+        return out.reshape((2,) + k.shape)
+
+    def _columns(self, scale=1.0):
+        """The coefficients of U, U', W and W' times scale, by power from the highest, as (4, 1) arrays."""
+        W = [0.0, *self.p2, 0.0]
+        U = [0.5 * (w - 1j * p) for p, w in zip(self.p1, W)]
+        dU, dW = ([0.0] + [(4 - j) * c for j, c in enumerate(row[:4])] for row in (U, W))
+        return tuple(scale * np.array([U, dU, W, dW]).T[:, :, None])
+
+    def search_function(self, K):
+        """The function the zero search takes: k -> (f, f') with f = Dt / (s k^m).
+
+        f has the zeros of Dt in the upper half-plane but not the one at
+        k = 0, of order m.  The power of two s brings |f k^m| to at most 2
+        over |k| <= K (|Dt| <= |P1| + 2 |W| there), so that no product of
+        two values overflows.  Raises NoConvergence when Dt itself may
+        overflow there.
+        """
+        bound = 0.0
+        for p, w in zip(self.p1, [0.0, *self.p2, 0.0]):  # Horner on Python floats: an overflow is inf, not a warning
+            bound = bound * K + abs(p) + abs(w)
+        if not math.isfinite(bound):
+            raise NoConvergence("dispersion value overflows on the search contour: interface entries too large")
+        columns = self._columns(math.ldexp(1.0, -math.frexp(bound)[1]))
+        # the order of Dt's zero at k = 0: Dt = -2(l |gamma|^2 + Re(gamma conj(delta))) k + O(k^2)
+        m = 1 if 2 * self.l * self.p1[4] + self.p2[2] != 0 else 2
+
+        def f(k):
+            inv = 1.0 / k
+            value, slope = self.with_slope(k, columns) * (inv if m == 1 else inv * inv)
+            return value, slope - m * value * inv
+
+        return f
 
 
 def two_point_dispersion_value(B, l, k, relation=PRINTED):
@@ -551,10 +571,10 @@ def default_contour(B, l, relation=PRINTED):
     disp = _ScaledDispersion(B, l, relation)
     ratios = []
     for poly in (disp.p1, disp.p2):
-        mags = np.abs(poly)
-        nz = np.nonzero(mags > 1e-300)[0]
-        if len(nz):
-            lead, top = float(mags[nz[0]]), float(np.max(mags[nz[0]:]))
+        mags = [abs(c) for c in poly]
+        nz = [j for j, m in enumerate(mags) if m > 1e-300]
+        if nz:
+            lead, top = mags[nz[0]], max(mags[nz[0]:])
             if top > lead * CONTOUR_RATIO_MAX:  # Python floats: an overflow here is inf, not a warning
                 raise InvalidParams(
                     "the default contour overflows: the dispersion coefficients of this interface "
@@ -565,210 +585,47 @@ def default_contour(B, l, relation=PRINTED):
     return ContourSpec(-K, K, 1e-6, K)
 
 
-def _successors(x):
-    """x[i + 1] for each node i of a closed polygon, x[0] for the last: np.roll(x, -1) at a tenth of its cost."""
-    return np.concatenate([x[1:], x[:1]])
-
-
-def _unresolved(dphi, ratio):
-    """Whether a segment needs splitting: a phase step over pi/2 or a modulus ratio outside [1/8, 8].
-
-    Takes arrays or floats; a NaN ratio counts as resolved.
-    """
-    return (abs(dphi) > np.pi / 2) | (ratio > 8.0) | (ratio < 0.125)
-
-
-def _phase_track(f, z, w, guard):
-    """Total change of arg f around the closed polygon z (w = f(z)), by bisection.
-
-    Splits any segment whose endpoint phase difference exceeds pi/2 or whose
-    modulus ratio exceeds 8; each keeps the floor of its edge.  Raises
-    ContourThroughZero when |f| falls under ``guard`` at a new point or a
-    segment cannot be resolved.  The starting segments are tested in one array
-    pass; the ones that need splitting are bisected on Python numbers, one
-    point at a time through f.at (a _ScaledDispersion has it) or else f.
-    """
-    at = getattr(f, "at", None)
-    value = (lambda k: at(k)[0]) if at else (lambda k: complex(f(k)))
-    z1, w1 = _successors(z), _successors(w)
-    dphi = np.angle(w1 * np.conj(w))
-    bad = _unresolved(dphi, np.abs(w1) / np.abs(w))
-    total = float(np.sum(dphi[~bad]))
-    floor = 1e-13 * np.maximum(np.abs(z1 - z), 1.0)
-    live = list(zip(*(x[bad].tolist() for x in (z, z1, w, w1, floor))))
-    for _ in range(MAX_ROUNDS):
-        if not live:
-            return total
-        if any(abs(b - a) < floor for a, b, _, _, floor in live):
-            raise ContourThroughZero("dispersion zero on or near the contour; perturb the rectangle")
-        segs = []
-        for a, b, va, vb, floor in live:
-            m = 0.5 * (a + b)
-            vm = value(m)
-            if abs(vm) <= guard:
-                raise ContourThroughZero(
-                    "dispersion value below safety threshold on the contour; perturb the rectangle"
-                )
-            segs += [(a, m, va, vm, floor), (m, b, vm, vb, floor)]
-        if len(segs) > MAX_SEGMENTS:
-            raise NoConvergence("phase tracking exceeded the segment budget")
-        live = []
-        for seg in segs:
-            _, _, va, vb, _ = seg
-            dphi = cmath.phase(vb * va.conjugate())
-            if _unresolved(dphi, abs(vb) / abs(va)):
-                live.append(seg)
-            else:
-                total += dphi
-    raise NoConvergence("phase tracking did not resolve the contour")
-
-
-def _winding_rectangle(f, re_min, re_max, im_min, im_max):
-    """Number of zeros of f inside the rectangle, by the argument principle."""
-    corners = np.array(
-        [complex(re_min, im_min), complex(re_max, im_min), complex(re_max, im_max), complex(re_min, im_max)]
-    )
-    t = np.arange(NODES_PER_SIDE) / NODES_PER_SIDE
-    z = (corners[:, None] + (_successors(corners) - corners)[:, None] * t).ravel()
-    with np.errstate(over="ignore", invalid="ignore"):
-        w = f(z)
-        size = np.abs(w)
-    if not np.all(np.isfinite(size)):
-        raise NoConvergence("dispersion value overflows at a contour node: interface entries too large")
-    guard = 1e-14 * float(np.max(size))
-    if not np.all(size > guard):
-        raise ContourThroughZero(
-            "dispersion value below safety threshold at a contour node; perturb the rectangle"
-        )
-    winding = _phase_track(f, z, w, guard) / (2.0 * np.pi)
-    if not abs(winding - np.round(winding)) <= 0.25:  # also when an overflow made it nan
-        raise NoConvergence(f"winding number did not stabilize (got {winding:.3f})")
-    return int(round(winding))
-
-
-def _newton_refine(disp, k0, multiplicity):
-    """Multiplicity-aware Newton iteration on the rescaled dispersion."""
-    k = complex(k0)
-    m = max(1, multiplicity)
-    try:
-        for _ in range(MAX_NEWTON_ITER):
-            d, dp = disp.at(k)
-            if dp == 0:
-                raise NoConvergence("vanishing dispersion derivative during Newton refinement")
-            step = m * d / dp
-            k -= step
-            if abs(step) <= NEWTON_TOL * max(1.0, abs(k)):
-                for _ in range(2):  # polish to machine accuracy
-                    d, dp = disp.at(k)
-                    if dp == 0:
-                        break
-                    k -= m * d / dp
-                return k
-    except OverflowError:  # an iterate far below the real axis
-        pass
-    raise NoConvergence(f"Newton refinement failed to converge from {k0}")
-
-
-def _axis_polish(disp, k):
-    """Four real Newton steps on g(y) = Im Dt(iy) for a near-axis root; exact Re k = 0 on success."""
-    y = k.imag
-    try:
-        for _ in range(4):
-            g, gp = disp.at(1j * y)
-            if gp.real == 0.0:
-                return k
-            y = y - g.imag / gp.real
-        g = disp.at(1j * y)[0]
-    except OverflowError:  # a step far below the real axis
-        return k
-    d, dp = disp.at(k)
-    if abs(g.imag) <= abs(d) + 1e-12 * abs(dp) * abs(k.real):
-        return complex(0.0, y)
-    return k
-
-
 def two_point_spectrum(B, l, contour=None, relation=PRINTED):
     """Discrete spectrum of the two-point model from dispersion zeros in a contour.
 
     Zeros of the chosen dispersion relation ("printed", the default, or
-    "operator"; see the module docstring) inside the rectangle (with
-    Im k > im_min) are located by argument-principle winding counts, isolated
-    by subdivision until each cell holds a single zero (or an unsplittable
-    multiple zero), and refined by Newton iteration.  Eigenvalues are k^2
-    with multiplicity equal to the zero order.  Each one carries its operator
-    certificate (Eigenvalue.operator_sv, operator_certified): printed roots
-    of a model with delta != 0 are in general not certified.
+    "operator"; see the module docstring) inside the rectangle are found by
+    finitediff.find_zeros in mirror mode: Dt(-conj k) = -conj Dt(k), so the
+    search covers Re k >= 0 of the rectangle's hull [-X, X] x [im_min, X'],
+    X' >= max(X, im_max), and mirrors what it finds.  Roots outside the
+    rectangle are dropped; a root on an edge of a contour the caller passed
+    raises ContourThroughZero, and a search that fails raises NoConvergence.
+    Eigenvalues are k^2 with multiplicity equal to the zero order.  Each one
+    carries its operator certificate (Eigenvalue.operator_sv,
+    operator_certified): printed roots of a model with delta != 0 are in
+    general not certified.
 
     Roots below the contour (0 < Im k <= im_min) are not searched; pass a
     smaller im_min to reach them.  Lower-half-plane diagnostics are never
     collected here, so the report's nonphysical tuple stays empty while
     im_min >= DEFAULT_TOL.
     """
-    if contour is None:
-        contour = default_contour(B, l, relation=relation)
+    box = default_contour(B, l, relation=relation) if contour is None else contour
     disp = _ScaledDispersion(B, l, relation)
-
-    total = _winding_rectangle(disp, contour.re_min, contour.re_max, contour.im_min, contour.im_max)
+    K = max(-box.re_min, box.re_max, box.im_max)
+    dx = min(max(math.pi / (2 * disp.l), K / MAX_COLUMNS), K)
+    f = disp.search_function(math.sqrt(2.0) * (K + dx))
+    try:
+        kappa, mirrored = find_zeros(f, K, box.im_min, dx, True, SPACING_NODES)
+    except EigensolverFailure as exc:
+        raise NoConvergence(str(exc)) from None
     roots = []
-    if total > 0:
-        scale = max(abs(contour.re_min), abs(contour.re_max), contour.im_max, 1.0)
-        iso_floor = 1e-8 * scale
-        stack = [(contour.re_min, contour.re_max, contour.im_min, contour.im_max, total)]
-        while stack:
-            re0, re1, im0, im1, w = stack.pop()
-            if w == 0:
-                continue
-            center = complex(0.5 * (re0 + re1), 0.5 * (im0 + im1))
-            tiny = max(re1 - re0, im1 - im0) < iso_floor
-            if w == 1 or tiny:
-                k = _newton_refine(disp, center, w)
-                pad = 1e-7 * max(re1 - re0, im1 - im0)
-                inside = re0 - pad <= k.real <= re1 + pad and im0 - pad <= k.imag <= im1 + pad
-                if tiny or inside:
-                    roots.append((k, w))
-                    continue
-                # Newton escaped the cell (zero close to an edge): isolate further
-            split_horizontally = (re1 - re0) >= (im1 - im0)
-            for frac in (0.5, 0.53, 0.47, 0.61, 0.39):
-                try:
-                    if split_horizontally:
-                        cut = re0 + frac * (re1 - re0)
-                        w1 = _winding_rectangle(disp, re0, cut, im0, im1)
-                        cells = [(re0, cut, im0, im1, w1), (cut, re1, im0, im1, w - w1)]
-                    else:
-                        cut = im0 + frac * (im1 - im0)
-                        w1 = _winding_rectangle(disp, re0, re1, im0, cut)
-                        cells = [(re0, re1, im0, cut, w1), (re0, re1, cut, im1, w - w1)]
-                    stack.extend(cells)
-                    break
-                except ContourThroughZero:
-                    continue
-            else:
-                raise ContourThroughZero("could not find a zero-free subdivision line")
-
-    # deduplicate, keep roots inside the search region, polish axis roots
-    margin = 1e-9 * max(1.0, contour.re_max - contour.re_min)
-    cleaned = []
-    for k, m in roots:
-        if not (contour.re_min - margin <= k.real <= contour.re_max + margin):
+    for k in kappa.tolist() + (-np.conj(kappa[mirrored])).tolist():
+        tol = DEFAULT_TOL * max(1.0, abs(k))
+        gaps = (k.real - box.re_min, box.re_max - k.real, box.im_max - k.imag, k.imag - box.im_min)
+        if min(gaps) < -tol:  # outside the rectangle, in the rest of its hull
             continue
-        if not (k.imag > contour.im_min * (1 - 1e-9)):
-            continue
-        if abs(k.real) <= 1e-6 * max(1.0, abs(k)):
-            k = _axis_polish(disp, k)
-        for i, (kk, mm) in enumerate(cleaned):
-            if abs(k - kk) <= 1e-7 * max(1.0, abs(k)):
-                cleaned[i] = (kk, max(mm, m))
-                break
-        else:
-            cleaned.append((k, m))
-    if sum(m for _, m in cleaned) != total:
-        raise NoConvergence(
-            f"refined {sum(m for _, m in cleaned)} zeros but the contour winding "
-            f"counts {total}; a Newton iterate escaped its cell"
-        )
+        if contour is not None and min(gaps) <= tol:
+            raise ContourThroughZero("dispersion zero on or near the contour; perturb the rectangle")
+        roots.append(k)
+    distinct = sorted(set(roots), key=roots.index)  # a cluster comes out as copies of its mean
     return _report_from_roots(
-        [k for k, _ in cleaned],
-        [m for _, m in cleaned],
+        distinct,
+        [roots.count(k) for k in distinct],
         kernel_sv=lambda k: two_point_kernel(B, l, k)[0],
     )

@@ -1,19 +1,27 @@
 import numpy as np
 import pytest
 
-from ptpoint.boundary import MAX_ENTRY, TwoPoint, is_selfadjoint_connected, two_point_interfaces
+from ptpoint.boundary import (
+    MAX_ENTRY,
+    TwoPoint,
+    TypeIParams,
+    is_selfadjoint_connected,
+    matrix_from_type_I,
+    two_point_interfaces,
+)
 from ptpoint.errors import (
     ContourThroughZero,
     DegenerateIdenticallyZero,
+    EigensolverFailure,
     InvalidParams,
     NotAnEigenvalue,
     PointInteractionError,
 )
-from ptpoint.finitediff import OracleConfig, oracle_discrete_spectrum
+from ptpoint.finitediff import OracleConfig, _counts, oracle_discrete_spectrum
 from ptpoint.spectra import (
+    RELATIONS,
     ContourSpec,
     NEGATIVE_REAL,
-    _winding_rectangle,
     default_contour,
     delta_pair_matrix,
     two_point_dispersion_value,
@@ -27,8 +35,6 @@ from ptpoint.states import (
     pt_symmetry_defect,
     two_point_kernel,
 )
-
-from test_phase_track import _type_I_draws
 
 # fixtures with vanishing lower-right entry: for these the closed-form
 # dispersion equals the 4x4 interface-system determinant identically, so the
@@ -50,25 +56,38 @@ def _bisect(f, lo, hi):
     return 0.5 * (lo + hi)
 
 
+def _type_I_draws(n, seed):
+    """Connected PT matrices over the whole family: theta, phi in U(0, 2 pi), b in U(0.1, 2), c in U(max(-1/b, -2), 2)."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(n):
+        theta, phi, b = rng.uniform(0, 2 * np.pi), rng.uniform(0, 2 * np.pi), rng.uniform(0.1, 2.0)
+        out.append(matrix_from_type_I(TypeIParams(theta, phi, b, rng.uniform(max(-1.0 / b, -2.0), 2.0))))
+    return out
+
+
 def _with_zeros(*zeros):
-    """Vectorized monic polynomial with exactly the given zeros (repeat for order)."""
+    """Vectorized monic polynomial with exactly the given zeros (repeat for order), and its derivative."""
 
     def f(z):
-        out = np.ones_like(np.asarray(z, dtype=complex))
+        value, slope = np.ones_like(np.asarray(z, dtype=complex)), np.zeros_like(np.asarray(z, dtype=complex))
         for r in zeros:
-            out = out * (z - r)
-        return out
+            value, slope = value * (z - r), slope * (z - r) + value
+        return value, slope
 
     return f
 
 
 class TestWindingCount:
-    """The argument-principle counter on polynomials with known zeros.
+    """The argument-principle counter of the zero search (finitediff._counts) on polynomials with known zeros.
 
     Rectangle [-1, 1] x [0.1, 1].
     """
 
     RECT = (-1.0, 1.0, 0.1, 1.0)
+
+    def count(self, f):
+        return int(_counts(f, np.array([self.RECT]), False, 1.0)[0])
 
     @pytest.mark.parametrize(
         "zeros, count",
@@ -82,11 +101,11 @@ class TestWindingCount:
         ],
     )
     def test_known_count(self, zeros, count):
-        assert _winding_rectangle(_with_zeros(*zeros), *self.RECT) == count
+        assert self.count(_with_zeros(*zeros)) == count
 
     def test_zero_at_corner_is_a_node(self):
-        with pytest.raises(ContourThroughZero, match="contour node"):
-            _winding_rectangle(_with_zeros(-1.0 + 0.1j, 0.5j), *self.RECT)
+        with pytest.raises(EigensolverFailure, match="vanishes"):
+            self.count(_with_zeros(-1.0 + 0.1j, 0.5j))
 
 
 class TestDispersionValue:
@@ -223,6 +242,17 @@ class TestTwoPointSpectrum:
         assert len(lams) == 2
         assert abs(lams[0] - np.conj(lams[1])) < 1e-8
 
+    def test_contour_off_the_axis_keeps_its_own_roots(self):
+        # the search covers the symmetric hull of the rectangle; only the root inside it stays
+        pair = two_point_spectrum(COMPLEX_PAIR_MODEL, 1.0, ContourSpec(-1.2, 1.2, 1e-6, 1.0)).eigenvalues
+        right = two_point_spectrum(COMPLEX_PAIR_MODEL, 1.0, ContourSpec(0.0, 1.2, 1e-6, 1.0)).eigenvalues
+        assert [e.k.k for e in right] == [e.k.k for e in pair if e.k.k.real > 0]
+
+    def test_contour_narrower_than_the_period(self):
+        # a rectangle narrower than the period pi/(2l) of e^{4ikl} narrows the search's columns
+        rep = two_point_spectrum(delta_pair_matrix(0, 5), 0.5, ContourSpec(-0.4, 0.4, 1e-6, 0.4))
+        assert [e.k.k for e in rep.eigenvalues] == [0.25j]
+
     def test_contour_through_zero(self):
         # delta-pair root k = i sits exactly on the top edge im_max = 1
         with pytest.raises(ContourThroughZero):
@@ -245,24 +275,72 @@ class TestTwoPointSpectrum:
         assert abs(rep.eigenvalues[0].k.k - expect) < 1e-6 * abs(expect)
 
 
-# seed-7 type_I draws (l = 1) whose default-contour solve reports part of the
+def _mirrored_roots(rep):
+    """The roots k of a report, each repeated by its multiplicity, after checking they are closed under k -> -conj(k)."""
+    ks = [e.k.k for e in rep.eigenvalues for _ in range(e.multiplicity)]
+    # a two-point model is PT: each root k comes with -conj(k)
+    for k in ks:
+        assert min(abs(-np.conj(k) - kk) for kk in ks) <= 1e-8 * max(1.0, abs(k))
+    return ks
+
+
+# seed-7 type_I draws (l = 1) whose default-contour solve once reported part of the
 # spectrum and no error: (relation, draw, the full root count, as 1024 nodes per
-# contour side count it); with 64 nodes the solve reports 2, 0, 4, 4, 2, 6, 0, 2
+# contour side count it)
 SILENT_MISCOUNTS = [
     ("printed", 1, 4), ("printed", 81, 4), ("printed", 93, 6), ("printed", 219, 8),
     ("printed", 258, 6), ("printed", 268, 8), ("operator", 22, 12), ("operator", 173, 4),
 ]
 
 
-@pytest.mark.xfail(strict=True, reason="the winding count on 64 nodes per side misses zeros and reports no error")
 @pytest.mark.parametrize("relation, draw, count", SILENT_MISCOUNTS)
 def test_silent_miscounts_give_the_whole_mirrored_spectrum(relation, draw, count):
     rep = two_point_spectrum(_type_I_draws(300, seed=7)[draw], 1.0, relation=relation)
-    ks = [e.k.k for e in rep.eigenvalues for _ in range(e.multiplicity)]
-    assert len(ks) == count
-    # a two-point model is PT: each root k comes with -conj(k)
-    for k in ks:
-        assert min(abs(-np.conj(k) - kk) for kk in ks) <= 1e-8 * max(1.0, abs(k))
+    assert len(_mirrored_roots(rep)) == count
+
+
+# the dispersion's zero at k = 0 is double where l |gamma|^2 + Re(gamma conj(delta)) = 0:
+# delta_pair with u = -l, and gamma = 0 (type_I with c = 0)
+DOUBLE_ZERO_AT_ORIGIN = [
+    *((f"delta_pair u=-1 v={v:g}", delta_pair_matrix(-1.0, v)) for v in np.linspace(-3, 3, 13) if v != 0),
+    *((f"type_I c=0 b={b:g} phi={phi:g}", matrix_from_type_I(TypeIParams(0.0, phi, b, 0.0)))
+      for b in (0.5, 1.0, 2.0) for phi in (0.0, 0.5, 1.5, 2.5, 3.0)),
+]
+
+
+@pytest.mark.parametrize("relation", RELATIONS)
+@pytest.mark.parametrize("B", [B for _, B in DOUBLE_ZERO_AT_ORIGIN], ids=[name for name, _ in DOUBLE_ZERO_AT_ORIGIN])
+def test_double_zero_at_the_origin_solves(B, relation):
+    rep = two_point_spectrum(B, 1.0, relation=relation)
+    _mirrored_roots(rep)
+    if relation == "operator":
+        assert all(e.operator_certified for e in rep.eigenvalues)
+
+
+def test_close_axis_roots_are_both_found():
+    # two operator roots 2.9e-4 apart on the imaginary axis, where |Dt'| is 5.8e-4
+    B = matrix_from_type_I(TypeIParams(0.2074954382451559, 3.1625561745561543, 0.3339539465261404, -1.2947825145274914))
+    rep = two_point_spectrum(B, 1.0, relation="operator")
+    ks = sorted((e.k.k for e in rep.eigenvalues for _ in range(e.multiplicity)), key=lambda k: k.imag)
+    assert [k.real for k in ks] == [0.0, 0.0]
+    assert np.allclose([k.imag for k in ks], [5.249392206849063, 5.249681618119561], rtol=1e-9, atol=0)
+    assert all(e.operator_certified for e in rep.eigenvalues)
+
+
+@pytest.mark.slow
+def test_draw_22_roots_are_oracle_eigenvalues():
+    # seed-7 draw 22 (operator relation), once reported with no eigenvalue: 12 roots.  The
+    # oracle's box [-L, L] truncates an eigenfunction by e^{-2 Im(k) L}, which at L = 12 is
+    # 0.27 for the root with Im k = 0.054: there only the roots with Im k > 0.4 are compared
+    B = _type_I_draws(300, seed=7)[22]
+    eigs = two_point_spectrum(B, 1.0, relation="operator").eigenvalues
+    assert len(eigs) == 12
+    for L, N, compared in ((12.0, 2400, 8), (96.0, 38400, 12)):
+        cand = oracle_discrete_spectrum(TwoPoint(1.0, B), OracleConfig(L=L, N=N))
+        near = [e.lam for e in eigs if np.exp(-2 * e.k.k.imag * L) < 1e-4]
+        assert len(near) == compared
+        for lam in near:
+            assert min(abs(lam - mu) for mu in cand) <= 1e-3 * max(1.0, abs(lam))
 
 
 class TestInterfaceSystem:
