@@ -6,6 +6,7 @@ Library layout:
 - :mod:`ptpoint.spectra`    dispersion relations and discrete spectra
 - :mod:`ptpoint.states`     eigenfunctions, resolvent, symmetry checks, scattering
 - :mod:`ptpoint.finitediff` independent finite-difference validation
+- :mod:`ptpoint.zeros`      argument-principle zero search shared by spectra and finitediff
 - :mod:`ptpoint.cli`        command-line front end (model files, sweeps, exports)
 """
 

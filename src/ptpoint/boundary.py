@@ -364,7 +364,10 @@ class TwoPoint(PTPair):
 
 @dataclass(frozen=True)
 class DeltaPair(PTPair):
-    """Point couplings u+iv at x = +l and u-iv at x = -l (interface matrix [[1,0],[1,u+iv]])."""
+    """The delta pair at x = +-l in its native entry assignment: interface matrix [[1, 0], [1, u+iv]] at +l.
+
+    The point couplings u +- iv are the textbook variant (--variant textbook-delta), another operator.
+    """
 
     u: float
     v: float

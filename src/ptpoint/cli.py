@@ -189,6 +189,14 @@ def _read_json(path, what):
         raise ModelFileError(f"{what} file is not valid JSON: {exc}")
 
 
+def _write_text(path, parts, what):
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(parts)
+    except OSError as exc:
+        raise ModelFileError(f"cannot write {what} file: {exc}")
+
+
 def load_model(path, variant="default"):
     return model_from_dict(_read_json(path, "model"), variant=variant)
 
@@ -230,8 +238,7 @@ def _write_spectrum_csv(report, path):
         lines.append(
             f"{_fmt(e.lam.real)},{_fmt(e.lam.imag)},{_fmt(e.k.k.real)},{_fmt(e.k.k.imag)},{e.multiplicity},{e.kind}"
         )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_text(path, ["\n".join(lines) + "\n"], "spectrum")
 
 
 def cmd_classify(args):
@@ -251,9 +258,9 @@ def cmd_spectrum(args):
     spec = load_model(args.model, variant=args.variant)
     contour = None if args.contour is None else spectra.ContourSpec(*args.contour)
     report = _spectrum_for(spec, contour)
-    _print_report(report)
     if args.out:
         _write_spectrum_csv(report, args.out)
+    _print_report(report)
     return EXIT_OK
 
 
@@ -296,8 +303,7 @@ def cmd_sweep(args):
         results = _sweep_results(model_doc, values, len(index[0]), args.variant)
         axis_cells = [[t[j] for j in i] for t, i in zip(texts, index)]
         chunks.append("".join(",".join(cells) + "\n" for cells in zip(*axis_cells, results)))
-    with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(chunks)
+    _write_text(out_path, chunks, "sweep")
     print(f"wrote {total} rows to {out_path}")
     return EXIT_OK
 
@@ -364,6 +370,8 @@ def _sweep_results(model_doc, values, n, variant):
 
 
 def cmd_oracle(args):
+    if not args.tol > 0:
+        raise InvalidParams(f"--tol must be positive, got {args.tol:g}")
     spec = load_model(args.model, variant=args.variant)
     eigs = _spectrum_for(spec).eigenvalues
     closed = sorted((e.lam for e in eigs for _ in range(e.multiplicity)), key=lambda z: (z.real, z.imag))
@@ -419,8 +427,7 @@ def cmd_eigenfunction(args):
     lines += [f"{_fmt(xi)},{_fmt(v.real)},{_fmt(v.imag)}" for xi, v in zip(x, vals)]
     text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        _write_text(args.out, [text], "eigenfunction")
         print(f"wrote {len(x)} samples to {args.out}")
     else:
         sys.stdout.write(text)

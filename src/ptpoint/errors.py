@@ -50,7 +50,7 @@ class GridMismatch(PointInteractionError):
 
 
 class EigensolverFailure(PointInteractionError):
-    """The oracle's zero search failed: an edge did not resolve, or the zeros found do not add up to the count."""
+    """The zero search (zeros) failed: an edge did not resolve, or the zeros found do not add up to the count."""
 
 
 class ResonantK(PointInteractionError):

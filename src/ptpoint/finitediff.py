@@ -3,10 +3,7 @@
 Discretizes -d^2/dx^2 on [-L, L] with Dirichlet walls and the model's
 interface conditions encoded by ghost-value elimination.  Nothing here reuses
 the closed-form dispersion machinery: agreement between the two routes is the
-validation.  The argument-principle zero search (find_zeros) takes any
-function that gives its values and derivatives on arrays, and the two-point
-route (spectra.two_point_spectrum) runs its dispersion through it too; the
-determinant F searched here stays independent of that dispersion.
+validation.
 
 Scheme: on the staggered grid of OracleConfig every row is a second-order
 central difference.  At each interface (which falls midway between two
@@ -27,32 +24,19 @@ at a cost that does not depend on N.  Each call evaluates F and F' on an
 array of kappa from one table of exponentials e^{i p kappa h} over the
 integer exponents p that the rows fix; the exponents come in runs a few
 apart, and each run takes one exp and one expm1, the rest by products.  The
-zeros are counted by the argument principle and isolated by subdivision over
-a rectangle of the kappa upper half-plane that holds every candidate
-(find_zeros), then refined by Newton steps (_newton).  The bottom edge of the
-rectangle passes DROP_TOL/(4K) above the box-truncated continuum (1.6e-6 at
-h = 0.01), and each continuum zero turns the phase by about pi within that
-distance; phase tracking (_track) locates such a zero by Newton steps and
-divides it out of the segment instead of bisecting down to its scale.
-Zeros closer than CLUSTER |kappa|, such as the double zeros of decoupled
-mirror-image halves, come out at their mean (_cluster).  The zeros of a
-model invariant under reflection plus conjugation (PT) are mirror images
-under kappa -> -conj(kappa), so only Re kappa >= 0 is searched and the
-imaginary axis is solved as a real problem: its roots are refined by Newton
-steps on F(i y), kept inside the bracket of a sign change.
+zeros are found by zeros.find_zeros over a rectangle of the kappa upper
+half-plane that holds every candidate, its bottom edge DROP_TOL/(4K) above
+the box-truncated continuum (1.6e-6 at h = 0.01), in mirror mode for a model
+invariant under reflection plus conjugation (PT).  F stays independent of the
+two-point dispersion that the search also takes.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    EigensolverFailure,
-    GridCollision,
-    GridMismatch,
-    InvalidParams,
-)
+from .errors import GridCollision, GridMismatch, InvalidParams
+from .zeros import find_zeros
 
 ROW_INTERIOR = 0
 ROW_END = 1
@@ -72,36 +56,6 @@ SEARCH_K = 0.16
 # initial nodes per continuum spacing pi/(2L) along the bottom edge, which passes just
 # above the box-truncated continuum; with 64 nodes per side the count came out wrong
 NODES_PER_SPACING = 8
-# along every other edge, initial nodes max(dx, y) / NODES_PER_GAP apart at height y,
-# dx = pi/(2L), and at least NODES_PER_EDGE per edge; the lid (y = K >= dx) starts
-# from its column edges, dx apart, as each column needs its own phase change;
-# |F'/F| (_unresolved) refines wherever that is too coarse
-NODES_PER_GAP = 4
-NODES_PER_EDGE = 8
-
-# phase tracking (_track): rounds of bisection and live segments
-MAX_ROUNDS = 80
-MAX_SEGMENTS = 400_000
-# a segment still unresolved after DEFLATE_ROUND rounds gets a zero divided out, taken
-# only at a distance from its line over DEFLATE_MARGIN times Newton's last step
-# (_deflation); earlier, Newton costs more calls than the bisection it saves
-DEFLATE_ROUND = 3
-DEFLATE_MARGIN = 64
-
-# Newton refinement (_newton) stops at a relative step of NEWTON_TOL, or once the step
-# stops shrinking below NEWTON_STALL |kappa|: rounding in F, whose terms can exceed
-# |F| by 1e5, sets that floor
-NEWTON_TOL = 1e-14
-NEWTON_STALL = 1e-8
-MAX_NEWTON = 60
-# a box holding several zeros and smaller than CLUSTER |kappa| is not split: near an
-# exceptional point F ~ (kappa - kappa_0)^2 drowns in rounding within about sqrt(eps),
-# as the dense solve does; its zeros are reported at their mean, from CLUSTER_NODES
-# points on a circle around it (_cluster)
-CLUSTER = 1e-6
-CLUSTER_NODES = 64
-# boxes of the subdivision narrower than MIN_BOX times the search height are not split
-MIN_BOX = 1e-13
 
 
 @dataclass(frozen=True)
@@ -174,6 +128,8 @@ def _interface_rows(spec, cfg):
     N, h, x = cfg.N, cfg.h, cfg.nodes
     rows, taken = [], set()
     for s, Q in spec.interfaces():
+        if not -cfg.L < s < cfg.L:
+            raise InvalidParams(f"interface at {s} lies outside [-L, L] with L = {cfg.L} (increase L)")
         m = int(np.floor((s - x[0]) / h))
         if not (0 <= m < N - 1) or min(abs(x[m] - s), abs(x[m + 1] - s)) < h / 4:
             raise GridCollision(f"interface at {s} collides with a grid node (change N or L)")
@@ -399,466 +355,6 @@ def _runs(values):
     return first[:, None], run, values - first[run]
 
 
-def _unresolved(seg):
-    """The phase step of each segment, a column (a, b, fa, fb, la, lb) of seg, and whether it needs splitting.
-
-    It does when its endpoint values fa, fb differ in phase by over pi/2 or
-    in modulus by over a factor 8, or when its length times |F'/F| at an end
-    (la, lb hold F'/F) exceeds pi/2: two close zeros near a segment turn the
-    phase by 2pi between its ends, which the phase step alone reads as no
-    turn, but make |F'/F| at least 4 / length there.
-    """
-    a, b, fa, fb = seg[:4]
-    size = np.abs(seg[2:])
-    turn = fb * np.conj(fa)
-    dphi = np.arctan2(turn.imag, turn.real)
-    ratio = size[1] / size[0]
-    reach = np.abs(b - a) * np.maximum(size[2], size[3])
-    return dphi, (np.fmax(abs(dphi), reach) > np.pi / 2) | (ratio > 8.0) | (ratio < 0.125)
-
-
-def _usable(values, slopes):
-    """F'/F, checking that F is finite and nonzero."""
-    if not np.all(np.isfinite(values) & (values != 0) & np.isfinite(slopes)):
-        raise EigensolverFailure("the interface determinant vanishes or overflows on an edge of the zero search")
-    return slopes / values
-
-
-def _divided(kappa, values, logd, c):
-    """F/(kappa - c) and its logarithmic derivative F'/F - 1/(kappa - c); F and F'/F where c is nan."""
-    on = ~np.isnan(c)
-    off = kappa[on] - c[on]
-    values, logd = values.copy(), logd.copy()
-    values[on] /= off
-    logd[on] -= 1 / off
-    return values, logd
-
-
-def _deflation(f, a, b, la, lb):
-    """A zero of f to divide out of each segment [a, b]; nan where none is taken.
-
-    Newton steps (_newton) start from the prediction k - F/F' of the end k
-    with the larger |F'/F|, the nearer to a zero, and stop when they leave
-    the segment's reach or converge only linearly, as to a double zero, of
-    which one factor would not resolve the segment.  A zero is taken only
-    when they converged and its distance from the segment's line exceeds
-    DEFLATE_MARGIN times the last step, which puts the zero it stands for on
-    the same side of the line.
-    """
-    with np.errstate(all="ignore"):  # c and last are nan where Newton did not converge
-        start = np.where(np.abs(la) >= np.abs(lb), a - 1 / la, b - 1 / lb)
-        c, last = _newton(f, start, 0.5 * (a + b), np.abs(b - a), simple=True)
-        away = np.abs(((c - a) * np.conj(b - a)).imag) > DEFLATE_MARGIN * last * np.abs(b - a)
-    return np.where(away, c, np.nan)
-
-
-def _track(f, nodes):
-    """Change of arg f along each segment of the polylines ``nodes`` (E, n + 1), as (E, n).
-
-    Every segment is bisected until each piece is resolved (_unresolved);
-    a round splits all live pieces in one array pass through f.  A segment
-    still unresolved after DEFLATE_ROUND rounds, such as one of the bottom
-    edge over a continuum zero, gets a zero c of f divided out (_deflation):
-    for c off the segment's line, arg f = arg(kappa - c) + arg g with
-    g = f/(kappa - c), the first term turns by the principal angle of
-    (b - c)/(a - c), and g is tracked instead, by the same test on g and
-    g'/g = f'/f - 1/(kappa - c).  Both halves of a bisected segment keep its c.
-    """
-    vals, slopes = f(nodes)
-    logd = _usable(vals, slopes)
-    # the live segments, one column each: ends a, b, values fa, fb and F'/F there, la, lb
-    seg = np.stack([nodes[:, :-1], nodes[:, 1:], vals[:, :-1], vals[:, 1:], logd[:, :-1], logd[:, 1:]])
-    seg = seg.reshape(6, -1)
-    owner = np.arange(seg.shape[1])
-    out = np.zeros(seg.shape[1])
-    c = None  # from DEFLATE_ROUND on, the zero divided out of each segment, nan for none
-    for rounds in range(MAX_ROUNDS):
-        dphi, bad = _unresolved(seg)
-        if rounds == DEFLATE_ROUND:
-            c = np.full(seg.shape[1], np.nan, dtype=complex)
-            if np.any(bad):
-                a, b, _, _, la, lb = seg[:, bad]
-                c[bad] = _deflation(f, a, b, la, lb)
-                seg[2], seg[4] = _divided(seg[0], seg[2], seg[4], c)
-                seg[3], seg[5] = _divided(seg[1], seg[3], seg[5], c)
-                dphi, bad = _unresolved(seg)
-        if c is not None:
-            on = ~bad & ~np.isnan(c)
-            dphi[on] += np.angle((seg[1, on] - c[on]) / (seg[0, on] - c[on]))
-        done = ~bad
-        out += np.bincount(owner[done], weights=dphi[done], minlength=out.size)
-        if not np.any(bad):
-            return out.reshape(nodes.shape[0], -1)
-        seg, owner = seg[:, bad], owner[bad]
-        mid = 0.5 * (seg[0] + seg[1])
-        fm, slope = f(mid)
-        lm = _usable(fm, slope)
-        if c is not None:
-            c = c[bad]
-            fm, lm = _divided(mid, fm, lm, c)
-            c = np.concatenate([c, c])
-        # the left halves (a, mid), then the right halves (mid, b)
-        n, half = mid.size, np.stack([mid, fm, lm])
-        seg = np.concatenate([seg, seg], axis=1)
-        seg[1::2, :n] = seg[0::2, n:] = half
-        owner = np.concatenate([owner, owner])
-        if seg.shape[1] > MAX_SEGMENTS:
-            break
-    raise EigensolverFailure("an edge of the zero search cannot be resolved")
-
-
-def _polyline(corners, n):
-    """(E, n * (len - 1) + 1) nodes along each row of corners, n equal pieces per side."""
-    t = np.arange(n) / n
-    sides = corners[:, :-1, None] + (corners[:, 1:] - corners[:, :-1])[:, :, None] * t
-    return np.concatenate([sides.reshape(len(corners), -1), corners[:, -1:]], axis=1)
-
-
-def _counts(f, boxes, half, dx):
-    """Zeros of f in each box (x1, x2, y1, y2) of the (B, 4) array boxes.
-
-    Every side gets the same number of initial nodes (see NODES_PER_GAP).
-
-    half: the boxes are [-x2, x2] x [y1, y2] (x1 = 0) of a function with
-    f(-conj(k)) = +-conj(f(k)); the phase change along the right half of
-    the boundary, from i y1 to i y2, is then half the winding.
-    """
-    if not len(boxes):
-        return np.zeros(0, dtype=int)
-    x1, x2, y1, y2 = boxes.T
-    if half:
-        corners = np.stack([1j * y1, x2 + 1j * y1, x2 + 1j * y2, 1j * y2], axis=1)
-    else:
-        corners = np.stack([x1 + 1j * y1, x2 + 1j * y1, x2 + 1j * y2, x1 + 1j * y2, x1 + 1j * y1], axis=1)
-    n = max(NODES_PER_EDGE, int(np.ceil(np.max(NODES_PER_GAP * np.maximum(x2 - x1, y2 - y1) / np.maximum(dx, y1)))))
-    turns = _track(f, _polyline(corners, n)).sum(axis=1) / (np.pi if half else 2 * np.pi)
-    return _whole(turns)
-
-
-def _require_counts(counts):
-    """counts, after checking that none is negative, as the difference of two counts may be."""
-    if np.any(counts < 0):
-        raise EigensolverFailure("inconsistent winding numbers in the zero search")
-    return counts
-
-
-def _whole(turns):
-    """Zero counts from turns of the phase, in units of 2 pi."""
-    counts = np.round(turns)
-    if not np.all(np.abs(turns - counts) <= 0.25):
-        raise EigensolverFailure(f"winding numbers of the zero search are not counts: {turns}")
-    return _require_counts(counts.astype(int))
-
-
-def _newton(f, k, centre, reach, simple=False):
-    """Newton iteration from each k; the zeros, nan where it did not converge, and the last steps.
-
-    An iterate farther than reach from centre stops there.  With simple, so
-    does one whose step does not shrink below a quarter of the step before,
-    as near a multiple zero, where Newton steps only halve.
-    """
-    live = np.ones(k.shape, dtype=bool)
-    done = np.zeros(k.shape, dtype=bool)
-    last = np.full(k.shape, np.inf)
-    with np.errstate(all="ignore"):  # far below the real axis z^N overflows
-        for _ in range(MAX_NEWTON):
-            F, slope = f(k[live])
-            step = np.full(k.shape, np.nan, dtype=complex)
-            step[live] = F / slope
-            live &= np.isfinite(step)
-            k = np.where(live, k - step, k)
-            size = np.abs(step)
-            stalled = (size >= 0.5 * last) & (size <= NEWTON_STALL * np.abs(k))
-            done |= live & ((size <= NEWTON_TOL * np.abs(k)) | stalled)
-            slow = simple & (size > 0.25 * last)
-            last = np.where(live, size, last)
-            live &= ~done & ~slow & (np.abs(k - centre) <= reach)
-            if not np.any(live):
-                break
-    return np.where(done, k, np.nan), np.where(done, last, np.nan)
-
-
-class _Search:
-    """Zeros of one F in the search rectangle, by the argument principle (see find_zeros)."""
-
-    def __init__(self, f, top, y0, dx, mirror, spacing_nodes):
-        self.f, self.top, self.y0, self.dx, self.mirror = f, top, y0, dx, mirror
-        self.spacing_nodes = spacing_nodes
-        self.min_size = MIN_BOX * top
-        self.found = []  # zeros with Re kappa > 0 in mirror mode, all zeros otherwise
-        self.axis = []  # mirror mode: Im kappa of the zeros on the imaginary axis
-
-    def boxes(self, boxes, counts):
-        """Find the zeros of the boxes (B, 4) that hold counts (B,) zeros each."""
-        while len(boxes):
-            width, height = boxes[:, 1] - boxes[:, 0], boxes[:, 3] - boxes[:, 2]
-            single = counts == 1
-            solved = np.zeros(len(boxes), dtype=bool)
-            if np.any(single):
-                solved[single] = self._solve_single(boxes[single])
-            size = np.hypot(width, height)
-            small = (counts > 1) & (size < CLUSTER * np.abs(boxes[:, 1] + 1j * boxes[:, 3]))
-            for (x1, x2, y1, y2), d, c in zip(boxes[small], size[small], counts[small]):
-                self.found += [self._cluster(complex(0.5 * (x1 + x2), 0.5 * (y1 + y2)), d, c)] * c
-            keep = ~solved & ~small
-            if np.any(np.minimum(width, height)[keep] < self.min_size):
-                raise EigensolverFailure("the zero search cannot separate close zeros")
-            boxes, counts = self._split(boxes[keep], counts[keep])
-
-    def _solve_single(self, boxes):
-        """Newton steps from the centre of each box that holds one zero; whether they reached a zero inside it."""
-        x1, x2, y1, y2 = boxes.T
-        centre = 0.5 * (x1 + x2) + 0.5j * (y1 + y2)
-        k = _newton(self.f, centre, centre, np.hypot(x2 - x1, y2 - y1))[0]
-        inside = (k.real >= x1) & (k.real < x2) & (k.imag >= y1) & (k.imag < y2)
-        self.found.extend(k[inside].tolist())
-        return inside
-
-    def _split(self, boxes, counts):
-        """Halve each box across its longer side; the first half is counted, the second is the rest."""
-        x1, x2, y1, y2 = boxes.T
-        wide = x2 - x1 >= y2 - y1
-        xm, ym = 0.5 * (x1 + x2), 0.5 * (y1 + y2)
-        first = np.stack([x1, np.where(wide, xm, x2), y1, np.where(wide, y2, ym)], axis=1)
-        second = np.stack([np.where(wide, xm, x1), x2, np.where(wide, y1, ym), y2], axis=1)
-        c1 = _counts(self.f, first, False, self.dx)
-        boxes, counts = np.concatenate([first, second]), np.concatenate([c1, _require_counts(counts - c1)])
-        return boxes[counts > 0], counts[counts > 0]
-
-    def axis_boxes(self, boxes, counts):
-        """Mirror mode: zeros of the boxes [-x2, x2] x [y1, y2] (x1 = 0) around the imaginary axis."""
-        while len(boxes):
-            roots, sign_changes, cut = self._axis_roots(boxes[:, 2], boxes[:, 3])
-            done = _require_counts(counts - sign_changes) == 0
-            self.axis += [y for r, d in zip(roots, done) if d for y in r.tolist()]
-            size = np.hypot(2 * boxes[:, 1], boxes[:, 3] - boxes[:, 2])
-            small = ~done & (size < CLUSTER * boxes[:, 3])
-            for (_, _, y1, y2), d, c in zip(boxes[small], size[small], counts[small]):
-                self.axis += [self._cluster(0.5j * (y1 + y2), d, c).imag] * c
-            keep = ~done & ~small
-            boxes, counts, ym = boxes[keep], counts[keep], cut[keep]
-            zero, x2, y1, y2 = boxes.T
-            if np.any(np.minimum(x2, y2 - y1) < self.min_size):
-                raise EigensolverFailure("the zero search cannot separate close zeros")
-            # a tall box is cut at ym and the upper part holds the rest; otherwise
-            # the rest lies in the strip [x2/2, x2] and its mirror image, evenly
-            tall = y2 - y1 > 2 * x2
-            lower = np.stack([zero, x2, y1, ym], axis=1)
-            inner = np.stack([zero, 0.5 * x2, y1, y2], axis=1)
-            first = np.where(tall[:, None], lower, inner)
-            c1 = _counts(self.f, first, True, self.dx)
-            rest = _require_counts(counts - c1)
-            if np.any(~tall & (rest % 2 == 1)):
-                raise EigensolverFailure("inconsistent winding numbers in the zero search")
-            strips = ~tall & (rest > 0)
-            self.boxes(np.stack([0.5 * x2, x2, y1, y2], axis=1)[strips], rest[strips] // 2)
-            upper = np.stack([zero, x2, ym, y2], axis=1)
-            boxes, counts = np.concatenate([first, upper[tall]]), np.concatenate([c1, rest[tall]])
-            boxes, counts = boxes[counts > 0], counts[counts > 0]
-
-    def _cluster(self, centre, size, count):
-        """The mean of the ``count`` zeros in a box of diameter ``size`` around centre.
-
-        By the trapezoidal rule on a circle around centre, (1/2 pi i) times the
-        integral of kappa F'/F is the sum of the zeros inside, and the integral
-        of F'/F their number.  The widest circle of radius 1000, 100, 10 or 1
-        times size that holds just ``count`` zeros is used: F is accurate
-        farther from the cluster.
-        """
-        for radius in size * 10.0 ** np.arange(3, -1, -1):
-            kappa = centre + radius * np.exp(2j * np.pi * np.arange(CLUSTER_NODES) / CLUSTER_NODES)
-            F, slope = self.f(kappa)
-            weights = slope / F * (kappa - centre) / CLUSTER_NODES
-            if abs(np.sum(weights) - count) <= 0.25:
-                return centre + np.sum(weights * (kappa - centre)) / count
-        raise EigensolverFailure("the zero search cannot separate close zeros")
-
-    def _axis_roots(self, y1, y2):
-        """Zeros of F on i [y1, y2] for each box, and a height to cut the box at.
-
-        Each sign change of g(y) = Re(F(i y) conj(phase)) among
-        2 NODES_PER_EDGE + 1 samples is refined by Newton steps on g, whose
-        slope g'(y) = Re(i F'(i y) conj(phase)) comes with every F, starting
-        from the sample of smaller |g|.  A step that leaves the bracket of
-        the sign change, or is not finite, goes to the bracket's midpoint, and
-        every point taken narrows the bracket, so each root stays real and
-        inside it.  Steps stop as in _newton; a sign change not refined within
-        MAX_NEWTON steps is left out of the roots and of the count.  The cut
-        is the sample of the middle half where |g| is largest, so that cuts
-        keep away from zeros: cutting through the middle of a box closes in
-        on a cluster, where F is rounding.
-        """
-        t = np.linspace(0.0, 1.0, NODES_PER_EDGE * 2 + 1)
-        y = y1[:, None] + (y2 - y1)[:, None] * t
-        g, slope = self._real(y)
-        middle = slice(NODES_PER_EDGE // 2, 3 * NODES_PER_EDGE // 2 + 1)
-        cut = y[:, middle][np.arange(len(y)), np.argmax(np.abs(g[:, middle]), axis=1)]
-        flips = np.signbit(g[:, 1:]) != np.signbit(g[:, :-1])
-        box, j = np.nonzero(flips)
-        lo, hi, sign = y[box, j], y[box, j + 1], np.signbit(g[box, j])
-        start = j + (np.abs(g[box, j + 1]) < np.abs(g[box, j]))
-        at, g_at, slope_at = y[box, start], g[box, start], slope[box, start]
-        roots = np.full(len(box), np.nan)
-        live = np.arange(len(box))
-        last = np.full(len(box), np.inf)
-        for _ in range(MAX_NEWTON):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                point = at - g_at / slope_at
-            newton = (point >= lo) & (point <= hi)
-            point = np.where(newton, point, 0.5 * (lo + hi))
-            size = np.abs(point - at)
-            stalled = newton & (size >= 0.5 * last) & (size <= NEWTON_STALL * point)
-            done = (size <= NEWTON_TOL * point) | stalled
-            roots[live[done]] = point[done]
-            live, lo, hi, sign, at, last = (v[~done] for v in (live, lo, hi, sign, point, size))
-            if not len(live):
-                break
-            g_at, slope_at = self._real(at)
-            same = np.signbit(g_at) == sign
-            lo, hi = np.where(same, at, lo), np.where(same, hi, at)
-        found = np.isfinite(roots)
-        return [roots[found & (box == b)] for b in range(len(y1))], np.bincount(box[found], minlength=len(y1)), cut
-
-    def _real(self, y):
-        """g(y) = Re(F(i y) conj(phase)) and g'(y): F is real times the fixed phase on the axis."""
-        F, slope = self.f(1j * y)
-        turn = np.conj(self.phase)
-        return (F * turn).real, (1j * slope * turn).real
-
-    def run(self):
-        """Count, isolate and refine every zero in the search rectangle.
-
-        Columns of width dx (one continuum spacing), centred on the imaginary
-        axis, share the bottom and top edges.  The whole boundary is tracked
-        in one pass, which counts the zeros: the bottom edge from
-        spacing_nodes nodes per column, the lid from the column edges alone
-        (see NODES_PER_GAP).  Ranges
-        of columns are halved level by level, each level tracking the vertical
-        lines it needs over one grid of heights; then each column holding
-        zeros is halved over that grid, each level tracking one segment across
-        the column, so that a range or a cell without zeros costs nothing more.
-        The cells left go to the box solvers.
-        """
-        f, y0, dx, mirror = self.f, self.y0, self.dx, self.mirror
-        cuts = (np.arange(math.ceil(self.top / dx - 0.5) + 1) + 0.5) * dx
-        top = float(cuts[-1])
-        xs = np.concatenate([[0.0], cuts]) if mirror else np.concatenate([-cuts[::-1], cuts])
-        ncol = len(xs) - 1
-        # heights: NODES_PER_GAP steps up to dx, then NODES_PER_GAP per factor e (top >= 1.5 dx)
-        steps = math.ceil(NODES_PER_GAP * math.log(top / dx))
-        ys = [j * dx / NODES_PER_GAP for j in range(1, NODES_PER_GAP + 1)]
-        ys += [dx * (top / dx) ** (j / steps) for j in range(1, steps)]
-        ys = np.array([y0, *(y for y in ys if y > y0), top])
-        # the boundary in one pass: the bottom edge, the right edge, the lid from right to
-        # left and, unmirrored, the left edge down
-        edges = [_polyline((xs + 1j * y0)[None], self.spacing_nodes)[0, :-1], xs[-1] + 1j * ys[:-1],
-                 xs[::-1] + 1j * top]
-        if not mirror:
-            edges.append(xs[0] + 1j * ys[-2::-1])
-        boundary = _track(f, np.concatenate(edges)[None])[0]
-        self.total = int(_whole(np.array([boundary.sum() / (np.pi if mirror else 2 * np.pi)]))[0])
-        if not self.total:
-            return
-        nb, ny = ncol * self.spacing_nodes, len(ys) - 1
-        bottom = boundary[:nb].reshape(ncol, -1).sum(axis=1)
-        lid = -boundary[nb + ny:nb + ny + ncol][::-1]
-        rising = {ncol: boundary[nb:nb + ny]}  # column edge -> phase change over each step of ys, upward
-        if not mirror:
-            rising[0] = -boundary[nb + ny + ncol:][::-1]
-        across = {}  # (column, index into ys) -> phase change across the column, left to right
-        for lo in range(ncol):
-            across[lo, 0], across[lo, len(ys) - 1] = bottom[lo], lid[lo]
-
-        def track(keys, store, points):
-            new = sorted(set(keys) - store.keys())
-            if new:
-                store.update(zip(new, points(new)))
-
-        def lines(new):
-            return _track(f, xs[new][:, None] + 1j * ys)
-
-        def segments(new):
-            lo, i = np.array(new).T
-            ends = np.stack([xs[lo], xs[lo + 1]], axis=1) + 1j * ys[i][:, None]
-            return _track(f, _polyline(ends, NODES_PER_EDGE)).sum(axis=1)
-
-        def counts(turns, lo):
-            """Counts from the phase turns around boxes of columns starting at lo."""
-            symmetric = mirror & (np.array(lo) == 0)
-            return _whole(np.array(turns) / np.where(symmetric, np.pi, 2 * np.pi))
-
-        # ranges (lo, hi, count) of columns, halved until single
-        ranges, columns = [(0, ncol, self.total)], []
-        while ranges:
-            ranges = [r for r in ranges if r[2] > 0]
-            columns += [(lo, 0, len(ys) - 1, c) for lo, hi, c in ranges if hi - lo == 1]
-            ranges = [(lo, (lo + hi) // 2, hi, c) for lo, hi, c in ranges if hi - lo > 1]
-            track([mid for _, mid, _, _ in ranges], rising, lines)
-            turns = [
-                bottom[mid:hi].sum() + rising[hi].sum() - lid[mid:hi].sum() - rising[mid].sum()
-                for _, mid, hi, _ in ranges
-            ]
-            right = counts(turns, [mid for _, mid, _, _ in ranges])
-            # a range from the axis counts its zeros off the axis twice
-            twice = np.array([1 + (mirror and lo == 0) for lo, *_ in ranges], dtype=int)
-            left = _require_counts(np.array([c for *_, c in ranges], dtype=int) - twice * right)
-            ranges = [(lo, mid, a) for (lo, mid, _, _), a in zip(ranges, left)] + [
-                (mid, hi, b) for (_, mid, hi, _), b in zip(ranges, right)
-            ]
-        # cells (column, ia, ib, count) between heights ys[ia] and ys[ib], halved until single
-        cells = []
-        while columns:
-            columns = [c for c in columns if c[3] > 0]
-            cells += [c for c in columns if c[2] - c[1] == 1]
-            columns = [(lo, ia, (ia + ib) // 2, ib, c) for lo, ia, ib, c in columns if ib - ia > 1]
-            track([(lo, im) for lo, _, im, _, _ in columns], across, segments)
-            # the centre column of mirror mode has no left edge: its boxes are symmetric
-            turns = [
-                across[lo, ia] + rising[lo + 1][ia:im].sum() - across[lo, im]
-                - (0 if mirror and lo == 0 else rising[lo][ia:im].sum())
-                for lo, ia, im, _, _ in columns
-            ]
-            lower = counts(turns, [lo for lo, *_ in columns])
-            upper = _require_counts(np.array([c for *_, c in columns], dtype=int) - lower)
-            columns = [(lo, ia, im, a) for (lo, ia, im, _, _), a in zip(columns, lower)] + [
-                (lo, im, ib, b) for (lo, _, im, ib, _), b in zip(columns, upper)
-            ]
-        lo, ia, ib, c = np.array(cells, dtype=int).reshape(-1, 4).T
-        boxes = np.stack([xs[lo], xs[lo + 1], ys[ia], ys[ib]], axis=1)
-        centre = mirror & (lo == 0)
-        if np.any(centre):
-            self.phase = self._axis_phase(top)
-            self.axis_boxes(boxes[centre], c[centre])
-        self.boxes(boxes[~centre], c[~centre])
-        found = len(self.found) * (2 if mirror else 1) + len(self.axis)
-        if found != self.total:
-            raise EigensolverFailure(f"the zero search found {found} zeros of {self.total} counted")
-
-    def _axis_phase(self, top):
-        """The phase of F on the imaginary axis, 1 or i: F(-conj k) = +-conj F(k)."""
-        probe = np.linspace(0.3, 0.9, 7) * top * (1 + 1j)
-        F, mirror = self.f(probe)[0], self.f(-np.conj(probe))[0]
-        sigma = np.sum(mirror * F) / np.sum(np.abs(F) ** 2)
-        if abs(abs(sigma.real) - 1) > 1e-6 or abs(sigma.imag) > 1e-6:
-            raise EigensolverFailure("the interface determinant lacks the PT mirror symmetry of its rows")
-        return 1.0 if sigma.real > 0 else 1j
-
-
-def find_zeros(f, K, y0, dx, mirror, spacing_nodes=NODES_PER_SPACING):
-    """Zeros of f with |Re kappa| <= K and y0 <= Im kappa <= K, as (kappa, mirrored).
-
-    f maps an array of kappa to (f, df/dkappa).  dx is the width of the
-    search's columns, and the bottom edge starts from spacing_nodes nodes per
-    column.  In mirror mode (f(-conj k) = +-conj f(k)) the returned kappa have
-    Re kappa >= 0, those with Re kappa > 0 standing for a pair, and the zeros
-    on the imaginary axis have a real part of exactly 0.
-    """
-    search = _Search(f, K, y0, dx, mirror, spacing_nodes)
-    search.run()
-    kappa = np.array(search.found + [1j * y for y in search.axis], dtype=complex)
-    return kappa, np.arange(len(kappa)) < (len(search.found) if mirror else 0)
-
-
 def oracle_discrete_spectrum(spec, cfg):
     """Discrete-spectrum candidates of the discretized operator.
 
@@ -883,7 +379,8 @@ def oracle_discrete_spectrum(spec, cfg):
     h = cfg.h
     K = SEARCH_K / h
     f = _Determinant(rows, cfg.N, h)
-    kappa, mirrored = find_zeros(f, K, DROP_TOL / (4 * K), np.pi / (2 * cfg.L), _pt_symmetric(rows, cfg.N))
+    mirror = _pt_symmetric(rows, cfg.N)
+    kappa, mirrored = find_zeros(f, K, DROP_TOL / (4 * K), np.pi / (2 * cfg.L), mirror, NODES_PER_SPACING)
     lam = (2.0 / h * np.sin(0.5 * h * kappa)) ** 2
     ev = np.concatenate([lam, np.conj(lam[mirrored])])
     keep = (ev.real < -DROP_TOL) | (np.abs(ev.imag) > DROP_TOL)

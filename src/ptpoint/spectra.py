@@ -26,8 +26,8 @@ det states.interface_system(two_point_interfaces(B, l), k) = -2i e^{2ikl} D(k),
 whose zeros are the eigenvalues of the operator the interface conditions
 define.  The two agree whenever delta = 0.
 
-Zeros inside a contour are found by the finite-difference oracle's
-argument-principle search (finitediff.find_zeros: phase tracking with
+Zeros inside a contour are found by the argument-principle search that
+the finite-difference oracle shares (zeros.find_zeros: phase tracking with
 bisection and deflation, subdivision, Newton steps) in mirror mode, on an
 overflow-free rescaling Dt of D divided by its zero at k = 0 (see
 _ScaledDispersion and two_point_spectrum).  Every two-point root is then
@@ -51,7 +51,7 @@ from .errors import (
     InvalidParams,
     NoConvergence,
 )
-from .finitediff import find_zeros
+from .zeros import find_zeros
 from .states import KERNEL_TOL, two_point_kernel
 
 AC_BRANCH = "[0, inf)"
@@ -69,7 +69,7 @@ PRINTED = "printed"
 OPERATOR = "operator"
 RELATIONS = (PRINTED, OPERATOR)
 
-# the two-point zero search (finitediff.find_zeros) runs on columns one period pi/(2l)
+# the two-point zero search (zeros.find_zeros) runs on columns one period pi/(2l)
 # of e^{4ikl} wide, at most MAX_COLUMNS of them, and starts its bottom edge, which
 # passes over the zeros just below the real axis, from SPACING_NODES nodes per column
 SPACING_NODES = 64
@@ -590,7 +590,7 @@ def two_point_spectrum(B, l, contour=None, relation=PRINTED):
 
     Zeros of the chosen dispersion relation ("printed", the default, or
     "operator"; see the module docstring) inside the rectangle are found by
-    finitediff.find_zeros in mirror mode: Dt(-conj k) = -conj Dt(k), so the
+    zeros.find_zeros in mirror mode: Dt(-conj k) = -conj Dt(k), so the
     search covers Re k >= 0 of the rectangle's hull [-X, X] x [im_min, X'],
     X' >= max(X, im_max), and mirrors what it finds.  Roots outside the
     rectangle are dropped; a root on an edge of a contour the caller passed

@@ -412,3 +412,38 @@ class TestInvalidInput:
         argv = ["eigenfunction", path, "--k", "0", "1", "--grid", width, "4", "--out", str(out)]
         assert main(argv) == EXIT_PARSE
         assert "--grid" in capsys.readouterr().err and not out.exists()
+
+    @pytest.mark.parametrize("where", ["missing directory", "a directory"])
+    def test_spectrum_unwritable_out(self, tmp_path, capsys, where):
+        # the CSV is written before the report is printed, so a failed write prints no answer
+        path = write_json(tmp_path / "m.json", DELTA_DOC)
+        out = tmp_path / "missing" / "eigs.csv" if where == "missing directory" else tmp_path
+        assert main(["spectrum", path, "--out", str(out)]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert "cannot write spectrum file" in captured.err and captured.out == ""
+
+    def test_sweep_unwritable_out(self, tmp_path, capsys):
+        sweep = {"model": DELTA_DOC, "sweep": [{"name": "c", "min": -2, "max": 2, "steps": 3}]}
+        path = write_json(tmp_path / "s.json", sweep)
+        assert main(["sweep", path, "--out", str(tmp_path / "missing" / "map.csv")]) == EXIT_PARSE
+        assert "cannot write sweep file" in capsys.readouterr().err
+
+    def test_eigenfunction_unwritable_out(self, tmp_path, capsys):
+        path = write_json(tmp_path / "m.json", DELTA_DOC)
+        argv = ["eigenfunction", path, "--k", "0", "1", "--out", str(tmp_path / "missing" / "psi.csv")]
+        assert main(argv) == EXIT_PARSE
+        assert "cannot write eigenfunction file" in capsys.readouterr().err
+
+    def test_oracle_interface_outside_the_box(self, tmp_path, capsys):
+        # l = 1 with L = 0.5: the interfaces at -1 and 1 lie outside [-L, L], which is
+        # no collision with a grid node
+        path = write_json(tmp_path / "m.json", {"type": "delta_pair", "u": -2.0, "v": 0.5, "l": 1.0})
+        assert main(["oracle", path, "--L", "0.5", "--N", "600"]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert "outside [-L, L] with L = 0.5" in err and "collides" not in err
+
+    @pytest.mark.parametrize("tol", ["0", "-1"])
+    def test_oracle_tolerance_not_positive(self, tmp_path, capsys, tol):
+        path = write_json(tmp_path / "m.json", DELTA_DOC)
+        assert main(["oracle", path, "--N", "600", "--tol", tol]) == EXIT_PARSE
+        assert "--tol" in capsys.readouterr().err

@@ -37,6 +37,7 @@ from ptpoint.finitediff import (
     oracle_discrete_spectrum,
 )
 from ptpoint.spectra import delta_pair_matrix, two_point_spectrum
+from ptpoint.zeros import _track
 
 from test_finitediff import ALL_MODELS, DELTA_WELL
 
@@ -165,7 +166,7 @@ def test_tracked_edge_passing_close_zeros():
             e = np.exp(0.3j * kappa)
             return e * P, e * (0.3j * P + dP)
 
-        turn = finitediff._track(f, nodes[None]).sum()
+        turn = _track(f, nodes[None]).sum()
         assert abs(turn - (np.sum(np.angle((b - zeros) / (a - zeros))) + 0.6)) < 1e-6
 
 
@@ -229,23 +230,32 @@ class TestFailure:
     """The search raises rather than return a partial list."""
 
     def test_unresolved_edge(self, monkeypatch):
-        monkeypatch.setattr(finitediff, "MAX_ROUNDS", 1)
+        monkeypatch.setattr("ptpoint.zeros.MAX_ROUNDS", 1)
         with pytest.raises(EigensolverFailure, match="cannot be resolved"):
             oracle_discrete_spectrum(DeltaPair(-2.0, 0.5, 1.0), OracleConfig(L=12.0, N=600))
 
     def test_zeros_that_cannot_be_refined(self, monkeypatch):
-        monkeypatch.setattr(finitediff, "MAX_NEWTON", 0)
+        monkeypatch.setattr("ptpoint.zeros.MAX_NEWTON", 0)
         with pytest.raises(EigensolverFailure):
             oracle_discrete_spectrum(DeltaPair(-2.0, 0.5, 1.0), OracleConfig(L=12.0, N=600))
 
 
-def test_finitediff_imports_nothing_from_ptpoint_but_errors():
-    # the oracle stays independent of the routes it checks
-    tree = ast.parse(Path(finitediff.__file__).read_text(encoding="utf-8"))
+def _package_imports(module):
+    """(level, module, names) of each import of module from inside the package."""
+    tree = ast.parse((Path(finitediff.__file__).parent / f"{module}.py").read_text(encoding="utf-8"))
     local = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("ptpoint")):
-            local.add((node.level, node.module))
+            local.add((node.level, node.module, tuple(alias.name for alias in node.names)))
         elif isinstance(node, ast.Import):
             assert not any(alias.name.startswith("ptpoint") for alias in node.names)
-    assert local == {(1, "errors")}
+    return local
+
+
+def test_finitediff_and_zeros_import_only_errors_and_spectra_not_finitediff():
+    # the oracle and the zero search stay independent of the routes they check, and the
+    # two-point route shares the search but not the oracle
+    assert {(level, name) for level, name, _ in _package_imports("finitediff")} == {(1, "errors"), (1, "zeros")}
+    assert {(level, name) for level, name, _ in _package_imports("zeros")} == {(1, "errors")}
+    for _, name, names in _package_imports("spectra"):
+        assert "finitediff" not in (name or "").split(".") + list(names)

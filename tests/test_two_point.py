@@ -17,7 +17,8 @@ from ptpoint.errors import (
     NotAnEigenvalue,
     PointInteractionError,
 )
-from ptpoint.finitediff import OracleConfig, _counts, oracle_discrete_spectrum
+from ptpoint.finitediff import OracleConfig, oracle_discrete_spectrum
+from ptpoint.zeros import _counts
 from ptpoint.spectra import (
     RELATIONS,
     ContourSpec,
@@ -79,7 +80,7 @@ def _with_zeros(*zeros):
 
 
 class TestWindingCount:
-    """The argument-principle counter of the zero search (finitediff._counts) on polynomials with known zeros.
+    """The argument-principle counter of the zero search (zeros._counts) on polynomials with known zeros.
 
     Rectangle [-1, 1] x [0.1, 1].
     """

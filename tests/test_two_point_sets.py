@@ -1,7 +1,7 @@
 """The two-point dispersion as the zero search evaluates it, and the model sets that the search must solve.
 
 spectra._ScaledDispersion.with_slope evaluates Dt and Dt' on arrays for
-finitediff.find_zeros; here it is checked against the plain evaluation and
+zeros.find_zeros; here it is checked against the plain evaluation and
 against np.polyder.  The model sets hold the cases where the dispersion's
 zero at k = 0 is double (delta_pair with u = -l, type_I with c = 0), which
 an earlier finder could not solve, next to ordinary ones.
