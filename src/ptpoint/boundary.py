@@ -366,7 +366,8 @@ class TwoPoint(PTPair):
 class DeltaPair(PTPair):
     """The delta pair at x = +-l in its native entry assignment: interface matrix [[1, 0], [1, u+iv]] at +l.
 
-    The point couplings u +- iv are the textbook variant (--variant textbook-delta), another operator.
+    The point couplings u +- iv are another operator: TwoPoint(l, delta_pair_matrix(u, v, "textbook")),
+    the model-file type textbook_delta_pair.
     """
 
     u: float

@@ -1,9 +1,10 @@
 """Command-line front end: model files, classification, spectra, sweeps, validation.
 
 Model files are JSON documents: a "type", one of the keys of
-MODEL_FILE_TYPES, and that type's fields.  Complex numbers are stored as
-[re, im] pairs (locale-proof, bit-exact), so a matrix B is
-[[[1,0],[0,0]],[[-2,0],[1,0]]].  Angles are radians.
+MODEL_FILE_TYPES, and that type's fields; the file alone fixes the model
+(delta_pair and textbook_delta_pair are two operators with the same fields).
+Complex numbers are stored as [re, im] pairs (locale-proof, bit-exact), so
+a matrix B is [[[1,0],[0,0]],[[-2,0],[1,0]]].  Angles are radians.
 
 Exit codes: 0 success, 2 parse/validation error, 3 degenerate model,
 4 solver failure, 5 oracle mismatch, 6 not an eigenvalue.
@@ -12,6 +13,7 @@ Exit codes: 0 success, 2 parse/validation error, 3 degenerate model,
 import argparse
 import json
 import math
+import re
 import sys
 from typing import NamedTuple
 
@@ -61,6 +63,10 @@ class ModelFileError(PointInteractionError):
 
 
 FLOAT_FORMAT = ".17g"  # every float the CLI prints: round-trip exact
+
+# argparse reads a token that starts with "-" as an option unless it matches this pattern;
+# its own has no exponent, and FLOAT_FORMAT prints such numbers as -1.5611282634915153e-16
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
 def _fmt(x):
@@ -126,7 +132,6 @@ class ModelFileType(NamedTuple):
     build: object
     params: object = None
     solve: object = None  # an origin type's closed form over a stack of params (of matrices for connected_origin)
-    textbook: object = None  # the type read instead under --variant textbook-delta
 
 
 # the one list of model-file types
@@ -140,14 +145,15 @@ MODEL_FILE_TYPES = {
         ("theta", "h0", "h1"), SeparatedOrigin, TypeIIParams, spectra.discrete_spectrum_separated,
     ),
     "two_point": ModelFileType(("l", "B"), TwoPoint),
-    "delta_pair": ModelFileType(("u", "v", "l"), DeltaPair, textbook=ModelFileType(
+    "delta_pair": ModelFileType(("u", "v", "l"), DeltaPair),
+    "textbook_delta_pair": ModelFileType(
         ("l", "u", "v"), lambda l, u, v: TwoPoint(l=l, B=delta_pair_matrix(u, v, variant="textbook")),
-    )),
+    ),
 }
 MODEL_TYPES = tuple(MODEL_FILE_TYPES)
 
 
-def model_from_dict(doc, variant="default"):
+def model_from_dict(doc):
     """Build a model from a parsed model document."""
     if not isinstance(doc, dict):
         raise ModelFileError("model document must be a JSON object")
@@ -155,8 +161,6 @@ def model_from_dict(doc, variant="default"):
     if mtype not in MODEL_TYPES:
         raise ModelFileError(f"field 'type': expected one of {MODEL_TYPES}, got {mtype!r}")
     row = MODEL_FILE_TYPES[mtype]
-    if variant == "textbook" and row.textbook:
-        row = row.textbook
     try:
         fields = {f: _parse_matrix(doc, f) if f == "B" else _need(doc, f) for f in row.fields}
         return row.build(row.params(**fields)) if row.params else row.build(**fields)
@@ -197,8 +201,8 @@ def _write_text(path, parts, what):
         raise ModelFileError(f"cannot write {what} file: {exc}")
 
 
-def load_model(path, variant="default"):
-    return model_from_dict(_read_json(path, "model"), variant=variant)
+def load_model(path):
+    return model_from_dict(_read_json(path, "model"))
 
 
 def _matrix_and_length(spec):
@@ -242,7 +246,7 @@ def _write_spectrum_csv(report, path):
 
 
 def cmd_classify(args):
-    spec = load_model(args.model, variant=args.variant)
+    spec = load_model(args.model)
     rep = classify(spec)
     print(f"pt_selfadjoint: {str(rep.pt_selfadjoint).lower()}")
     print(f"selfadjoint: {str(rep.selfadjoint).lower()}")
@@ -255,7 +259,7 @@ def cmd_classify(args):
 
 
 def cmd_spectrum(args):
-    spec = load_model(args.model, variant=args.variant)
+    spec = load_model(args.model)
     contour = None if args.contour is None else spectra.ContourSpec(*args.contour)
     report = _spectrum_for(spec, contour)
     if args.out:
@@ -300,7 +304,7 @@ def cmd_sweep(args):
     for start in range(0, total, SWEEP_CHUNK):
         index = [i.tolist() for i in np.unravel_index(np.arange(start, min(start + SWEEP_CHUNK, total)), shape)]
         values = {name: g[i] for (name, g), i in zip(grids, index)}
-        results = _sweep_results(model_doc, values, len(index[0]), args.variant)
+        results = _sweep_results(model_doc, values, len(index[0]))
         axis_cells = [[t[j] for j in i] for t, i in zip(texts, index)]
         chunks.append("".join(",".join(cells) + "\n" for cells in zip(*axis_cells, results)))
     _write_text(out_path, chunks, "sweep")
@@ -323,10 +327,10 @@ def _solved_cells(all_real, count, lam):
     return list(map(",".join, zip(*cols)))
 
 
-def _point_result(point, variant):
+def _point_result(point):
     """Result cells of one sweep point from model_from_dict and the single-model spectrum."""
     try:
-        report = _spectrum_for(model_from_dict(point, variant=variant))
+        report = _spectrum_for(model_from_dict(point))
     except (PointInteractionError, ModelFileError) as exc:
         return ",,,,,," + f"{type(exc).__name__}: {exc}".replace(",", ";")
     lam = np.zeros((1, 2), dtype=complex)
@@ -335,7 +339,7 @@ def _point_result(point, variant):
     return _solved_cells([report.all_real], [report.total_multiplicity], lam)[0]
 
 
-def _sweep_results(model_doc, values, n, variant):
+def _sweep_results(model_doc, values, n):
     """Result cells of the n points of one chunk of a sweep: the document with each row of the axis columns.
 
     For an origin model the first point that model_from_dict accepts vouches for
@@ -351,7 +355,7 @@ def _sweep_results(model_doc, values, n, variant):
     row = MODEL_FILE_TYPES[mtype] if mtype in MODEL_TYPES else None
     for j in range(n) if row is not None and row.solve is not None else ():
         try:
-            spec = model_from_dict(point(j), variant=variant)
+            spec = model_from_dict(point(j))
         except ModelFileError:
             continue
         if row.params is None:  # the fields are not numbers, so no axis changes the model
@@ -366,13 +370,13 @@ def _sweep_results(model_doc, values, n, variant):
         for i, text in zip(rows[ok].tolist(), cells):
             results[i] = text
         break
-    return [_point_result(point(j), variant) if r is None else r for j, r in enumerate(results)]
+    return [_point_result(point(j)) if r is None else r for j, r in enumerate(results)]
 
 
 def cmd_oracle(args):
     if not args.tol > 0:
         raise InvalidParams(f"--tol must be positive, got {args.tol:g}")
-    spec = load_model(args.model, variant=args.variant)
+    spec = load_model(args.model)
     eigs = _spectrum_for(spec).eigenvalues
     closed = sorted((e.lam for e in eigs for _ in range(e.multiplicity)), key=lambda z: (z.real, z.imag))
     cfg = finitediff.OracleConfig(L=args.L, N=args.N)
@@ -409,7 +413,7 @@ def cmd_eigenfunction(args):
         raise InvalidParams(f"--grid: L must be positive, got {L:g}")
     if not (N >= 2 and N == int(N)):
         raise InvalidParams(f"--grid: N must be an integer >= 2, got {N:g}")
-    spec = load_model(args.model, variant=args.variant)
+    spec = load_model(args.model)
     k = complex(args.k[0], args.k[1])
     B, l = _matrix_and_length(spec)
     if B is None:
@@ -438,12 +442,6 @@ def build_parser():
     ap = argparse.ArgumentParser(
         prog="ptpoint",
         description="Point interactions on the line: classification, spectra, validation.",
-    )
-    ap.add_argument(
-        "--variant",
-        choices=("default", "textbook-delta"),
-        default="default",
-        help="delta-pair interface matrix convention",
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -475,14 +473,14 @@ def build_parser():
     p.add_argument("--grid", type=_finite_float, nargs=2, default=(8.0, 801), metavar=("L", "N"))
     p.add_argument("--out")
     p.set_defaults(func=cmd_eigenfunction)
+    for parser in (ap, *sub.choices.values()):
+        parser._negative_number_matcher = _NEGATIVE_NUMBER
     return ap
 
 
 def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
-    if args.variant == "textbook-delta":
-        args.variant = "textbook"
     try:
         return args.func(args)
     except ModelFileError as exc:

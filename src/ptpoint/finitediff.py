@@ -80,6 +80,9 @@ class OracleConfig:
             raise InvalidParams("N must be an even integer >= 16")
         if not (np.isfinite(self.L) and self.L > 0):
             raise InvalidParams(f"L must be finite and positive, got {self.L}")
+        with np.errstate(over="ignore", divide="ignore"):
+            if not np.isfinite(np.float64(self.h) ** -2):  # the stencil's 1/h^2
+                raise InvalidParams(f"grid spacing h = {self.h:g} is too fine: 1/h^2 overflows")
 
     @property
     def h(self):
@@ -367,8 +370,9 @@ def oracle_discrete_spectrum(spec, cfg):
     non-real candidates come in exact conjugate pairs and its negative ones
     are exactly real.  Raises EigensolverFailure, never a partial list, when
     the refined zeros do not add up to the winding count or an edge cannot be
-    resolved.  Returned are the eigenvalues with Re < -DROP_TOL or
-    |Im| > DROP_TOL, capped at the resolution horizon (see OracleConfig).
+    resolved, and ContourThroughZero when F vanishes at a node of an edge.
+    Returned are the eigenvalues with Re < -DROP_TOL or |Im| > DROP_TOL,
+    capped at the resolution horizon (see OracleConfig).
     Converges to the true discrete eigenvalues as O(h^2) + O(e^{-2 Im(k) L}).
     The outer stretch terms grow like 1/(kappa h), which sets a rounding floor:
     at N = 96 000 the delta well's root lambda = -1 is defined to about 1e-12.

@@ -297,20 +297,28 @@ def _connected_roots(M):
     rows = np.flatnonzero(~zero)
     pivot = np.argmax(size[rows], axis=1)  # the largest coefficient, the first of equal ones
     phase = coef[rows, pivot] / size[rows, pivot]
-    beta, tau, gamma = (coef[rows] / phase[:, None]).T
+    coef = coef[rows] / phase[:, None]
+    # rows real up to the rounding of the division: their roots on the imaginary axis
+    # get real part +0 below, not the +-1e-16 or -0 that rounding would leave
+    real = (np.abs(coef.imag) <= 4 * np.finfo(float).eps * size[rows, pivot][:, None]).all(axis=1)
+    coef.imag[real] = 0.0
+    beta, tau, gamma = coef.T
     scale = scale[rows]
     k = np.zeros((n, 2), dtype=complex)
     mult = np.zeros((n, 2), dtype=int)
     linear = _abs(beta) <= scale
     one = linear & (_abs(tau) > scale)
     k[rows[one], 0] = gamma[one] / _cmul(1j, tau[one])
+    k.real[rows[one & real], 0] = 0.0
     mult[rows[one], 0] = 1
     quad = ~linear
     beta, tau, gamma = beta[quad], tau[quad], gamma[quad]
-    disc = np.sqrt(-_cmul(tau, tau) + _cmul(_cmul(4.0, gamma), beta) + 0j)
+    square = -_cmul(tau, tau) + _cmul(_cmul(4.0, gamma), beta)
+    disc = np.sqrt(square + 0j)
     i_tau, two_beta = _cmul(-1j, tau), _cmul(2.0, beta)
     k[rows[quad], 0] = (i_tau + disc) / two_beta
     k[rows[quad], 1] = (i_tau - disc) / two_beta
+    k.real[rows[quad][real[quad] & (square.real <= 0)]] = 0.0
     mult[rows[quad]] = 1
     _sort_pairs(k, mult > 0, mult)
     return k, mult, zero

@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .errors import EigensolverFailure
+from .errors import ContourThroughZero, EigensolverFailure
 
 # along every edge but the bottom one, initial nodes max(dx, y) / NODES_PER_GAP apart at
 # height y, dx the column width, and at least NODES_PER_EDGE per edge; the lid (y = K >= dx)
@@ -77,7 +77,9 @@ def _unresolved(seg):
 def _usable(values, slopes):
     """F'/F, checking that F is finite and nonzero."""
     if not np.all(np.isfinite(values) & (values != 0) & np.isfinite(slopes)):
-        raise EigensolverFailure("the interface determinant vanishes or overflows on an edge of the zero search")
+        if np.all(np.isfinite(values) & np.isfinite(slopes)):
+            raise ContourThroughZero("a zero lies on an edge of the zero search; perturb the rectangle")
+        raise EigensolverFailure("the function overflows on an edge of the zero search")
     return slopes / values
 
 
@@ -460,7 +462,7 @@ class _Search:
         F, mirror = self.f(probe)[0], self.f(-np.conj(probe))[0]
         sigma = np.sum(mirror * F) / np.sum(np.abs(F) ** 2)
         if abs(abs(sigma.real) - 1) > 1e-6 or abs(sigma.imag) > 1e-6:
-            raise EigensolverFailure("the interface determinant lacks the PT mirror symmetry of its rows")
+            raise EigensolverFailure("the function lacks the mirror symmetry f(-conj k) = +-conj f(k)")
         return 1.0 if sigma.real > 0 else 1j
 
 
@@ -471,7 +473,9 @@ def find_zeros(f, K, y0, dx, mirror, spacing_nodes):
     search's columns, and the bottom edge starts from spacing_nodes nodes per
     column.  In mirror mode (f(-conj k) = +-conj f(k)) the returned kappa have
     Re kappa >= 0, those with Re kappa > 0 standing for a pair, and the zeros
-    on the imaginary axis have a real part of exactly 0.
+    on the imaginary axis have a real part of exactly 0.  Raises
+    ContourThroughZero when f vanishes at a node of an edge, and
+    EigensolverFailure when f overflows there or the search fails.
     """
     search = _Search(f, K, y0, dx, mirror, spacing_nodes)
     search.run()

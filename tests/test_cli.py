@@ -56,9 +56,19 @@ class TestModelFiles:
             model_from_dict({"type": "connected_origin", "B": [[1, 2], [3, 4]]})
 
     def test_textbook_variant(self):
-        spec = model_from_dict({"type": "delta_pair", "u": 2.0, "v": 0.0, "l": 1.0}, variant="textbook")
-        assert isinstance(spec, TwoPoint)
-        assert np.allclose(spec.B, [[1, 0], [2, 1]])
+        spec = model_from_dict({"type": "textbook_delta_pair", "u": 2.0, "v": 0.5, "l": 1.5})
+        assert isinstance(spec, TwoPoint) and spec.l == 1.5
+        assert np.array_equal(spec.B, [[1, 0], [2 + 0.5j, 1]])
+        with pytest.raises(ModelFileError, match="'l'"):
+            model_from_dict({"type": "textbook_delta_pair", "u": 2.0})
+
+    def test_variant_option_is_gone(self, tmp_path, capsys):
+        path = write_json(tmp_path / "dp.json", DP2_DOC)
+        for argv in (["--variant", "textbook-delta", "spectrum", path], ["spectrum", path, "--variant", "textbook-delta"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == EXIT_PARSE
+            assert capsys.readouterr().out == ""
 
 
 class TestClassifyCommand:
@@ -181,6 +191,20 @@ class TestSpectrumCommand:
         assert main(["spectrum", path, "--contour", "-5", "5", "1e-6", "1"]) == EXIT_SOLVER
         assert "perturb" in capsys.readouterr().err
 
+    def test_contour_in_exponent_form(self, tmp_path, capsys):
+        doc = {"type": "two_point", "l": 1, "B": [[[1, 0], [1, 0]], [[-1, 0], [0, 0]]]}
+        path = write_json(tmp_path / "m.json", doc)
+        assert main(["spectrum", path, "--contour", "-1e1", "1e1", "1e-6", "1e1"]) == EXIT_OK
+        assert "eigenvalue_count: 2" in capsys.readouterr().out
+
+    def test_axis_root_has_real_part_plus_zero(self, tmp_path, capsys):
+        doc = {"type": "type_I", "theta": 0, "phi": 5.034555946803014, "b": 0.2569475014308731, "c": -2.2597841435433104}
+        path = write_json(tmp_path / "m.json", doc)
+        out = tmp_path / "eigs.csv"
+        assert main(["spectrum", path, "--out", str(out)]) == EXIT_OK
+        assert "k = 0+2.2731003827532539j" in capsys.readouterr().out
+        assert out.read_text().split("\n")[1] == "-5.1669853500729896,0,0,2.2731003827532539,1,negative_real"
+
 
 class TestSweepCommand:
     def test_delta_pair_region(self, tmp_path, capsys):
@@ -287,6 +311,25 @@ class TestOracleCommand:
         out = capsys.readouterr().out
         assert "closed_form_count: 0" in out and "oracle_count: 0" in out
 
+    def test_tolerance_below_the_discretization_error(self, tmp_path, capsys):
+        # the oracle's -1 - 7.9e-6 is the closed form's partner, but not within --tol
+        path = write_json(tmp_path / "m.json", DELTA_DOC)
+        assert main(["oracle", path, "--N", "600", "--tol", "1e-12"]) == EXIT_ORACLE_MISMATCH
+        assert capsys.readouterr().out.split("\n") == [
+            "closed_form_count: 1",
+            "oracle_count: 1",
+            "closed = -1+0j  oracle = -1.000007879972949+0j  |diff| = 7.8799729490430792e-06",
+            "unmatched_oracle_candidate = -1.000007879972949+0j",
+            "matched: false",
+            "",
+        ]
+
+    @pytest.mark.parametrize("L", ["1e-300", "1e-160"])
+    def test_grid_too_fine_for_floats(self, tmp_path, capsys, L):
+        path = write_json(tmp_path / "m.json", DELTA_DOC)
+        assert main(["oracle", path, "--L", L]) == EXIT_PARSE
+        assert "1/h^2 overflows" in capsys.readouterr().err
+
     def test_delta_pair_mismatch_reported(self, tmp_path, capsys):
         # the closed-form relation has a zero at k = i for v = 2, but the
         # discretized interface conditions produce no such eigenvalue; the
@@ -318,6 +361,19 @@ class TestEigenfunctionCommand:
         # accepted as a rank-2 condition, like every other command, and k = i is no eigenvalue
         path = write_json(tmp_path / "m.json", {"type": "delta_pair", "u": 0.0, "v": 0.0, "l": 1.0})
         assert main(["eigenfunction", path, "--k", "0", "1"]) == EXIT_NOT_EIGENVALUE
+
+    def test_printed_k_in_exponent_form(self, tmp_path, capsys):
+        # a k as the CLI prints it, with a real part of rounding size
+        path = write_json(tmp_path / "m.json", DELTA_DOC)
+        assert main(["eigenfunction", path, "--k", "-1.5611282634915153e-16", "1", "--grid", "4", "9"]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("# pt_defect = ")
+        assert main(["eigenfunction", path, "--k", "-1e-3", "1"]) == EXIT_NOT_EIGENVALUE
+
+    def test_negative_infinity_stays_a_usage_error(self, tmp_path, capsys):
+        path = write_json(tmp_path / "m.json", DELTA_DOC)
+        with pytest.raises(SystemExit) as exc:
+            main(["eigenfunction", path, "--k", "-inf", "1"])
+        assert exc.value.code == EXIT_PARSE
 
     def test_two_point_eigenfunction(self, tmp_path, capsys):
         doc = {"type": "two_point", "l": 1.0, "B": [[[1, 0], [1, 0]], [[-1, 0], [0, 0]]]}

@@ -264,6 +264,15 @@ class TestConfig:
         with pytest.raises(InvalidParams, match="finite and positive"):
             build(L)
 
+    @pytest.mark.parametrize("L", [1e-300, 1e-160, 1e-154])
+    def test_grid_too_fine_for_floats(self, L):
+        # the ghost elimination squares entries of size 1/h, which overflowed in _ghosts
+        with pytest.raises(InvalidParams, match="1/h\\^2 overflows"):
+            OracleConfig(L=L, N=2400)
+        with pytest.raises(InvalidParams, match="1/h\\^2 overflows"):
+            oracle_resolvent_residual(DELTA_WELL, 1 + 1j, *[GridFunction.sample(np.exp, L, 64)] * 2)
+        OracleConfig(L=1e-150, N=2400)  # 1/h^2 = 1.4e306
+
     def test_resolution_horizon_default(self):
         cfg = OracleConfig(L=12.0, N=2400)
         assert abs(cfg.resolved_lambda_max - (0.15 / 0.01) ** 2) < 1e-9

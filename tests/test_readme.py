@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from ptpoint import cli
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -26,3 +28,9 @@ def test_named_module_attributes_exist():
     names = sorted({name for span in spans for name in re.findall(pattern, span)})
     assert len(names) >= 19
     assert [f"{m}.{n}" for m, n in names if not hasattr(importlib.import_module(f"ptpoint.{m}"), n)] == []
+
+
+def test_models_table_lists_the_model_file_types():
+    section = README.read_text(encoding="utf-8").split("## Models\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("| `")]
+    assert [re.match(r"\| `(\w+)`", row).group(1) for row in rows] == list(cli.MODEL_FILE_TYPES)

@@ -221,15 +221,41 @@ class TestRealSpectrumGeneral:
         assert seen == {REAL_ALL_ROOTS_LOWER_HALF, REAL_PURE_IMAGINARY_ROOTS, COMPLEX_SPECTRUM}
 
     def test_real_axis_roots_are_not_eigenvalues(self):
-        # roots on the real axis come out of the closed forms up to rounding, here
-        # at Im k = 3e-49 (gamma = 0, root k = 0), 5e-19 (alpha + delta = 0,
-        # roots k = +-sqrt(3)) and 6e-17 (theta = pi/2, roots k = +-1)
-        for B in (matrix_from_type_I(TypeIParams(1.1, 0.3, 1.0, 0.0)), np.exp(0.01j) * np.array([[1, 1], [3, -1]])):
-            assert max(k.imag for k in dispersion_roots_general(B)) > 0
+        # roots within DEFAULT_TOL of the real axis are not eigenvalues: the connected
+        # matrices put a root 1e-12 above k = 0 and above k = sqrt(3) (the other root
+        # at 0.7 - i and at -i), and rounding puts the separated model's roots k = +-1
+        # (theta = pi/2) 6e-17 above the axis
+        for k1, k2 in ((1e-12j, 0.7 - 1j), (np.sqrt(3) + 1e-12j, -1j)):
+            # k^2 beta + i k (alpha + delta) - gamma = (k - k1)(k - k2) with beta = 1, alpha = 2
+            B = np.array([[2, 1], [-k1 * k2, 1j * (k1 + k2) - 2]])
+            assert 0 < max(k.imag for k in dispersion_roots_general(B)) < 1e-10
             assert discrete_spectrum_origin_connected(B).eigenvalues == ()
             assert real_spectrum_classify_general(B) == REAL_ALL_ROOTS_LOWER_HALF
         rep = discrete_spectrum_separated(TypeIIParams(np.pi / 2, 1.0, -1.0))
         assert rep.eigenvalues == () and len(rep.nonphysical_roots) == 2
+
+
+class TestAxisRoots:
+    def test_negative_real_eigenvalues_have_k_on_the_axis_with_real_part_plus_zero(self):
+        # rounding in the phase-normalized coefficients left Re k = +-1e-16 or -0 here
+        rng = np.random.default_rng(11)
+        params = [random_type_I(rng) for _ in range(2000)] + [
+            TypeIParams(0.5, 2.5, 1.0, 0.0),
+            TypeIParams(0.0, 5.034555946803014, 0.2569475014308731, -2.2597841435433104),
+        ]
+        mats = np.array([matrix_from_type_I(p) for p in params])
+        k = [e.k.k for B in mats for e in discrete_spectrum_origin_connected(B).eigenvalues if e.kind == NEGATIVE_REAL]
+        assert len(k) > 500
+        assert all(z.real == 0 and not np.signbit(z.real) for z in k)
+        stack = discrete_spectrum_origin_connected(mats)
+        negative_real = stack.lam[stack.all_real & (stack.count > 0)]
+        assert not np.signbit(negative_real.imag).any()
+
+    def test_complex_rows_are_not_made_real(self):
+        # alpha + delta = 2 + 1e-9 i: an imaginary part far above rounding moves the roots
+        # i (-1 +- sqrt(3)) off the axis by about 1e-10, and stays
+        roots = dispersion_roots_general(np.array([[1 + 1e-9j, 1], [-2, 1]]))
+        assert all(1e-10 < k.real < 1e-9 for k in roots)
 
 
 class TestThetaInvariance:

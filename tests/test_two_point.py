@@ -14,6 +14,7 @@ from ptpoint.errors import (
     DegenerateIdenticallyZero,
     EigensolverFailure,
     InvalidParams,
+    NoConvergence,
     NotAnEigenvalue,
     PointInteractionError,
 )
@@ -105,8 +106,15 @@ class TestWindingCount:
         assert self.count(_with_zeros(*zeros)) == count
 
     def test_zero_at_corner_is_a_node(self):
-        with pytest.raises(EigensolverFailure, match="vanishes"):
+        with pytest.raises(ContourThroughZero, match="a zero lies on an edge of the zero search"):
             self.count(_with_zeros(-1.0 + 0.1j, 0.5j))
+
+    def test_overflow_on_an_edge(self):
+        def f(k):
+            return np.where(k.real > 0.5, np.inf, k), np.ones_like(k)
+
+        with pytest.raises(EigensolverFailure, match="the function overflows on an edge"):
+            self.count(f)
 
 
 class TestDispersionValue:
@@ -258,6 +266,18 @@ class TestTwoPointSpectrum:
         # delta-pair root k = i sits exactly on the top edge im_max = 1
         with pytest.raises(ContourThroughZero):
             two_point_spectrum(delta_pair_matrix(0, 2), 1.0, ContourSpec(-5, 5, 1e-6, 1.0))
+
+    def test_zero_on_a_node_of_the_bottom_edge(self):
+        # k = i on the bottom edge im_min = 1 is a node of the search itself
+        with pytest.raises(ContourThroughZero, match="a zero lies on an edge of the zero search"):
+            two_point_spectrum(delta_pair_matrix(0, 2), 1.0, ContourSpec(-5, 5, 1, 5))
+        rep = two_point_spectrum(delta_pair_matrix(0, 2), 1.0, ContourSpec(-5, 5, 0.5, 5))
+        assert [e.lam for e in rep.eigenvalues] == [-1]
+
+    def test_search_failure_is_no_convergence(self, monkeypatch):
+        monkeypatch.setattr("ptpoint.zeros.MAX_ROUNDS", 1)
+        with pytest.raises(NoConvergence, match="cannot be resolved"):
+            two_point_spectrum(delta_pair_matrix(-2, 0.5), 1.0)
 
     def test_identically_zero_dispersion(self):
         with pytest.raises(DegenerateIdenticallyZero):
