@@ -20,15 +20,17 @@ stretches take the one combination that meets their wall.  The two rows of
 each interface are then two linear equations on the stretch coefficients, and
 the eigenvalues of the matrix are exactly the zeros of their determinant
 F(kappa) (_Determinant): 2x2 for an origin model, 4x4 for a two-point model,
-at a cost that does not depend on N.  Each call evaluates F and F' on an
-array of kappa from one table of exponentials e^{i p kappa h} over the
-integer exponents p that the rows fix; the exponents come in runs a few
-apart, and each run takes one exp and one expm1, the rest by products.  The
-zeros are found by zeros.find_zeros over a rectangle of the kappa upper
-half-plane that holds every candidate, its bottom edge DROP_TOL/(4K) above
-the box-truncated continuum (1.6e-6 at h = 0.01), in mirror mode for a model
-invariant under reflection plus conjugation (PT).  F stays independent of the
-two-point dispersion that the search also takes.
+at a cost per point that does not depend on N.  Each call evaluates F and F'
+on an array of kappa from one table of terms e^{i p kappa h} S(q) over the
+integer exponents that the rows fix, and the coefficients of the equations
+from one matrix product with that table.  The zeros are found by
+zeros.find_zeros over a rectangle of the kappa upper half-plane that holds
+every candidate, its bottom edge DROP_TOL/(4K) above the box-truncated
+continuum (1.6e-6 at h = 0.01), in mirror mode for a model invariant under
+reflection plus conjugation (PT).  That edge takes NODES_PER_SPACING nodes
+per continuum spacing, over about 0.16 N / pi spacings on each side of
+Re kappa = 0, so a search costs O(N) time and memory.  F stays independent
+of the two-point dispersion that the search also takes.
 """
 
 from dataclasses import dataclass
@@ -212,12 +214,12 @@ class _Determinant:
     the object gives (F, dF/dkappa) on an array of kappa.
 
     Every coefficient of the equations is a fixed linear combination of
-    z^p and z^p S(q) over integer exponents that the rows fix, so a call
-    sums the combinations over one table of the terms and their derivatives.
-    The exponents come in runs at most 2 apart (such as 197 .. 201 and
-    2197, 2199, 2201): each run takes exp and expm1 once, at its first
-    exponent s, and z^(s + j) = z^s z^j, S(s + j) = S(s) + z^s S(j) with
-    z^j and S(j) = 1 + z + ... + z^(j-1) from a few products.
+    terms z^p and z^p S(q) over integer exponents that the rows fix: a call
+    takes one exp for each exponent (z^q enters dS(q)/dkappa too) and one
+    expm1 for each q, S(q) = expm1(i q h kappa) / expm1(i h kappa), builds
+    the table of the terms and of their derivatives, and gets the
+    coefficients from one matrix product of each with coeffs, the fixed
+    matrix of the combinations.
     F is linear in the left columns and in the right columns of each
     interface (a group), so dF/dkappa is the sum over groups of F with that
     group's columns replaced by their derivatives; the elimination runs once
@@ -263,40 +265,18 @@ class _Determinant:
                 add(left, [[-w_l[0], -w_l[1], 1.0], [-w_r[0], -w_r[1], 0.0]], 2 * i),
                 add(right, [[0.0, -w_l[2], -w_l[3]], [1.0, -w_r[2], -w_r[3]]], 2 * i + 1),
             ))
-        # the quantities by their number of terms, most first, so that each slot of the
-        # sums in a call covers a leading block of them
-        combos = [{key: c for key, c in combo.items() if c != 0} for combo in combos]
-        order = sorted(range(len(combos)), key=lambda r: -len(combos[r]))
-        rank = np.argsort(order)
-        self.columns = [[[(rank[l], rank[r]) for l, r in side] for side in sides] for sides in self.columns]
-        combos, groups = [combos[r] for r in order], [groups[r] for r in order]
-        products = sorted({key for combo in combos for key in combo if key[1] is not None})
-        sums = np.array(sorted({q for _, q in products}), dtype=int)
-        powers = np.array(sorted({p for combo in combos for p, _ in combo} | set(sums)))
-        self.ihp = 1j * h * powers[:, None]  # d(z^p)/dkappa = i p h z^p
-        index = {p: j for j, p in enumerate(powers.tolist())}
-        # runs of exponents at most 2 apart: z^p = z^s z^(p - s) from the run's start s,
-        # and S(q) = S(s) + z^s S(q - s), so exp and expm1 are taken once per run
-        first, run, offset = _runs(powers)
-        self.runs = first, run, offset + 1  # row offset + 1 of a call's table of steps holds z^offset
-        self.steps = max(np.max(offset), 1) + 1  # that table holds z^j for j < steps
-        self.sum_runs = first, run, _ = _runs(sums)  # each within a run of the powers
+        # the terms z^p S(q) that the quantities take, by exponent, and the fixed matrix of
+        # their coefficients; q None stands for S = 1
+        keys = {key for combo in combos for key, c in combo.items() if c != 0}
+        keys = sorted(keys, key=lambda key: (key[0], key[1] is not None, key[1]))
+        self.coeffs = np.array([[combo.get(key, 0) for key in keys] for combo in combos], dtype=complex)
+        sums = sorted({q for _, q in keys if q is not None})
+        powers = sorted({p for p, _ in keys} | set(sums))  # z^q enters dS(q)/dkappa
+        self.powers = np.array(powers, dtype=float)[:, None]
+        self.sums = np.array(sums, dtype=float)[:, None]
         self.sum_power = np.searchsorted(powers, sums)  # the row of each z^q among the powers
-        self.start_power = np.searchsorted(powers, first[run, 0])  # and of its run's start
-        self.pairs = (np.array([index[p] for p, _ in products]), np.searchsorted(sums, [q for _, q in products]))
-        # a call stacks z^p over the powers and z^p S(q) over the products, then the
-        # derivatives of both, in one table; slot k of the sums adds the k-th term of
-        # each quantity that has one, as table rows (values, derivatives) and coefficients
-        position = {(p, None): j for j, p in enumerate(powers.tolist())}
-        position.update({key: len(powers) + j for j, key in enumerate(products)})
-        # an equation that one side's functions do not enter (a decoupled interface) gives
-        # them no terms: a zero coefficient keeps slot 0 over every quantity
-        terms = [list(combo.items()) or [((powers[0], None), 0)] for combo in combos]
-        self.slots = []
-        for k in range(len(terms[0])):
-            used = [t[k] for t in terms if len(t) > k]
-            rows = np.array([position[key] for key, _ in used])
-            self.slots.append((np.stack([rows, rows + len(position)]), np.array([[c] for _, c in used], dtype=complex)))
+        # each term's row among the powers and among the sums, where row len(sums) holds S = 1
+        self.term = np.array([(powers.index(p), (sums + [None]).index(q)) for p, q in keys]).T
         # stacked axis of the elimination: 0 holds F's columns, 1 + g those with group g
         # differentiated, so quantity r is taken from the derivatives at 1 + groups[r]
         self.pick = ((1 + np.array(groups))[:, None] == np.arange(max(groups) + 2)).astype(int)
@@ -304,26 +284,19 @@ class _Determinant:
 
     def __call__(self, kappa):
         kappa = np.asarray(kappa, dtype=complex)
-        x = 1j * self.h * kappa.ravel()
+        ih = 1j * self.h
+        x = ih * kappa.ravel()
+        z = np.exp(self.powers * x)  # z^p
+        dz = (ih * self.powers) * z
         e1 = np.expm1(x)  # z - 1
-        # rows 0 and z^(j - 1) for j = 1 .. steps, whose running sums are the S(j)
-        step = np.empty((self.steps + 1, x.size), dtype=complex)
-        step[0], step[1], step[2] = 0.0, 1.0, 1.0 + e1
-        for j in range(3, self.steps + 1):
-            step[j] = step[j - 1] * step[2]
-        first, run, row = self.runs
-        z = np.exp(first * x)[run] * step[row]  # z^p
-        dz = self.ihp * z
-        first, run, offset = self.sum_runs
-        S = (np.expm1(first * x) / e1)[run] + z[self.start_power] * step.cumsum(axis=0)[offset]
-        dS = (dz[self.sum_power] - (1j * self.h) * step[2] * S) / e1
-        a, b = self.pairs
-        za, Sb = z[a], S[b]
-        table = np.concatenate([z, za * Sb, dz, dz[a] * Sb + za * dS[b]])
-        rows, c = self.slots[0]
-        quantities = table[rows] * c  # values, then derivatives
-        for rows, c in self.slots[1:]:
-            quantities[:, :len(c)] += table[rows] * c
+        S = np.expm1(self.sums * x) / e1
+        dS = (dz[self.sum_power] - ih * (1.0 + e1) * S) / e1  # i h (q z^q - z S(q)) / (z - 1)
+        one = np.ones((1, x.size))
+        S, dS = np.concatenate([S, one]), np.concatenate([dS, 0 * one])
+        p, q = self.term
+        values = z[p] * S[q]
+        slopes = dz[p] * S[q] + z[p] * dS[q]
+        quantities = np.stack([self.coeffs @ values, self.coeffs @ slopes])
         F = self._eliminate(quantities[self.pick, self.quantity])
         return F[0].reshape(kappa.shape), F[1:].sum(axis=0).reshape(kappa.shape)
 
@@ -344,18 +317,6 @@ class _Determinant:
                 return pl * rr - rl * pr
             (al, ar), (bl, br) = rc
             u = [pl * br - bl * pr, al * pr - pl * ar]
-
-
-def _runs(values):
-    """Runs of the sorted integers values, each next one at most 2 above the last.
-
-    Returns the first value of each run as a column, and for each value its
-    run and its offset from that run's first value.
-    """
-    start = np.diff(values, prepend=values[0] - 3) > 2
-    first = values[start]
-    run = np.cumsum(start) - 1
-    return first[:, None], run, values - first[run]
 
 
 def oracle_discrete_spectrum(spec, cfg):

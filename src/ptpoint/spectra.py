@@ -316,8 +316,16 @@ def _connected_roots(M):
     square = -_cmul(tau, tau) + _cmul(_cmul(4.0, gamma), beta)
     disc = np.sqrt(square + 0j)
     i_tau, two_beta = _cmul(-1j, tau), _cmul(2.0, beta)
+    # -i tau +- disc with the sign that does not cancel gives the larger root, and the
+    # product of the roots, -gamma/beta, the other; where neither sign cancels (a real
+    # row's pair k, -conj k, a double root at 0) both keep -i tau +- disc
+    dot = i_tau.real * disc.real + i_tau.imag * disc.imag
+    disc = np.where(dot < 0, -disc, disc)
     k[rows[quad], 0] = (i_tau + disc) / two_beta
-    k[rows[quad], 1] = (i_tau - disc) / two_beta
+    second = (i_tau - disc) / two_beta
+    vieta = dot != 0
+    second[vieta] = _cmul(-2.0, gamma[vieta]) / (i_tau + disc)[vieta]
+    k[rows[quad], 1] = second
     k.real[rows[quad][real[quad] & (square.real <= 0)]] = 0.0
     mult[rows[quad]] = 1
     _sort_pairs(k, mult > 0, mult)
@@ -481,11 +489,12 @@ class _ScaledDispersion:
         Dt' = e U' + W' + 4il e^{4ikl} U
 
     Same zeros as D in the open upper half-plane.  e comes from expm1, so Dt
-    keeps its digits near its zero at k = 0.  Calling it evaluates Dt on an
-    array of k; below the real axis e^{4ikl} overflows, and mirrored=True
-    evaluates e^{-4ikl} Dt with e^{-4ikl} in its place.  with_slope(k) gives
-    Dt and Dt' from one Horner pass over the polynomials U, U', W and W'
-    stacked.  Raises InvalidParams when an entry of B exceeds MAX_ENTRY and
+    keeps its digits near its zero at k = 0.  with_slope(k) gives Dt and Dt'
+    on an array of k from one Horner pass over the polynomials U, U', W and
+    W' stacked.  Below the real axis e^{4ikl} overflows, and mirrored=True
+    gives e^{-4ikl} Dt = e' (W - U) + W, e' = e^{-4ikl} - 1, from the same
+    pass with W - U in place of U and -4il in place of 4il.  Raises
+    InvalidParams when an entry of B exceeds MAX_ENTRY and
     DegenerateIdenticallyZero when P1 and P2 both vanish (no coefficient
     above 1e-300).
     """
@@ -497,33 +506,32 @@ class _ScaledDispersion:
         if max(map(abs, self.p1 + self.p2)) <= 1e-300:  # default_contour's zero
             raise DegenerateIdenticallyZero("two-point dispersion vanishes identically")
 
-    def __call__(self, k, mirrored=False):
-        k = np.asarray(k, dtype=complex)
-        s = -1 if mirrored else 1
-        e = np.expm1(s * 4j * k * self.l)
-        return -s * 0.5j * e * np.polyval(self.p1, k) + (1.0 + 0.5 * e) * k * np.polyval(self.p2, k)
-
-    def with_slope(self, k, columns=None):
+    def with_slope(self, k, columns=None, mirrored=False):
         """(Dt(k), Dt'(k)) stacked, on an array of k in the upper half-plane.
 
         columns are the coefficients of rows as _columns gives them; those
-        times s give s Dt and s Dt'.
+        times s give s Dt and s Dt'.  mirrored=True gives e^{-4ikl} Dt and
+        its derivative, for k below the real axis.
         """
         k = np.asarray(k)
         x = k.ravel()
-        first, *rest = self._columns() if columns is None else columns
+        first, *rest = self._columns(mirrored=mirrored) if columns is None else columns
         y = first * x + rest[0]
         for c in rest[1:]:
             y = y * x + c
-        x = (4j * self.l) * x
+        four_il = (-4j if mirrored else 4j) * self.l
+        x = four_il * x
         out = y[:2] * np.expm1(x) + y[2:]
-        out[1] += (4j * self.l) * np.exp(x) * y[0]  # not 1 + e, which loses e^{4ikl} where it is small
+        out[1] += four_il * np.exp(x) * y[0]  # not 1 + e, which loses e^{4ikl} where it is small
         return out.reshape((2,) + k.shape)
 
-    def _columns(self, scale=1.0):
-        """The coefficients of U, U', W and W' times scale, by power from the highest, as (4, 1) arrays."""
+    def _columns(self, scale=1.0, mirrored=False):
+        """The coefficients of U, U', W and W' times scale, by power from the highest, as (4, 1) arrays.
+
+        mirrored=True puts W - U = (W + i P1)/2 in place of U.
+        """
         W = [0.0, *self.p2, 0.0]
-        U = [0.5 * (w - 1j * p) for p, w in zip(self.p1, W)]
+        U = [0.5 * (w + (1j if mirrored else -1j) * p) for p, w in zip(self.p1, W)]
         dU, dW = ([0.0] + [(4 - j) * c for j, c in enumerate(row[:4])] for row in (U, W))
         return tuple(scale * np.array([U, dU, W, dW]).T[:, :, None])
 
@@ -564,8 +572,8 @@ def two_point_dispersion_value(B, l, k, relation=PRINTED):
     k = np.asarray(k, dtype=complex)
     out = np.empty(k.shape, dtype=complex)
     upper = k.imag >= 0
-    out[upper] = np.exp(-2j * k[upper] * l) * disp(k[upper])
-    out[~upper] = np.exp(2j * k[~upper] * l) * disp(k[~upper], mirrored=True)
+    out[upper] = np.exp(-2j * k[upper] * l) * disp.with_slope(k[upper])[0]
+    out[~upper] = np.exp(2j * k[~upper] * l) * disp.with_slope(k[~upper], mirrored=True)[0]
     return out[()]
 
 

@@ -195,6 +195,20 @@ class TestLargeN:
         assert len(cand) == 1
         assert abs(cand[0] + 1) <= 1e-9
 
+    @pytest.mark.parametrize("spec, exact, tol", [
+        (DELTA_WELL, [-0.99999999985097343], 5e-12),  # the README's well.json
+        (TwoPoint(1.0, np.array([[1, 1], [-1, 0]], dtype=complex)), [-0.49250526788398669, -0.23197291571415593], 1e-11),
+    ])
+    def test_rounding_floor_at_96000(self, spec, exact, tol):
+        # exact: the zeros of F at L = 12, N = 96 000 from the same float coefficients of the
+        # interface rows, computed in 50-digit arithmetic (mpmath, not a dependency of the
+        # package); the outer stretch terms grow like 1/(kappa h) and leave the float zeros
+        # about 1e-12 from them
+        cand = oracle_discrete_spectrum(spec, OracleConfig(L=12.0, N=96000))
+        assert len(cand) == len(exact)
+        for lam in exact:
+            assert np.min(np.abs(cand - lam)) <= tol * abs(lam)
+
     def test_delta_pair_at_24000(self):
         # O(h^2) error, about 8e-8 for the root -1.07698 and 3e-7 for the pair
         # 0.876 +- 1.533i; L = 16 keeps the box truncation e^{-2 Im(k) L} of the
@@ -208,8 +222,7 @@ class TestLargeN:
 
     def test_small_peak_memory(self):
         # the models and grids of the benchmark's FD cross-check (L = 12): at most
-        # 6.0 MiB each, where gathering every slot of the determinant's quantities
-        # in one table took 9.3 MiB on the delta pair
+        # 3.3 MiB each, on the delta pair
         models = [
             (ConnectedOrigin(np.array([[1, 0], [-2, 1]], dtype=complex)), 2400),
             (SeparatedOrigin(TypeIIParams(0.4, 1.0, -1.0)), 1440),

@@ -1,3 +1,5 @@
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,22 @@ class TestGeneralRoots:
 
     def test_no_roots(self):
         assert dispersion_roots_general(np.array([[1, 0], [3, -1]], dtype=complex)) == []
+
+    @pytest.mark.parametrize("beta", [1e-5, 1e-9, 1e-11])
+    def test_small_beta_keeps_both_roots(self, beta):
+        # beta k^2 + 2ik + 2 = 0 has the roots i(-1 +- sqrt(1 + 2 beta))/beta; the small one
+        # cancels in (-i tau + disc)/(2 beta), which put it 1.4e-7 off at beta = 1e-9
+        with localcontext() as ctx:
+            ctx.prec = 40
+            root = (1 + 2 * Decimal(beta)).sqrt()
+            exact = [complex(0, -(1 + root) / Decimal(beta)), complex(0, 2 / (1 + root))]
+        roots = sorted(dispersion_roots_general(np.array([[1, beta], [-2, 1]], dtype=complex)), key=lambda k: k.imag)
+        assert all(abs(k - e) <= 1e-14 * abs(e) for k, e in zip(roots, exact, strict=True))
+
+    def test_double_root_at_zero(self):
+        # tau = gamma = 0: k^2 = 0, where the product of the roots gives no second root
+        with np.errstate(all="raise"):
+            assert dispersion_roots_general(np.array([[1, 1], [0, -1]], dtype=complex)) == [0, 0]
 
 
 class TestOriginSpectrum:
