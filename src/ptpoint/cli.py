@@ -384,9 +384,9 @@ def cmd_oracle(args):
     print(f"closed_form_count: {len(closed)}")
     print(f"oracle_count: {len(numeric)}")
     # One-sided match: every closed-form eigenvalue needs an oracle partner.
-    # Extras are reported but do not fail the check: for non-self-adjoint
-    # interfaces the truncated-box continuum approximants carry O(1/L)
-    # imaginary parts and land in the candidate filter.
+    # Extras are reported but do not fail the check: the oracle searches up to
+    # its resolution horizon, past the closed-form route's contour, and for a
+    # two-point model also finds the rungs of the high-k ladder outside it.
     all_matched = True
     remaining = list(numeric)
     for lam in closed:

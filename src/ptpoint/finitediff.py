@@ -1,36 +1,43 @@
 """Independent finite-difference validation of spectra and resolvents.
 
-Discretizes -d^2/dx^2 on [-L, L] with Dirichlet walls and the model's
-interface conditions encoded by ghost-value elimination.  Nothing here reuses
-the closed-form dispersion machinery: agreement between the two routes is the
+Discretizes -d^2/dx^2 on the lattice of step h with the model's interface
+conditions encoded by ghost-value elimination.  Nothing here reuses the
+closed-form dispersion machinery: agreement between the two routes is the
 validation.
 
 Scheme: on the staggered grid of OracleConfig every row is a second-order
 central difference.  At each interface (which falls midway between two
 nodes) the two adjacent rows use ghost values solved from the interface
 conditions with quadratic one-sided stencils, keeping the matrix square and
-the scheme O(h^2).  Dirichlet walls are folded into the end rows by ghost
-reflection.
+the scheme O(h^2).  discretize builds the matrix on [-L, L] with Dirichlet
+walls folded into the end rows by ghost reflection; the tests take it as the
+dense reference.
 
 Eigensolve: away from interfaces every row of (M - lam) u = 0 is the
 recurrence u_{j+1} = (2 - h^2 lam) u_j - u_{j-1}, solved by z^j and z^-j with
 z = e^{i kappa h} and lam = 4 sin^2(kappa h / 2) / h^2.  On each stretch of
-nodes between interfaces u is a combination of two such solutions; the outer
-stretches take the one combination that meets their wall.  The two rows of
-each interface are then two linear equations on the stretch coefficients, and
-the eigenvalues of the matrix are exactly the zeros of their determinant
-F(kappa) (_Determinant): 2x2 for an origin model, 4x4 for a two-point model,
-at a cost per point that does not depend on N.  Each call evaluates F and F'
-on an array of kappa from one table of terms e^{i p kappa h} S(q) over the
-integer exponents that the rows fix, and the coefficients of the equations
-from one matrix product with that table.  The zeros are found by
+nodes between interfaces u is a combination of two such solutions.  The outer
+stretches run on to infinity and take the one solution that decays away from
+the interfaces, the lattice Jost solution (Teschl, Jacobi Operators and
+Completely Integrable Nonlinear Lattices, AMS 2000).  The two rows of each
+interface are then two linear equations on the stretch coefficients, and the
+eigenvalues of the operator on the infinite lattice are exactly the zeros of
+their determinant F(kappa) (_Determinant) in the upper half-plane: 2x2 for an
+origin model, 4x4 for a two-point model, at a cost per point that does not
+depend on N.  Neither L nor N enters F, only h and the interface layout, so
+F has no zeros near the real axis but the model's own.  Each call evaluates F
+and F' on an array of kappa from one table of terms e^{i p kappa h} S(q) over
+the integer exponents that the rows fix, and the coefficients of the
+equations from one matrix product with that table.  The zeros are found by
 zeros.find_zeros over a rectangle of the kappa upper half-plane that holds
-every candidate, its bottom edge DROP_TOL/(4K) above the box-truncated
-continuum (1.6e-6 at h = 0.01), in mirror mode for a model invariant under
-reflection plus conjugation (PT).  That edge takes NODES_PER_SPACING nodes
-per continuum spacing, over about 0.16 N / pi spacings on each side of
-Re kappa = 0, so a search costs O(N) time and memory.  F stays independent
-of the two-point dispersion that the search also takes.
+every candidate, its bottom edge at Im kappa = BOTTOM_EDGE, in mirror mode
+for a model invariant under reflection plus conjugation (PT).  An origin
+model's search runs on ORIGIN_COLUMNS columns, so its cost does not grow
+with N; a two-point model's columns keep their width pi/span, and their
+number grows with K = SEARCH_K / h.  F stays independent of the two-point
+dispersion that the search also takes.
+_Determinant with walls gives the determinant of discretize's matrix
+instead, whose outer stretches meet a Dirichlet wall at +-L.
 """
 
 from dataclasses import dataclass
@@ -44,7 +51,10 @@ ROW_INTERIOR = 0
 ROW_END = 1
 ROW_INTERFACE = 2
 
-# eigenvalues with Re < -DROP_TOL or |Im| > DROP_TOL are discrete-spectrum candidates
+# eigenvalues with Re < -DROP_TOL or |Im| > DROP_TOL max(1, |lam|) are discrete-spectrum
+# candidates: the lattice moves the real spectral singularities k = n pi/2 of the u = 0
+# delta pair to Im kappa of 1e-6 .. 3e-5 (N = 600 .. 9600 at L = 12), and no genuine
+# candidate of the tests with Re lam > 0 has |Im lam| / |lam| under 0.3
 DROP_TOL = 1e-4
 
 # two interface rows that PT maps onto each other match when they differ by at most
@@ -52,12 +62,16 @@ DROP_TOL = 1e-4
 # by <= 3.2 eps * max|M| where PT holds, and >= 4e12 where it fails
 SYMMETRY_TOL = 64
 
-# the zero search covers |Re kappa| <= K and DROP_TOL / (4K) <= Im kappa <= K with
-# K = SEARCH_K / h, past the horizon 0.15 / h; the bottom edge lies below every candidate
+# the zero search covers |Re kappa| <= K and BOTTOM_EDGE <= Im kappa <= K with
+# K = SEARCH_K / h, past the horizon 0.15 / h; BOTTOM_EDGE is the two-point route's
 SEARCH_K = 0.16
-# initial nodes per continuum spacing pi/(2L) along the bottom edge, which passes just
-# above the box-truncated continuum; with 64 nodes per side the count came out wrong
-NODES_PER_SPACING = 8
+BOTTOM_EDGE = 1e-6
+# its columns are one period pi/span of the two-point factor e^{2 i kappa span} wide,
+# span the distance between the outer interfaces, or K / ORIGIN_COLUMNS for an origin
+# model; BOTTOM_NODES initial nodes per column along the bottom edge: at L = 12 and
+# N = 2400, 64 took 4459 points on the delta well against 1339 with 16, and more time
+ORIGIN_COLUMNS = 64
+BOTTOM_NODES = 16
 
 
 @dataclass(frozen=True)
@@ -69,9 +83,10 @@ class OracleConfig:
     operator and every sampled function (states.GridFunction).
 
     resolved_lambda_max is the grid's resolution horizon (0.15/h)^2, about
-    40 nodes per wavelength, which caps the candidates: the discretized
-    continuum near the band edge is polluted by O(1) imaginary parts for
-    non-normal interface rows and must not be reported.
+    40 nodes per wavelength, which caps the candidates: past it the lattice
+    no longer resolves the eigenfunctions, and on the walled grid of
+    discretize the continuum near the band edge carries O(1) imaginary parts
+    for non-normal interface rows.
     """
 
     L: float
@@ -119,7 +134,10 @@ def _ghosts(Q, h):
     )
     A = Q @ E_g
     if abs(np.linalg.det(A)) <= 1e-14 * max(1.0, float(np.max(np.abs(A)))) ** 2:
-        raise InvalidParams("interface elimination is singular at this grid spacing; change N")
+        raise InvalidParams(
+            f"interface elimination is singular at grid spacing h = {h:g}: the grid is too fine"
+            " for the interface conditions; increase L (h = 2L/N)"
+        )
     W = -np.linalg.solve(A, Q @ E_u)
     return W[0], W[1]
 
@@ -202,16 +220,19 @@ class _Determinant:
     """F(kappa), the determinant of the interface rows on the stretch coefficients.
 
     Stretch functions, with z = e^{i kappa h}, S(p) = (1 - z^p)/(1 - z) and j a node index:
-    the outer stretch [0, b] carries z^{b-j} S(2j+1), which is odd about
-    j = -1/2 as the wall's ghost value u_{-1} = -u_0 requires, and the right
-    one its mirror image; an inner stretch [a, b] carries z^{j-a} + z^{b-j} and
-    (z^{j-a} - z^{b-j})/(1 - z).  Each interface (m, w_L, w_R) gives two
-    equations on the stretches on either side of it: the left one's value at
-    m + 1 is w_L . u and the right one's at m is w_R . u.  Every term stays
-    bounded in the upper half-plane, and at kappa = 0 (z = 1) the functions
-    stay independent, so F has no spurious zero there.  The equations are
-    eliminated interface by interface along the chain of stretches.  Calling
-    the object gives (F, dF/dkappa) on an array of kappa.
+    the left outer stretch, the nodes j <= b, carries z^{b-j}, which decays as j
+    runs to -infinity, and the right one its mirror image; with walls, the left one carries
+    z^{b-j} S(2j+1) instead, which is odd about j = -1/2 as the ghost value
+    u_{-1} = -u_0 of a wall at -L requires, and the right one its mirror image
+    about the wall at +L (N nodes).  An inner stretch [a, b] carries
+    z^{j-a} + z^{b-j} and (z^{j-a} - z^{b-j})/(1 - z).  Each interface
+    (m, w_L, w_R) gives two equations on the stretches on either side of it:
+    the left one's value at m + 1 is w_L . u and the right one's at m is
+    w_R . u.  Every term stays bounded in the upper half-plane, and at
+    kappa = 0 (z = 1) the functions stay independent, so F has no spurious
+    zero there.  The equations are eliminated interface by interface along
+    the chain of stretches.  Calling the object gives (F, dF/dkappa) on an
+    array of kappa.
 
     Every coefficient of the equations is a fixed linear combination of
     terms z^p and z^p S(q) over integer exponents that the rows fix: a call
@@ -226,7 +247,7 @@ class _Determinant:
     on F and all these at the same time.
     """
 
-    def __init__(self, rows, N, h):
+    def __init__(self, rows, N, h, walls):
         self.h = h
         # the coefficient of a basis function in an equation (a quantity), as {(p, q): c}
         # for the sum of c z^p S(q), where q None stands for c z^p
@@ -251,13 +272,13 @@ class _Determinant:
         T = (-1, 0, 1)
         for i, (m, w_l, w_r) in enumerate(rows):
             if i == 0:  # values at m-1, m, m+1 (t = -1, 0, 1 from the stretch end m)
-                left = [[[(1, -t, 2 * m + 2 * t + 1)] for t in T]]
+                left = [[[(1, -t, 2 * m + 2 * t + 1 if walls else None)] for t in T]]
             else:
                 a = m - rows[i - 1][0] - 1
                 left = [[[(1, a + t, None), (1, -t, None)] for t in T], [[(-1, -t, a + 2 * t)] for t in T]]
             if i == len(rows) - 1:  # values at m, m+1, m+2 (t = -1, 0, 1 from the stretch start m+1)
                 b = N - 2 - m
-                right = [[[(1, t, 2 * b - 2 * t + 1)] for t in T]]
+                right = [[[(1, t, 2 * b - 2 * t + 1 if walls else None)] for t in T]]
             else:
                 b = rows[i + 1][0] - m - 1
                 right = [[[(1, t, None), (1, b - t, None)] for t in T], [[(1, t, b - 2 * t)] for t in T]]
@@ -322,33 +343,39 @@ class _Determinant:
 def oracle_discrete_spectrum(spec, cfg):
     """Discrete-spectrum candidates of the discretized operator.
 
-    The eigenvalues of the matrix of discretize, found as the zeros of the
-    interface determinant F(kappa), lam = 4 sin^2(kappa h / 2) / h^2 (see the
-    module docstring), without building the matrix.  Zeros are counted by the
-    argument principle over |Re kappa| <= K, DROP_TOL/(4K) <= Im kappa <= K,
-    K = SEARCH_K / h, isolated by subdivision and refined by Newton steps.
+    The eigenvalues of the finite-difference operator on the infinite lattice
+    of step h, found as the zeros of the interface determinant F(kappa),
+    lam = 4 sin^2(kappa h / 2) / h^2 (see the module docstring), without
+    building a matrix.  Zeros are counted by the argument principle over
+    |Re kappa| <= K, BOTTOM_EDGE <= Im kappa <= K, K = SEARCH_K / h, on
+    columns pi/span wide for interfaces span apart, or K/ORIGIN_COLUMNS for
+    an origin model, isolated by subdivision and refined by Newton steps.
     A PT-symmetric model is searched over Re kappa >= 0 and mirrored, so its
     non-real candidates come in exact conjugate pairs and its negative ones
     are exactly real.  Raises EigensolverFailure, never a partial list, when
     the refined zeros do not add up to the winding count or an edge cannot be
     resolved, and ContourThroughZero when F vanishes at a node of an edge.
-    Returned are the eigenvalues with Re < -DROP_TOL or |Im| > DROP_TOL,
-    capped at the resolution horizon (see OracleConfig).
-    Converges to the true discrete eigenvalues as O(h^2) + O(e^{-2 Im(k) L}).
-    The outer stretch terms grow like 1/(kappa h), which sets a rounding floor:
-    at N = 96 000 the delta well's root lambda = -1 is defined to about 1e-12.
+    Returned are the eigenvalues with Re < -DROP_TOL or
+    |Im| > DROP_TOL max(1, |lam|), capped at the resolution horizon (see
+    OracleConfig).  No wall enters: L acts only through h = 2L/N.
+    Converges to the true discrete eigenvalues as O(h^2).  The interface
+    equations cancel to about kappa h of their terms, which sets a rounding
+    floor near eps / (kappa h): at N = 96 000 and L = 12 the float zeros of F
+    lie within 1e-12 of its exact zeros.
     """
     rows = _interface_rows(spec, cfg)
     if cfg.resolved_lambda_max <= DROP_TOL:  # no eigenvalue can pass both filters
         return np.zeros(0, dtype=complex)
     h = cfg.h
     K = SEARCH_K / h
-    f = _Determinant(rows, cfg.N, h)
+    span = (rows[-1][0] - rows[0][0]) * h
+    dx = min(np.pi / span, K) if span else K / ORIGIN_COLUMNS
+    f = _Determinant(rows, cfg.N, h, walls=False)
     mirror = _pt_symmetric(rows, cfg.N)
-    kappa, mirrored = find_zeros(f, K, DROP_TOL / (4 * K), np.pi / (2 * cfg.L), mirror, NODES_PER_SPACING)
+    kappa, mirrored = find_zeros(f, K, BOTTOM_EDGE, dx, mirror, BOTTOM_NODES)
     lam = (2.0 / h * np.sin(0.5 * h * kappa)) ** 2
     ev = np.concatenate([lam, np.conj(lam[mirrored])])
-    keep = (ev.real < -DROP_TOL) | (np.abs(ev.imag) > DROP_TOL)
+    keep = (ev.real < -DROP_TOL) | (np.abs(ev.imag) > DROP_TOL * np.maximum(1.0, np.abs(ev)))
     keep &= np.abs(ev) <= cfg.resolved_lambda_max
     out = ev[keep]
     return out[np.lexsort((out.imag, out.real))]

@@ -318,8 +318,8 @@ class TestOracleCommand:
         assert capsys.readouterr().out.split("\n") == [
             "closed_form_count: 1",
             "oracle_count: 1",
-            "closed = -1+0j  oracle = -1.000007879972949+0j  |diff| = 7.8799729490430792e-06",
-            "unmatched_oracle_candidate = -1.000007879972949+0j",
+            "closed = -1+0j  oracle = -1.0000078801241843+0j  |diff| = 7.8801241842896275e-06",
+            "unmatched_oracle_candidate = -1.0000078801241843+0j",
             "matched: false",
             "",
         ]
@@ -329,6 +329,14 @@ class TestOracleCommand:
         path = write_json(tmp_path / "m.json", DELTA_DOC)
         assert main(["oracle", path, "--L", L]) == EXIT_PARSE
         assert "1/h^2 overflows" in capsys.readouterr().err
+
+    def test_grid_too_fine_for_the_interface_conditions(self, tmp_path, capsys):
+        # at h = 8.3e-24 the ghost elimination is singular at every N, so the message
+        # names h and asks for a larger L, not another N
+        path = write_json(tmp_path / "m.json", DELTA_DOC)
+        assert main(["oracle", path, "--L", "1e-20"]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert "singular at grid spacing h = 8.33333e-24" in err and "increase L" in err
 
     def test_delta_pair_mismatch_reported(self, tmp_path, capsys):
         # the closed-form relation has a zero at k = i for v = 2, but the

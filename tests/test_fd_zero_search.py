@@ -1,15 +1,21 @@
 """The oracle's interface-determinant zero search against dense eigensolves of the same matrix.
 
-finitediff.oracle_discrete_spectrum finds the eigenvalues of the matrix of
-finitediff.discretize as zeros of a small determinant, without building the
-matrix.  Here every candidate is checked against np.linalg.eigvals of that
-matrix, filtered the same way, on models that stress the search: decoupled
-halves with double continuum eigenvalues, near-double continuum pairs, an
-exceptional point, delta couplings with delta != 0.
+finitediff.oracle_discrete_spectrum finds the eigenvalues of the lattice
+operator as zeros of a small determinant whose outer stretches decay.  The
+same determinant with Dirichlet walls (test_finitediff.walled_discrete_spectrum)
+gives the eigenvalues of the matrix of finitediff.discretize.  Here every
+walled candidate is checked against np.linalg.eigvals of that matrix,
+filtered the same way, and every open candidate against a walled one, on
+models that stress the search: decoupled halves with double continuum
+eigenvalues, near-double continuum pairs, an exceptional point, delta
+couplings with delta != 0.
 """
 
 import ast
 import functools
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -39,7 +45,7 @@ from ptpoint.finitediff import (
 from ptpoint.spectra import delta_pair_matrix, two_point_spectrum
 from ptpoint.zeros import _track
 
-from test_finitediff import ALL_MODELS, DELTA_WELL
+from test_finitediff import ALL_MODELS, DELTA_WELL, walled_discrete_spectrum
 
 
 def _seeded_two_point(seed):
@@ -79,7 +85,13 @@ def _both(name):
     spec, N = MODELS[name]
     cfg = OracleConfig(L=12.0, N=N)
     M = discretize(spec, cfg)
-    return oracle_discrete_spectrum(spec, cfg), _filtered(np.linalg.eigvals(M), cfg), np.max(np.abs(M))
+    return walled_discrete_spectrum(spec, cfg), _filtered(np.linalg.eigvals(M), cfg), np.max(np.abs(M))
+
+
+@functools.lru_cache(maxsize=None)
+def _open(name):
+    spec, N = MODELS[name]
+    return oracle_discrete_spectrum(spec, OracleConfig(L=12.0, N=N))
 
 
 @pytest.mark.parametrize("name", MODELS)
@@ -98,12 +110,12 @@ def test_same_candidates_as_dense_solve(name):
 @pytest.mark.parametrize("name", [n for n, (spec, N) in MODELS.items()
                                   if _pt_symmetric(_interface_rows(spec, OracleConfig(12.0, N)), N)])
 def test_pt_and_real_models_pair_exactly(name):
-    cand = _both(name)[0]
-    non_real = cand[cand.imag != 0]
-    assert all(np.count_nonzero(cand == np.conj(lam)) == 1 for lam in non_real)
-    assert np.count_nonzero(non_real.imag > 0) == np.count_nonzero(non_real.imag < 0)
-    # negative candidates come from the imaginary kappa axis, solved in real arithmetic
-    assert not np.any((cand.real < 0) & (np.abs(cand.imag) > 0) & (np.abs(cand.imag) <= DROP_TOL))
+    for cand in (_both(name)[0], _open(name)):
+        non_real = cand[cand.imag != 0]
+        assert all(np.count_nonzero(cand == np.conj(lam)) == 1 for lam in non_real)
+        assert np.count_nonzero(non_real.imag > 0) == np.count_nonzero(non_real.imag < 0)
+        # negative candidates come from the imaginary kappa axis, solved in real arithmetic
+        assert not np.any((cand.real < 0) & (np.abs(cand.imag) > 0) & (np.abs(cand.imag) <= DROP_TOL))
 
 
 def test_exceptional_pair_and_cluster_both_come_out():
@@ -112,8 +124,26 @@ def test_exceptional_pair_and_cluster_both_come_out():
     assert len(pair) == 2 and np.all(pair.imag == 0)
     # the mean of a Jordan pair is well conditioned even where its members are not
     assert abs(pair.mean() - reference[np.abs(reference + 1) < 1e-3].mean()) <= 1e-9
-    cluster = _both("separated_double")[0]
-    assert np.count_nonzero(np.abs(cluster + 1) <= 1e-3) == 2
+    pair = _open("exceptional_point")
+    assert len(pair) == 2 and np.all(pair.imag == 0) and np.all(np.abs(pair + 1) < 1e-3)
+    for cluster in (_both("separated_double")[0], _open("separated_double")):
+        assert np.count_nonzero(np.abs(cluster + 1) <= 1e-3) == 2
+
+
+@pytest.mark.parametrize("L", [12.0, 24.0])
+@pytest.mark.parametrize("name", MODELS)
+def test_open_candidates_within_the_box_shift_of_walled_ones(name, L):
+    # the walls at +-L move an eigenvalue whose eigenfunction decays like e^{-Im(k) |x|}
+    # past the outer interface at +-l by about 4 |k|^2 e^{-2 Im(k) (L - l)}; the walled
+    # search also returns the box-truncated continuum, which the open one has not
+    spec, N = MODELS[name]
+    cfg = OracleConfig(L=L, N=int(N * L / 12))  # the same h at both widths
+    walled = walled_discrete_spectrum(spec, cfg)
+    l = max(abs(s) for s, _ in spec.interfaces())
+    for lam in oracle_discrete_spectrum(spec, cfg):
+        k = np.sqrt(lam)
+        scale = max(1.0, abs(lam))
+        assert np.min(np.abs(walled - lam)) <= scale * (8 * np.exp(-2 * abs(k.imag) * (L - l)) + 1e-12)
 
 
 @pytest.mark.parametrize("name", MODELS)
@@ -137,11 +167,12 @@ def test_determinant_derivative_matches_difference_quotient(name):
     rng = np.random.default_rng(29)
     kappa = rng.uniform(-K, K, 200) + 1j * rng.uniform(DROP_TOL / (4 * K), K, 200)
     step = 3e-4
-    det = finitediff._Determinant(_interface_rows(spec, cfg), N, cfg.h)
-    _, slope = det(kappa)
-    F = {j: det(kappa + j * step)[0] for j in (-2, -1, 1, 2)}
-    quotient = (8 * (F[1] - F[-1]) - (F[2] - F[-2])) / (12 * step)
-    assert np.all(np.abs(slope - quotient) <= 1e-7 * np.abs(slope))
+    for walls in (False, True):
+        det = finitediff._Determinant(_interface_rows(spec, cfg), N, cfg.h, walls)
+        _, slope = det(kappa)
+        F = {j: det(kappa + j * step)[0] for j in (-2, -1, 1, 2)}
+        quotient = (8 * (F[1] - F[-1]) - (F[2] - F[-2])) / (12 * step)
+        assert np.all(np.abs(slope - quotient) <= 1e-7 * np.abs(slope))
 
 
 def test_tracked_edge_passing_close_zeros():
@@ -172,9 +203,10 @@ def test_tracked_edge_passing_close_zeros():
 
 @pytest.mark.parametrize("spec, before", [(DELTA_WELL, 5593), (DeltaPair(-2.0, 0.0, 1.0), 6791)])
 def test_search_evaluation_budget(spec, before, monkeypatch):
-    # kappa points at which the search evaluates F at L = 12, N = 2400: `before` with
-    # every continuum zero under the bottom edge bisected for 13 rounds and 8 lid nodes
-    # per spacing; dividing those zeros out and the lid's node rule take 2779 and 4310
+    # kappa points at which the walled search evaluates F at L = 12, N = 2400: `before`
+    # with every continuum zero under the bottom edge bisected for 13 rounds and 8 lid
+    # nodes per spacing; dividing those zeros out and the lid's node rule take 2779 and
+    # 4310.  The open search has no continuum under its bottom edge: 1339 and 850
     points = []
     call = finitediff._Determinant.__call__
 
@@ -183,8 +215,12 @@ def test_search_evaluation_budget(spec, before, monkeypatch):
         return call(self, kappa)
 
     monkeypatch.setattr(finitediff._Determinant, "__call__", counted)
+    walled_discrete_spectrum(spec, OracleConfig(L=12.0, N=2400))
+    walled = sum(points)
+    assert walled <= 0.8 * before
+    points.clear()
     oracle_discrete_spectrum(spec, OracleConfig(L=12.0, N=2400))
-    assert sum(points) <= 0.8 * before
+    assert sum(points) < walled
 
 
 class TestLargeN:
@@ -196,14 +232,14 @@ class TestLargeN:
         assert abs(cand[0] + 1) <= 1e-9
 
     @pytest.mark.parametrize("spec, exact, tol", [
-        (DELTA_WELL, [-0.99999999985097343], 5e-12),  # the README's well.json
-        (TwoPoint(1.0, np.array([[1, 1], [-1, 0]], dtype=complex)), [-0.49250526788398669, -0.23197291571415593], 1e-11),
+        (DELTA_WELL, [-1.0000000000019788], 5e-12),  # the README's well.json
+        (TwoPoint(1.0, np.array([[1, 1], [-1, 0]], dtype=complex)), [-0.49250552388312536, -0.23199456478315056], 1e-11),
     ])
     def test_rounding_floor_at_96000(self, spec, exact, tol):
         # exact: the zeros of F at L = 12, N = 96 000 from the same float coefficients of the
         # interface rows, computed in 50-digit arithmetic (mpmath, not a dependency of the
-        # package); the outer stretch terms grow like 1/(kappa h) and leave the float zeros
-        # about 1e-12 from them
+        # package); the interface equations cancel to about kappa h of their terms, which
+        # leaves the float zeros about 1e-13 .. 1e-12 from them
         cand = oracle_discrete_spectrum(spec, OracleConfig(L=12.0, N=96000))
         assert len(cand) == len(exact)
         for lam in exact:
@@ -211,14 +247,33 @@ class TestLargeN:
 
     def test_delta_pair_at_24000(self):
         # O(h^2) error, about 8e-8 for the root -1.07698 and 3e-7 for the pair
-        # 0.876 +- 1.533i; L = 16 keeps the box truncation e^{-2 Im(k) L} of the
-        # pair (Im k = 0.667) under that, where L = 12 leaves 1.3e-6
+        # 0.876 +- 1.533i at h = 1/750, with no box truncation e^{-2 Im(k) L} of the
+        # pair (Im k = 0.667), which the walls left at 1.3e-6 for L = 12
         cand = oracle_discrete_spectrum(DeltaPair(-2.0, 0.5, 1.0), OracleConfig(L=16.0, N=24000))
         rep = two_point_spectrum(delta_pair_matrix(-2.0, 0.5), 1.0, relation="operator")
         roots = [e.lam for e in rep.eigenvalues if abs(e.lam) < 3]
         assert len(roots) == 3
         for lam in roots:
             assert np.min(np.abs(cand - lam)) <= 1e-6
+
+    def test_two_million_nodes_in_a_child_process(self, tmp_path):
+        # the search's cost does not grow with N: the walled search failed here after
+        # 831 MiB; the child caps its own address space before it imports numpy
+        path = tmp_path / "well.json"
+        path.write_text('{"type": "type_I", "theta": 0, "phi": 0, "b": 0, "c": -2}')
+        code = (
+            "import resource, runpy, sys; resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)); "
+            "sys.argv[0] = 'ptpoint'; runpy.run_module('ptpoint', run_name='__main__')"
+        )
+        src = str(Path(finitediff.__file__).parents[1])
+        # one BLAS thread: the buffers of each thread count against the cap
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", PYTHONWARNINGS="error::RuntimeWarning")
+        run = subprocess.run(
+            [sys.executable, "-c", code, "oracle", str(path), "--L", "12", "--N", "2000000"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert run.returncode == 0, run.stderr
+        assert "matched: true" in run.stdout
 
     def test_small_peak_memory(self):
         # the models and grids of the benchmark's FD cross-check (L = 12): at most

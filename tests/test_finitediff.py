@@ -18,8 +18,12 @@ from ptpoint.finitediff import (
     OracleConfig,
     ROW_INTERFACE,
     ROW_INTERIOR,
+    SEARCH_K,
     SYMMETRY_TOL,
     _assemble,
+    _Determinant,
+    _interface_rows,
+    _pt_symmetric,
     discretize,
     oracle_discrete_spectrum,
     oracle_resolvent_residual,
@@ -29,6 +33,7 @@ from ptpoint.spectra import (
     real_spectrum_predicate_type_I,
 )
 from ptpoint.states import GridFunction, apply_resolvent
+from ptpoint.zeros import find_zeros
 
 DELTA_WELL = ConnectedOrigin(np.array([[1, 0], [-2, 1]], dtype=complex))
 
@@ -51,10 +56,38 @@ SYMMETRIC_MODELS = {**PARITY_MODELS, **PT_MODELS}
 ALL_MODELS = {**SYMMETRIC_MODELS, **ASYMMETRIC_MODELS}
 DENSE_N = 600
 
+# initial nodes per continuum spacing pi/(2L) along the walled search's bottom edge,
+# which passes just above the box-truncated continuum; with 64 the count came out wrong
+NODES_PER_SPACING = 8
+
+
+def walled_discrete_spectrum(spec, cfg):
+    """The eigenvalues of discretize's matrix, by the zero search on the walled determinant.
+
+    The link between the oracle's determinant and the dense matrix: the same
+    _Determinant with Dirichlet walls at +-L.  Its zeros include the
+    box-truncated continuum, just above the real axis, so the search's
+    bottom edge passes DROP_TOL/(4K) above it, K = SEARCH_K/h, from
+    NODES_PER_SPACING nodes per continuum spacing, and the eigenvalues with
+    Re < -DROP_TOL or |Im| > DROP_TOL are kept, capped at the horizon.
+    """
+    rows = _interface_rows(spec, cfg)
+    h = cfg.h
+    K = SEARCH_K / h
+    f = _Determinant(rows, cfg.N, h, walls=True)
+    mirror = _pt_symmetric(rows, cfg.N)
+    kappa, mirrored = find_zeros(f, K, DROP_TOL / (4 * K), np.pi / (2 * cfg.L), mirror, NODES_PER_SPACING)
+    lam = (2.0 / h * np.sin(0.5 * h * kappa)) ** 2
+    ev = np.concatenate([lam, np.conj(lam[mirrored])])
+    keep = (ev.real < -DROP_TOL) | (np.abs(ev.imag) > DROP_TOL)
+    keep &= np.abs(ev) <= cfg.resolved_lambda_max
+    out = ev[keep]
+    return out[np.lexsort((out.imag, out.real))]
+
 
 @functools.lru_cache(maxsize=None)
 def _candidates(name):
-    return oracle_discrete_spectrum(ALL_MODELS[name], OracleConfig(L=12.0, N=DENSE_N))
+    return walled_discrete_spectrum(ALL_MODELS[name], OracleConfig(L=12.0, N=DENSE_N))
 
 
 class TestDiscretize:
@@ -163,13 +196,15 @@ class TestOracleSpectrum:
 
     def test_delta_pair_interface_conditions_have_empty_point_spectrum(self):
         # the mirrored-condition operator with the delta-pair entry assignment
-        # keeps both polynomial roots in the lower half-plane for every v
-        cand = oracle_discrete_spectrum(DeltaPair(0.0, 2.0, 1.0), OracleConfig(L=12.0, N=600))
-        assert len(cand) == 0
+        # keeps both polynomial roots in the lower half-plane for every v; the
+        # lattice moves its real spectral singularities k = n pi/2 just above
+        # the real axis, where the candidate filter drops them
+        for N in (600, 2400, 9600):
+            assert len(oracle_discrete_spectrum(DeltaPair(0.0, 2.0, 1.0), OracleConfig(L=12.0, N=N))) == 0
 
 
 class TestDenseReference:
-    """The oracle against np.linalg.eigvals of the assembled matrix, filtered the same way."""
+    """The walled search against np.linalg.eigvals of the assembled matrix, filtered the same way."""
 
     @pytest.mark.parametrize("name", ALL_MODELS)
     def test_same_candidates_as_dense_solve(self, name):
