@@ -1,7 +1,8 @@
 """Boundary conditions for point interactions and their symmetry classification.
 
-Each model class owns ``classify()`` and ``interfaces()``, the ordered tuple of
-its interfaces ``(position, Q)``.  At x = s the rank-2 2x4 complex matrix Q imposes
+Each model class owns ``classify()``, ``interfaces()``, the ordered tuple of
+its interfaces ``(position, Q)``, and ``pt_selfadjoint``, whether it is
+PT-invariant.  At x = s the rank-2 2x4 complex matrix Q imposes
 
     Q (psi(s+), psi'(s+), psi(s-), psi'(s-))^T = 0,
 
@@ -308,12 +309,16 @@ class ConnectedOrigin:
     def __post_init__(self):
         object.__setattr__(self, "B", require_nondegenerate(self.B))
 
+    @property
+    def pt_selfadjoint(self):
+        return is_pt_connected(self.B)
+
     def interfaces(self):
         return ((0.0, connected_condition(self.B)),)
 
     def classify(self):
-        pt, sa, family, params, notes = _classify_connected_matrix(self.B)
-        return ClassificationReport(pt, sa, family, params, "; ".join(notes))
+        sa, family, params, notes = _classify_connected_matrix(self.B)
+        return ClassificationReport(self.pt_selfadjoint, sa, family, params, "; ".join(notes))
 
 
 @dataclass(frozen=True)
@@ -321,6 +326,7 @@ class SeparatedOrigin:
     """Separated (decoupled half-line) conditions at the origin."""
 
     params: TypeIIParams
+    pt_selfadjoint = True  # for every theta
 
     def interfaces(self):
         p = self.params
@@ -331,23 +337,25 @@ class SeparatedOrigin:
         p = self.params
         sa = theta_mod_pi(p.theta) <= DEFAULT_TOL or p.h0 <= DEFAULT_TOL or abs(p.h1) <= DEFAULT_TOL
         notes = "separated conditions are PT-invariant for every theta"
-        return ClassificationReport(True, bool(sa), TYPE_II, p, notes)
+        return ClassificationReport(self.pt_selfadjoint, bool(sa), TYPE_II, p, notes)
 
 
 class PTPair:
     """A connected condition B at x = +l and its reflected-conjugated mirror at -l; subclasses give B and l."""
+
+    pt_selfadjoint = True  # for every B
 
     def interfaces(self):
         return two_point_interfaces(self.B, self.l)
 
     def classify(self):
         try:
-            _, sa, family, params, notes = _classify_connected_matrix(self.B)
+            sa, family, params, notes = _classify_connected_matrix(self.B)
         except Degenerate:
             notes = "interface matrix is degenerate; connected-origin predicates unavailable"
-            return ClassificationReport(True, False, GENERAL, None, notes)
+            return ClassificationReport(self.pt_selfadjoint, False, GENERAL, None, notes)
         notes.append("condition at -l is the reflected conjugate of B (never stored)")
-        return ClassificationReport(True, sa, family, params, "; ".join(notes))
+        return ClassificationReport(self.pt_selfadjoint, sa, family, params, "; ".join(notes))
 
 
 @dataclass(frozen=True)
@@ -394,7 +402,6 @@ class ClassificationReport:
 
 
 def _classify_connected_matrix(B):
-    pt = is_pt_connected(B)
     sa = is_selfadjoint_connected(B)
     notes = []
     params = None
@@ -408,7 +415,7 @@ def _classify_connected_matrix(B):
             notes.append("b = c = 0: phases determined only up to a simultaneous pi shift")
     except (NotInFamily, Degenerate):
         pass
-    return pt, sa, family, params, notes
+    return sa, family, params, notes
 
 
 def classify(spec):

@@ -462,7 +462,8 @@ def build_parser():
 
     p = sub.add_parser("oracle", help="closed form vs finite-difference cross-check")
     p.add_argument("model")
-    p.add_argument("--L", type=_finite_float, default=12.0, help="truncation half-width")
+    p.add_argument("--L", type=_finite_float, default=12.0,
+                   help="grid half-width; no wall: sets only h = 2L/N and where the interfaces fall between nodes")
     p.add_argument("--N", type=int, default=2400, help="grid nodes")
     p.add_argument("--tol", type=_finite_float, default=1e-3, help="eigenvalue match tolerance")
     p.set_defaults(func=cmd_oracle)

@@ -30,12 +30,13 @@ and F' on an array of kappa from one table of terms e^{i p kappa h} S(q) over
 the integer exponents that the rows fix, and the coefficients of the
 equations from one matrix product with that table.  The zeros are found by
 zeros.find_zeros over a rectangle of the kappa upper half-plane that holds
-every candidate, its bottom edge at Im kappa = BOTTOM_EDGE, in mirror mode
-for a model invariant under reflection plus conjugation (PT).  An origin
-model's search runs on ORIGIN_COLUMNS columns, so its cost does not grow
-with N; a two-point model's columns keep their width pi/span, and their
-number grows with K = SEARCH_K / h.  F stays independent of the two-point
-dispersion that the search also takes.
+every candidate, its bottom edge at Im kappa = zeros.BOTTOM_EDGE, in mirror
+mode where the model's pt_selfadjoint flag holds: a PT-invariant condition
+gives interface rows that the flip plus conjugation maps onto each other.
+An origin model's search runs on zeros.MAX_COLUMNS columns, so its cost
+does not grow with N; a two-point model's columns keep their width pi/span,
+and their number grows with K = SEARCH_K / h.  F stays independent of the
+two-point dispersion that the search also takes.
 _Determinant with walls gives the determinant of discretize's matrix
 instead, whose outer stretches meet a Dirichlet wall at +-L.
 """
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridCollision, GridMismatch, InvalidParams
-from .zeros import find_zeros
+from .zeros import BOTTOM_EDGE, MAX_COLUMNS, find_zeros
 
 ROW_INTERIOR = 0
 ROW_END = 1
@@ -57,20 +58,13 @@ ROW_INTERFACE = 2
 # candidate of the tests with Re lam > 0 has |Im lam| / |lam| under 0.3
 DROP_TOL = 1e-4
 
-# two interface rows that PT maps onto each other match when they differ by at most
-# SYMMETRY_TOL * eps * max|M|: over 17 models at N = 600, 1440 and 2400 they differed
-# by <= 3.2 eps * max|M| where PT holds, and >= 4e12 where it fails
-SYMMETRY_TOL = 64
-
 # the zero search covers |Re kappa| <= K and BOTTOM_EDGE <= Im kappa <= K with
-# K = SEARCH_K / h, past the horizon 0.15 / h; BOTTOM_EDGE is the two-point route's
+# K = SEARCH_K / h, past the horizon 0.15 / h
 SEARCH_K = 0.16
-BOTTOM_EDGE = 1e-6
 # its columns are one period pi/span of the two-point factor e^{2 i kappa span} wide,
-# span the distance between the outer interfaces, or K / ORIGIN_COLUMNS for an origin
+# span the distance between the outer interfaces, or K / MAX_COLUMNS for an origin
 # model; BOTTOM_NODES initial nodes per column along the bottom edge: at L = 12 and
 # N = 2400, 64 took 4459 points on the delta well against 1339 with 16, and more time
-ORIGIN_COLUMNS = 64
 BOTTOM_NODES = 16
 
 
@@ -196,24 +190,6 @@ def discretize(spec, cfg):
     """Dense complex matrix of -d^2/dx^2 with the model's interface conditions."""
     M, _ = _assemble(spec, cfg)
     return M
-
-
-def _pt_symmetric(rows, N):
-    """Whether the matrix commutes with the flip J composed with conjugation (PT).
-
-    Rows away from interfaces are mapped onto each other exactly by the flip, so
-    only the interface rows are compared: row r of M, over columns m-1 .. m+2,
-    against row N-1-r reversed and conjugated, by the SYMMETRY_TOL rule.
-    """
-    window = {}  # interface row -> its entries times h^2
-    for m, w_l, w_r in rows:
-        window[m] = np.array([-1.0, 2.0, 0.0, 0.0]) - w_l
-        window[m + 1] = np.array([0.0, 0.0, 2.0, -1.0]) - w_r
-    tol = SYMMETRY_TOL * np.finfo(float).eps * max(3.0, max(np.max(np.abs(w)) for w in window.values()))
-    return all(
-        N - 1 - r in window and np.max(np.abs(np.conj(window[N - 1 - r][::-1]) - w)) <= tol
-        for r, w in window.items()
-    )
 
 
 class _Determinant:
@@ -348,13 +324,14 @@ def oracle_discrete_spectrum(spec, cfg):
     lam = 4 sin^2(kappa h / 2) / h^2 (see the module docstring), without
     building a matrix.  Zeros are counted by the argument principle over
     |Re kappa| <= K, BOTTOM_EDGE <= Im kappa <= K, K = SEARCH_K / h, on
-    columns pi/span wide for interfaces span apart, or K/ORIGIN_COLUMNS for
+    columns pi/span wide for interfaces span apart, or K/MAX_COLUMNS for
     an origin model, isolated by subdivision and refined by Newton steps.
-    A PT-symmetric model is searched over Re kappa >= 0 and mirrored, so its
-    non-real candidates come in exact conjugate pairs and its negative ones
-    are exactly real.  Raises EigensolverFailure, never a partial list, when
-    the refined zeros do not add up to the winding count or an edge cannot be
-    resolved, and ContourThroughZero when F vanishes at a node of an edge.
+    A model whose pt_selfadjoint flag holds is searched over Re kappa >= 0
+    and mirrored, so its non-real candidates come in exact conjugate pairs
+    and its negative ones are exactly real.  Raises EigensolverFailure,
+    never a partial list, when the refined zeros do not add up to the
+    winding count or an edge cannot be resolved, and ContourThroughZero when
+    F vanishes at a node of an edge.
     Returned are the eigenvalues with Re < -DROP_TOL or
     |Im| > DROP_TOL max(1, |lam|), capped at the resolution horizon (see
     OracleConfig).  No wall enters: L acts only through h = 2L/N.
@@ -369,12 +346,10 @@ def oracle_discrete_spectrum(spec, cfg):
     h = cfg.h
     K = SEARCH_K / h
     span = (rows[-1][0] - rows[0][0]) * h
-    dx = min(np.pi / span, K) if span else K / ORIGIN_COLUMNS
+    dx = min(np.pi / span, K) if span else K / MAX_COLUMNS
     f = _Determinant(rows, cfg.N, h, walls=False)
-    mirror = _pt_symmetric(rows, cfg.N)
-    kappa, mirrored = find_zeros(f, K, BOTTOM_EDGE, dx, mirror, BOTTOM_NODES)
-    lam = (2.0 / h * np.sin(0.5 * h * kappa)) ** 2
-    ev = np.concatenate([lam, np.conj(lam[mirrored])])
+    kappa, multiplicity = find_zeros(f, K, BOTTOM_EDGE, dx, spec.pt_selfadjoint, BOTTOM_NODES)
+    ev = np.repeat((2.0 / h * np.sin(0.5 * h * kappa)) ** 2, multiplicity)
     keep = (ev.real < -DROP_TOL) | (np.abs(ev.imag) > DROP_TOL * np.maximum(1.0, np.abs(ev)))
     keep &= np.abs(ev) <= cfg.resolved_lambda_max
     out = ev[keep]

@@ -51,7 +51,7 @@ from .errors import (
     InvalidParams,
     NoConvergence,
 )
-from .zeros import find_zeros
+from .zeros import BOTTOM_EDGE, MAX_COLUMNS, find_zeros
 from .states import KERNEL_TOL, two_point_kernel
 
 AC_BRANCH = "[0, inf)"
@@ -69,11 +69,10 @@ PRINTED = "printed"
 OPERATOR = "operator"
 RELATIONS = (PRINTED, OPERATOR)
 
-# the two-point zero search (zeros.find_zeros) runs on columns one period pi/(2l)
-# of e^{4ikl} wide, at most MAX_COLUMNS of them, and starts its bottom edge, which
+# the two-point zero search (zeros.find_zeros) runs on columns one period pi/(2l) of
+# e^{4ikl} wide, at most zeros.MAX_COLUMNS of them, and starts its bottom edge, which
 # passes over the zeros just below the real axis, from SPACING_NODES nodes per column
 SPACING_NODES = 64
-MAX_COLUMNS = 64
 
 # default_contour's largest coefficient ratio: K = 2 (1 + ratio) and the width 2K stay finite
 CONTOUR_RATIO_MAX = float(np.finfo(float).max) / 8
@@ -182,15 +181,13 @@ def _eigenvalue_test(k):
     return lam, k.imag > DEFAULT_TOL, np.abs(lam.imag) <= DEFAULT_TOL * np.maximum(1.0, _abs(lam))
 
 
-def _report_from_roots(roots, multiplicities=None, kernel_sv=None):
-    """Build a SpectrumReport from dispersion roots (default multiplicity 1 each).
+def _report_from_roots(roots, multiplicities, kernel_sv=None):
+    """Build a SpectrumReport from distinct dispersion roots and their multiplicities.
 
     kernel_sv, when given, maps a root k to its operator certificate value.
     """
     if not roots:
         return SpectrumReport((), (), True)
-    if multiplicities is None:
-        multiplicities = [1] * len(roots)
     lams, eigen, negative_real = _eigenvalue_test(np.array(roots, dtype=complex))
     eigs, nonphys = [], []
     for k, m, lam, is_eig, neg in zip(roots, multiplicities, lams, eigen, negative_real):
@@ -270,7 +267,14 @@ def dispersion_roots_type_I(p):
             return []
         raise DegenerateIdenticallyZero("dispersion vanishes identically (b = c = cos(phi) = 0)")
     d = type_I_discriminant(p)
-    im_common = -cphi * root1bc / p.b
+    h = cphi * root1bc
+    im_common = -h / p.b
+    if d <= 0 and h != 0.0:
+        # k = i y: -h -+ sqrt(-d) with the sign that does not cancel gives the larger y,
+        # q / b, and the product of the roots, y1 y2 = c / b, the other, as in _connected_roots
+        q = -(h + math.copysign(math.sqrt(-d), h))
+        y = [q / p.b, p.c / q]
+        return [complex(0.0, v) for v in (y if h > 0 else y[::-1])]
     if d <= 0:
         r = math.sqrt(-d) / p.b
         return [complex(0.0, im_common - r), complex(0.0, im_common + r)]
@@ -598,7 +602,7 @@ def default_contour(B, l, relation=PRINTED):
                 )
             ratios.append(top / lead)
     K = 2.0 * (1.0 + max(ratios))
-    return ContourSpec(-K, K, 1e-6, K)
+    return ContourSpec(-K, K, BOTTOM_EDGE, K)
 
 
 def two_point_spectrum(B, l, contour=None, relation=PRINTED):
@@ -608,13 +612,13 @@ def two_point_spectrum(B, l, contour=None, relation=PRINTED):
     "operator"; see the module docstring) inside the rectangle are found by
     zeros.find_zeros in mirror mode: Dt(-conj k) = -conj Dt(k), so the
     search covers Re k >= 0 of the rectangle's hull [-X, X] x [im_min, X'],
-    X' >= max(X, im_max), and mirrors what it finds.  Roots outside the
-    rectangle are dropped; a root on an edge of a contour the caller passed
-    raises ContourThroughZero, and a search that fails raises NoConvergence.
-    Eigenvalues are k^2 with multiplicity equal to the zero order.  Each one
-    carries its operator certificate (Eigenvalue.operator_sv,
-    operator_certified): printed roots of a model with delta != 0 are in
-    general not certified.
+    X' >= max(X, im_max), and returns what it finds with its mirror images.
+    Roots outside the rectangle are dropped; a root on an edge of a contour
+    the caller passed raises ContourThroughZero, and a search that fails
+    raises NoConvergence.  Eigenvalues are k^2 with multiplicity equal to
+    the zero order.  Each one carries its operator certificate
+    (Eigenvalue.operator_sv, operator_certified): printed roots of a model
+    with delta != 0 are in general not certified.
 
     Roots below the contour (0 < Im k <= im_min) are not searched; pass a
     smaller im_min to reach them.  Lower-half-plane diagnostics are never
@@ -627,11 +631,11 @@ def two_point_spectrum(B, l, contour=None, relation=PRINTED):
     dx = min(max(math.pi / (2 * disp.l), K / MAX_COLUMNS), K)
     f = disp.search_function(math.sqrt(2.0) * (K + dx))
     try:
-        kappa, mirrored = find_zeros(f, K, box.im_min, dx, True, SPACING_NODES)
+        kappa, multiplicity = find_zeros(f, K, box.im_min, dx, True, SPACING_NODES)
     except EigensolverFailure as exc:
         raise NoConvergence(str(exc)) from None
-    roots = []
-    for k in kappa.tolist() + (-np.conj(kappa[mirrored])).tolist():
+    roots, multiplicities = [], []
+    for k, m in zip(kappa.tolist(), multiplicity.tolist()):
         tol = DEFAULT_TOL * max(1.0, abs(k))
         gaps = (k.real - box.re_min, box.re_max - k.real, box.im_max - k.imag, k.imag - box.im_min)
         if min(gaps) < -tol:  # outside the rectangle, in the rest of its hull
@@ -639,9 +643,5 @@ def two_point_spectrum(B, l, contour=None, relation=PRINTED):
         if contour is not None and min(gaps) <= tol:
             raise ContourThroughZero("dispersion zero on or near the contour; perturb the rectangle")
         roots.append(k)
-    distinct = sorted(set(roots), key=roots.index)  # a cluster comes out as copies of its mean
-    return _report_from_roots(
-        distinct,
-        [roots.count(k) for k in distinct],
-        kernel_sv=lambda k: two_point_kernel(B, l, k)[0],
-    )
+        multiplicities.append(m)
+    return _report_from_roots(roots, multiplicities, kernel_sv=lambda k: two_point_kernel(B, l, k)[0])

@@ -6,16 +6,17 @@ rescaled two-point dispersion.  The zeros are counted by the argument
 principle and isolated by subdivision over a rectangle of the kappa upper
 half-plane (Kravanja & Van Barel, LNM 1727, 2000), then refined by Newton
 steps (_newton).  The bottom edge may pass just above zeros, such as the
-oracle's box-truncated continuum, each of which turns the phase by about pi
-within that distance; phase tracking (_track) locates such a zero by Newton
-steps and divides it out of the segment instead of bisecting down to its
-scale.  Zeros closer than CLUSTER |kappa|, such as the double zeros of
-decoupled mirror-image halves, come out at their mean (_cluster).  The zeros
-of a function with f(-conj k) = +-conj f(k), such as the determinant of a
-model invariant under reflection plus conjugation (PT), are mirror images
-under kappa -> -conj(kappa), so only Re kappa >= 0 is searched and the
-imaginary axis is solved as a real problem: its roots are refined by Newton
-steps on F(i y), kept inside the bracket of a sign change.
+two-point dispersion's real-axis spectral singularities or the box-truncated
+continuum of the tests' walled determinant, each of which turns the phase by
+about pi within that distance; phase tracking (_track) locates such a zero
+by Newton steps and divides it out of the segment instead of bisecting down
+to its scale.  Zeros closer than CLUSTER |kappa|, such as the double zeros
+of decoupled mirror-image halves, come out at their mean (_cluster).  The
+zeros of a function with f(-conj k) = +-conj f(k), such as the determinant
+of a model invariant under reflection plus conjugation (PT), are mirror
+images under kappa -> -conj(kappa), so only Re kappa >= 0 is searched and
+the imaginary axis is solved as a real problem: its roots are refined by
+Newton steps on F(i y), kept inside the bracket of a sign change.
 """
 
 import math
@@ -23,6 +24,12 @@ import math
 import numpy as np
 
 from .errors import ContourThroughZero, EigensolverFailure
+
+# the bottom edge Im kappa = BOTTOM_EDGE, just over the real axis, of the oracle's search
+# and of the default two-point contour; the two-point route searches at most MAX_COLUMNS
+# columns, and the oracle MAX_COLUMNS for an origin model
+BOTTOM_EDGE = 1e-6
+MAX_COLUMNS = 64
 
 # along every edge but the bottom one, initial nodes max(dx, y) / NODES_PER_GAP apart at
 # height y, dx the column width, and at least NODES_PER_EDGE per edge; the lid (y = K >= dx)
@@ -117,7 +124,7 @@ def _track(f, nodes):
     Every segment is bisected until each piece is resolved (_unresolved);
     a round splits all live pieces in one array pass through f.  A segment
     still unresolved after DEFLATE_ROUND rounds, such as one of the bottom
-    edge over a continuum zero, gets a zero c of f divided out (_deflation):
+    edge over a zero just below it, gets a zero c of f divided out (_deflation):
     for c off the segment's line, arg f = arg(kappa - c) + arg g with
     g = f/(kappa - c), the first term turns by the principal angle of
     (b - c)/(a - c), and g is tracked instead, by the same test on g and
@@ -452,9 +459,6 @@ class _Search:
         if mirror and np.any(lo == 0):
             self.phase = self._axis_phase(top)
         self.boxes(boxes, count, mirror & (lo == 0))
-        found = len(self.found) + mirror * int(np.sum(np.real(self.found) > 0))
-        if found != self.total:
-            raise EigensolverFailure(f"the zero search found {found} zeros of {self.total} counted")
 
     def _axis_phase(self, top):
         """The phase of F on the imaginary axis, 1 or i: F(-conj k) = +-conj F(k)."""
@@ -467,17 +471,25 @@ class _Search:
 
 
 def find_zeros(f, K, y0, dx, mirror, spacing_nodes):
-    """Zeros of f with |Re kappa| <= K and y0 <= Im kappa <= K, as (kappa, mirrored).
+    """Zeros of f with |Re kappa| <= K and y0 <= Im kappa <= K, as (kappa, multiplicity).
 
     f maps an array of kappa to (f, df/dkappa).  dx is the width of the
     search's columns, and the bottom edge starts from spacing_nodes nodes per
-    column.  In mirror mode (f(-conj k) = +-conj f(k)) the returned kappa have
-    Re kappa >= 0, those with Re kappa > 0 standing for a pair, and the zeros
-    on the imaginary axis have a real part of exactly 0.  Raises
-    ContourThroughZero when f vanishes at a node of an edge, and
-    EigensolverFailure when f overflows there or the search fails.
+    column.  Each distinct zero comes once, sorted by (Re, Im), with the
+    number of zeros it stands for: a cluster is reported at its mean
+    (_cluster).  In mirror mode (f(-conj k) = +-conj f(k)) only Re kappa >= 0
+    is searched and each zero off the imaginary axis comes with its mirror
+    image -conj(kappa); the zeros on the axis have a real part of exactly 0.
+    Raises ContourThroughZero when f vanishes at a node of an edge, and
+    EigensolverFailure when f overflows there, the search fails or its zeros
+    do not add up to the winding count.
     """
     search = _Search(f, K, y0, dx, mirror, spacing_nodes)
     search.run()
     kappa = np.array(search.found, dtype=complex)
-    return kappa, mirror & (kappa.real > 0)
+    if mirror:
+        kappa = np.concatenate([kappa, -np.conj(kappa[kappa.real > 0])])
+    kappa, multiplicity = np.unique(kappa, return_counts=True)
+    if multiplicity.sum() != search.total:
+        raise EigensolverFailure(f"the zero search found {multiplicity.sum()} zeros of {search.total} counted")
+    return kappa, multiplicity

@@ -35,17 +35,15 @@ from ptpoint.boundary import (
 from ptpoint.errors import EigensolverFailure
 from ptpoint.finitediff import (
     DROP_TOL,
-    SYMMETRY_TOL,
     OracleConfig,
     _interface_rows,
-    _pt_symmetric,
     discretize,
     oracle_discrete_spectrum,
 )
 from ptpoint.spectra import delta_pair_matrix, two_point_spectrum
-from ptpoint.zeros import _track
+from ptpoint.zeros import _track, find_zeros
 
-from test_finitediff import ALL_MODELS, DELTA_WELL, walled_discrete_spectrum
+from test_finitediff import ALL_MODELS, DELTA_WELL, SYMMETRY_TOL, walled_discrete_spectrum
 
 
 def _seeded_two_point(seed):
@@ -107,8 +105,7 @@ def test_same_candidates_as_dense_solve(name):
             assert np.min(np.abs(b - lam)) <= tol * max(1.0, abs(lam))
 
 
-@pytest.mark.parametrize("name", [n for n, (spec, N) in MODELS.items()
-                                  if _pt_symmetric(_interface_rows(spec, OracleConfig(12.0, N)), N)])
+@pytest.mark.parametrize("name", [n for n, (spec, N) in MODELS.items() if spec.pt_selfadjoint])
 def test_pt_and_real_models_pair_exactly(name):
     for cand in (_both(name)[0], _open(name)):
         non_real = cand[cand.imag != 0]
@@ -148,12 +145,12 @@ def test_open_candidates_within_the_box_shift_of_walled_ones(name, L):
 
 @pytest.mark.parametrize("name", MODELS)
 def test_symmetry_read_off_the_interface_rows(name):
-    # the rows decide what the dense matrix shows: J conj(M) J = M for the flip J
+    # the model's PT flag, which sets the search's mirror mode, decides what the dense
+    # matrix shows: J conj(M) J = M for the flip J
     spec, N = MODELS[name]
-    cfg = OracleConfig(L=12.0, N=N)
-    M = discretize(spec, cfg)
+    M = discretize(spec, OracleConfig(L=12.0, N=N))
     tol = SYMMETRY_TOL * np.finfo(float).eps * np.max(np.abs(M))
-    assert _pt_symmetric(_interface_rows(spec, cfg), N) == (np.max(np.abs(np.conj(M[::-1, ::-1]) - M)) <= tol)
+    assert spec.pt_selfadjoint == (np.max(np.abs(np.conj(M[::-1, ::-1]) - M)) <= tol)
 
 
 @pytest.mark.parametrize("name", ["connected_complex", "delta_well", "delta_pair_v0", "two_point_seed141"])
@@ -199,6 +196,21 @@ def test_tracked_edge_passing_close_zeros():
 
         turn = _track(f, nodes[None]).sum()
         assert abs(turn - (np.sum(np.angle((b - zeros) / (a - zeros))) + 0.6)) < 1e-6
+
+
+def test_find_zeros_gives_each_distinct_zero_once_with_its_multiplicity():
+    # a double zero a, its mirror image -conj(a) and a simple zero on the imaginary axis:
+    # f(-conj k) = -conj f(k), so the search runs in mirror mode over Re k >= 0 alone
+    a = 1.3 + 0.7j
+
+    def f(kappa):
+        p, q, r = kappa - a, kappa + np.conj(a), kappa - 0.9j
+        return p * p * q * q * r, 2 * p * q * (q + p) * r + p * p * q * q
+
+    kappa, multiplicity = find_zeros(f, 3.0, 1e-6, 0.5, True, 16)
+    assert multiplicity.tolist() == [2, 1, 2]
+    assert np.max(np.abs(kappa - [-np.conj(a), 0.9j, a])) <= 1e-12
+    assert kappa[0] == -np.conj(kappa[2]) and kappa[1].real == 0.0
 
 
 @pytest.mark.parametrize("spec, before", [(DELTA_WELL, 5593), (DeltaPair(-2.0, 0.0, 1.0), 6791)])

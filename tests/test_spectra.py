@@ -56,6 +56,17 @@ class TestTypeIRoots:
         with pytest.raises(DegenerateIdenticallyZero):
             dispersion_roots_type_I(TypeIParams(0, np.pi / 2, 0, 0))
 
+    @pytest.mark.parametrize("b", [1e-5, 1e-9, 1e-11])
+    def test_small_root_keeps_its_digits(self, b):
+        # b k^2 + 2i sqrt(1 - 2b) k + 2 = 0 has the roots i(-sqrt(1 - 2b) -+ 1)/b: the small
+        # one, about i, is i(1 - sqrt(1 - 2b))/b, which cancels in floats; here in 40 digits
+        small = dispersion_roots_type_I(TypeIParams(0, 0, b, -2))[1]
+        with localcontext() as ctx:
+            ctx.prec = 40
+            exact = (1 - (1 + Decimal(b) * Decimal(-2)).sqrt()) / Decimal(b)
+        assert small.real == 0.0
+        assert abs(Decimal(small.imag) - exact) <= Decimal("1e-15") * exact
+
     def test_root_symmetry_invariant(self):
         # roots are pure imaginary or swapped by k -> -conj(k)
         rng = np.random.default_rng(7)
