@@ -31,8 +31,8 @@ the finite-difference oracle shares (zeros.find_zeros: phase tracking with
 bisection and deflation, subdivision, Newton steps) in mirror mode, on an
 overflow-free rescaling Dt of D divided by its zero at k = 0 (see
 _ScaledDispersion and two_point_spectrum).  Every two-point root is then
-certified against the interface system itself (states.two_point_kernel),
-independently of either relation's coefficients.
+certified against the interface system itself (states.two_point_kernel, one
+stacked call per solve), independently of either relation's coefficients.
 """
 
 import math
@@ -184,21 +184,25 @@ def _eigenvalue_test(k):
 def _report_from_roots(roots, multiplicities, kernel_sv=None):
     """Build a SpectrumReport from distinct dispersion roots and their multiplicities.
 
-    kernel_sv, when given, maps a root k to its operator certificate value.
+    kernel_sv, when given, maps an array of roots k to their operator
+    certificate values; it is called once, on the roots that are eigenvalues.
     """
     if not roots:
         return SpectrumReport((), (), True)
-    lams, eigen, negative_real = _eigenvalue_test(np.array(roots, dtype=complex))
+    ks = np.array(roots, dtype=complex)
+    lams, eigen, negative_real = _eigenvalue_test(ks)
+    sv = np.full(len(ks), np.nan)
+    if kernel_sv is not None and eigen.any():
+        sv[eigen] = kernel_sv(ks[eigen])
     eigs, nonphys = [], []
-    for k, m, lam, is_eig, neg in zip(roots, multiplicities, lams, eigen, negative_real):
+    for k, m, lam, is_eig, neg, s in zip(roots, multiplicities, lams, eigen, negative_real, sv.tolist()):
         if is_eig:
             lam = complex(lam)
             kind = NEGATIVE_REAL if neg else CONJUGATE_PAIR_MEMBER
             if kernel_sv is None:
                 eigs.append(Eigenvalue(lam, WaveNumber(k), m, kind))
             else:
-                sv = kernel_sv(k)
-                eigs.append(Eigenvalue(lam, WaveNumber(k), m, kind, sv, sv <= KERNEL_TOL))
+                eigs.append(Eigenvalue(lam, WaveNumber(k), m, kind, s, s <= KERNEL_TOL))
         else:
             nonphys.append(k)
     eigs.sort(key=lambda e: (e.lam.real, e.lam.imag))

@@ -5,18 +5,22 @@ arrays of kappa, such as the oracle's interface determinant F and the
 rescaled two-point dispersion.  The zeros are counted by the argument
 principle and isolated by subdivision over a rectangle of the kappa upper
 half-plane (Kravanja & Van Barel, LNM 1727, 2000), then refined by Newton
-steps (_newton).  The bottom edge may pass just above zeros, such as the
-two-point dispersion's real-axis spectral singularities or the box-truncated
-continuum of the tests' walled determinant, each of which turns the phase by
-about pi within that distance; phase tracking (_track) locates such a zero
-by Newton steps and divides it out of the segment instead of bisecting down
-to its scale.  Zeros closer than CLUSTER |kappa|, such as the double zeros
-of decoupled mirror-image halves, come out at their mean (_cluster).  The
-zeros of a function with f(-conj k) = +-conj f(k), such as the determinant
-of a model invariant under reflection plus conjugation (PT), are mirror
-images under kappa -> -conj(kappa), so only Re kappa >= 0 is searched and
-the imaginary axis is solved as a real problem: its roots are refined by
-Newton steps on F(i y), kept inside the bracket of a sign change.
+steps (_newton).  The subdivision first cuts a fixed grid of columns and
+heights: a pass cuts at every grid line inside its boxes when those lines
+stay within a node budget (NODES_PER_PASS), else it halves them, so that a
+solve takes few sequential passes through f.  The bottom edge may pass just
+above zeros, such as the two-point dispersion's real-axis spectral
+singularities or the box-truncated continuum of the tests' walled
+determinant, each of which turns the phase by about pi within that distance;
+phase tracking (_track) locates such a zero by Newton steps and divides it
+out of the segment instead of bisecting down to its scale.  Zeros closer
+than CLUSTER |kappa|, such as the double zeros of decoupled mirror-image
+halves, come out at their mean (_cluster).  The zeros of a function with
+f(-conj k) = +-conj f(k), such as the determinant of a model invariant under
+reflection plus conjugation (PT), are mirror images under kappa ->
+-conj(kappa), so only Re kappa >= 0 is searched and the imaginary axis is
+solved as a real problem: its roots are refined by Newton steps on F(i y),
+kept inside the bracket of a sign change.
 """
 
 import math
@@ -30,6 +34,10 @@ from .errors import ContourThroughZero, EigensolverFailure
 # columns, and the oracle MAX_COLUMNS for an origin model
 BOTTOM_EDGE = 1e-6
 MAX_COLUMNS = 64
+
+# a pass of the grid stage (_Search.run) cuts each of its boxes at every grid line inside
+# it when those lines start from at most NODES_PER_PASS nodes in all, else at its middle line
+NODES_PER_PASS = 512
 
 # along every edge but the bottom one, initial nodes max(dx, y) / NODES_PER_GAP apart at
 # height y, dx the column width, and at least NODES_PER_EDGE per edge; the lid (y = K >= dx)
@@ -83,8 +91,8 @@ def _unresolved(seg):
 
 def _usable(values, slopes):
     """F'/F, checking that F is finite and nonzero."""
-    if not np.all(np.isfinite(values) & (values != 0) & np.isfinite(slopes)):
-        if np.all(np.isfinite(values) & np.isfinite(slopes)):
+    if not (np.isfinite(values) & (values != 0) & np.isfinite(slopes)).all():
+        if (np.isfinite(values) & np.isfinite(slopes)).all():
             raise ContourThroughZero("a zero lies on an edge of the zero search; perturb the rectangle")
         raise EigensolverFailure("the function overflows on an edge of the zero search")
     return slopes / values
@@ -118,23 +126,31 @@ def _deflation(f, a, b, la, lb):
     return np.where(away, c, np.nan)
 
 
-def _track(f, nodes):
-    """Change of arg f along each segment of the polylines ``nodes`` (E, n + 1), as (E, n).
+def _track(f, *stacks):
+    """Change of arg f along each segment of the polylines of each stack (E, n + 1), as (E, n).
 
-    Every segment is bisected until each piece is resolved (_unresolved);
-    a round splits all live pieces in one array pass through f.  A segment
-    still unresolved after DEFLATE_ROUND rounds, such as one of the bottom
-    edge over a zero just below it, gets a zero c of f divided out (_deflation):
-    for c off the segment's line, arg f = arg(kappa - c) + arg g with
-    g = f/(kappa - c), the first term turns by the principal angle of
-    (b - c)/(a - c), and g is tracked instead, by the same test on g and
-    g'/g = f'/f - 1/(kappa - c).  Both halves of a bisected segment keep its c.
+    One stack gives one array, several a list, all from the same passes
+    through f.  Every segment is bisected until each piece is resolved
+    (_unresolved); a round splits all live pieces in one array pass through
+    f.  A segment still unresolved after DEFLATE_ROUND rounds, such as one of
+    the bottom edge over a zero just below it, gets a zero c of f divided out
+    (_deflation): for c off the segment's line, arg f = arg(kappa - c) +
+    arg g with g = f/(kappa - c), the first term turns by the principal
+    angle of (b - c)/(a - c), and g is tracked instead, by the same test on
+    g and g'/g = f'/f - 1/(kappa - c).  Both halves of a bisected segment
+    keep its c.
     """
+    nodes = np.concatenate([s.ravel() for s in stacks])
     vals, slopes = f(nodes)
     logd = _usable(vals, slopes)
     # the live segments, one column each: ends a, b, values fa, fb and F'/F there, la, lb
-    seg = np.stack([nodes[:, :-1], nodes[:, 1:], vals[:, :-1], vals[:, 1:], logd[:, :-1], logd[:, 1:]])
-    seg = seg.reshape(6, -1)
+    seg, at = [], 0
+    for s in stacks:
+        if s.size:
+            x, fx, lx = (v[at:at + s.size].reshape(s.shape) for v in (nodes, vals, logd))
+            seg.append(np.stack([x[:, :-1], x[:, 1:], fx[:, :-1], fx[:, 1:], lx[:, :-1], lx[:, 1:]]).reshape(6, -1))
+            at += s.size
+    seg = seg[0] if len(seg) == 1 else np.concatenate(seg, axis=1)
     owner = np.arange(seg.shape[1])
     out = np.zeros(seg.shape[1])
     c = None  # from DEFLATE_ROUND on, the zero divided out of each segment, nan for none
@@ -142,7 +158,7 @@ def _track(f, nodes):
         dphi, bad = _unresolved(seg)
         if rounds == DEFLATE_ROUND:
             c = np.full(seg.shape[1], np.nan, dtype=complex)
-            if np.any(bad):
+            if bad.any():
                 a, b, _, _, la, lb = seg[:, bad]
                 c[bad] = _deflation(f, a, b, la, lb)
                 seg[2], seg[4] = _divided(seg[0], seg[2], seg[4], c)
@@ -153,8 +169,12 @@ def _track(f, nodes):
             dphi[on] += np.angle((seg[1, on] - c[on]) / (seg[0, on] - c[on]))
         done = ~bad
         out += np.bincount(owner[done], weights=dphi[done], minlength=out.size)
-        if not np.any(bad):
-            return out.reshape(nodes.shape[0], -1)
+        if not bad.any():
+            phases, at = [], 0
+            for s in stacks:
+                phases.append(out[at:at + s.size - len(s)].reshape(len(s), s.shape[1] - 1))
+                at += s.size - len(s)
+            return phases[0] if len(stacks) == 1 else phases
         seg, owner = seg[:, bad], owner[bad]
         mid = 0.5 * (seg[0] + seg[1])
         fm, slope = f(mid)
@@ -203,7 +223,7 @@ def _counts(f, boxes, half, dx):
 
 def _require_counts(counts):
     """counts, after checking that none is negative, as the difference of two counts may be."""
-    if np.any(counts < 0):
+    if (counts < 0).any():
         raise EigensolverFailure("inconsistent winding numbers in the zero search")
     return counts
 
@@ -211,7 +231,7 @@ def _require_counts(counts):
 def _whole(turns):
     """Zero counts from turns of the phase, in units of 2 pi."""
     counts = np.round(turns)
-    if not np.all(np.abs(turns - counts) <= 0.25):
+    if not (np.abs(turns - counts) <= 0.25).all():
         raise EigensolverFailure(f"winding numbers of the zero search are not counts: {turns}")
     return _require_counts(counts.astype(int))
 
@@ -243,7 +263,7 @@ def _newton(f, k, centre, reach, simple=False):
             slow = simple & (size > 0.25 * last)
             last = np.where(live, size, last)
             live &= ~done & ~slow & (np.abs(k - centre) <= reach)
-            if not np.any(live):
+            if not live.any():
                 break
     return np.where(done, k, np.nan), np.where(done, last, np.nan)
 
@@ -391,10 +411,17 @@ class _Search:
         in one pass, which counts the zeros: the bottom edge from
         spacing_nodes nodes per column, the lid from the column edges alone
         (see NODES_PER_GAP).  Boxes over a grid of columns and heights are
-        then halved round by round, every range of columns before any column
-        is cut across, each round tracking only its new cuts; the second half
-        of a box is counted and the first holds the rest, so that a box
-        without zeros costs nothing more.  The cells left go to boxes.
+        then cut pass by pass, each pass tracking all its new cuts in one
+        _track call: a box over several columns is cut at column edges over
+        the whole height, a box of one column at heights across it.  A pass
+        cuts every box at each grid line inside it when those lines start
+        from at most NODES_PER_PASS nodes in all, else halves every box, as
+        most passes of a large grid do.  Each piece but the first is counted
+        from the phase changes along its sides, which sums over tables of the
+        tracked lines give for all pieces at once, and the first holds the
+        rest, so that a box without zeros costs nothing more.  The cells left,
+        one column by one height step, are those that hold zeros whatever
+        the order of the cuts; they go to boxes.
         """
         f, y0, dx, mirror = self.f, self.y0, self.dx, self.mirror
         cuts = (np.arange(math.ceil(self.top / dx - 0.5) + 1) + 0.5) * dx
@@ -417,53 +444,73 @@ class _Search:
         self.total = int(_whole(np.array([boundary.sum() / (np.pi if mirror else 2 * np.pi)]))[0])
         if not self.total:
             return
-        # phase changes, nan until tracked: up each column edge over each step of ys, and
-        # across each column at each height, left to right
-        rising, across = np.full((ncol + 1, ny), np.nan), np.full((ny + 1, ncol), np.nan)
+        # phase changes, nan until tracked: up each column edge from y0 to each height (rise),
+        # and across each column at each height, left to right
         nb = ncol * self.spacing_nodes
+        rise, across = np.full((ncol + 1, ny + 1), np.nan), np.full((ny + 1, ncol), np.nan)
+        rise[:, 0] = 0.0
         across[0] = boundary[:nb].reshape(ncol, -1).sum(axis=1)
-        rising[ncol] = boundary[nb:nb + ny]
+        rise[ncol, 1:] = np.cumsum(boundary[nb:nb + ny])
         across[ny] = -boundary[nb + ny:nb + ny + ncol][::-1]
         # in mirror mode the phase change around a box from the axis leaves the axis out
-        rising[0] = 0.0 if mirror else -boundary[nb + ny + ncol:][::-1]
+        rise[0, 1:] = 0.0 if mirror else np.cumsum(-boundary[nb + ny + ncol:][::-1])
+        # along the bottom edge less along the lid, from the left edge to each column edge
+        under = np.concatenate([[0.0], np.cumsum(across[0] - across[ny])])
+        # the nodes of a cut across each column, NODES_PER_EDGE pieces, without its height
+        cross = _polyline(xs[None], NODES_PER_EDGE)[0]
+        cross = cross[NODES_PER_EDGE * np.arange(ncol)[:, None] + np.arange(NODES_PER_EDGE + 1)]
         # grid boxes (lo, hi, ia, ib, count): columns lo .. hi - 1 between heights ys[ia] and ys[ib]
         grid = np.array([[0, ncol, 0, ny, self.total]])
         while True:
             grid = grid[grid[:, 4] > 0]
-            ranges = grid[:, 1] - grid[:, 0] > 1
-            across_columns = ranges.any()
-            split = ranges if across_columns else grid[:, 3] - grid[:, 2] > 1
+            wide = grid[:, 1] - grid[:, 0] > 1
+            split = wide | (grid[:, 3] - grid[:, 2] > 1)
             if not split.any():
                 break
-            lo, hi, ia, ib, count = grid[split].T
-            if across_columns:
-                mid = (lo + hi) // 2
-                rising[mid] = _track(f, xs[mid][:, None] + 1j * ys)
-                first, second = (lo, mid, ia, ib), (mid, hi, ia, ib)
-            else:
-                mid = (ia + ib) // 2
-                ends = np.array([xs[lo], xs[lo + 1]]).T + 1j * ys[mid][:, None]
-                across[mid, lo] = _track(f, _polyline(ends, NODES_PER_EDGE)).sum(axis=1)
-                first, second = (lo, hi, ia, mid), (lo, hi, mid, ib)
-            turns = np.array([
-                across[i, a:b].sum() + rising[b, i:j].sum() - across[j, a:b].sum() - rising[a, i:j].sum()
-                for a, b, i, j in zip(*second)
-            ])
+            keep, parent, wide = grid[~split], grid[split], wide[split]
+            # a box over several columns, which spans every height, is cut at column edges
+            # (side 0), the others at heights across their column (side 2): each at every
+            # grid line inside it while the pass stays within NODES_PER_PASS nodes, else
+            # each at its middle line
+            side = np.where(wide, 0, 2)
+            start, end = np.where(wide, parent[:, :2].T, parent[:, 2:4].T)
+            every = np.sum((end - start - 1) * np.where(wide, ny + 1, NODES_PER_EDGE + 1)) <= NODES_PER_PASS
+            n = np.where(every, end - start, 2)
+            step = np.where(every, 1, (end - start) // 2)
+            # piece r = 0 .. n - 1 of each box from its start; all but the first are counted
+            # from the phase changes along their sides, and the first holds the rest
+            box = np.repeat(np.arange(len(n)), n)
+            r = np.arange(len(box)) - np.repeat(np.cumsum(n) - n, n)
+            lower = start[box] + r * step[box]
+            pieces, at = parent[box], np.arange(len(box))
+            pieces[at, side[box]] = lower
+            pieces[at, side[box] + 1] = np.where(r == n[box] - 1, end[box], lower + step[box])
+            w, inner = wide[box], r > 0
+            up, flat, column = lower[inner & w], lower[inner & ~w], pieces[inner & ~w, 0]
+            rising, sides = _track(f, xs[up][:, None] + 1j * ys, cross[column] + 1j * ys[flat][:, None])
+            rise[up, 1:] = np.cumsum(rising, axis=1)
+            across[flat, column] = sides.sum(axis=1)
+            a, b, i, j, _ = pieces[inner].T
+            turns = rise[b, j] - rise[b, i] - rise[a, j] + rise[a, i]
+            turns += np.where(w[inner], under[b] - under[a], across[i, a] - across[j, a])
             # a box from the axis counts by half turns, and its zeros off the axis twice
-            symmetric = mirror & (second[0] == 0)
+            symmetric = mirror & (a == 0)
             counted = _whole(turns / np.where(symmetric, np.pi, 2 * np.pi))
-            rest = _require_counts(count - (1 + (mirror & (lo == 0) & ~symmetric)) * counted)
-            grid = np.concatenate([grid[~split], np.array([*first, rest]).T, np.array([*second, counted]).T])
+            twice = 1 + (mirror & (parent[box[inner], 0] == 0) & ~symmetric)
+            rest = parent[:, 4] - np.bincount(box[inner], twice * counted, len(n)).astype(int)
+            pieces[inner, 4], pieces[~inner, 4] = counted, _require_counts(rest)
+            grid = np.concatenate([keep, pieces])
         lo, _, ia, ib, count = grid.T
         boxes = np.stack([xs[lo], xs[lo + 1], ys[ia], ys[ib]], axis=1)
-        if mirror and np.any(lo == 0):
+        if mirror and (lo == 0).any():
             self.phase = self._axis_phase(top)
         self.boxes(boxes, count, mirror & (lo == 0))
 
     def _axis_phase(self, top):
         """The phase of F on the imaginary axis, 1 or i: F(-conj k) = +-conj F(k)."""
         probe = np.linspace(0.3, 0.9, 7) * top * (1 + 1j)
-        F, mirror = self.f(probe)[0], self.f(-np.conj(probe))[0]
+        F = self.f(np.concatenate([probe, -np.conj(probe)]))[0]
+        F, mirror = F[:7], F[7:]
         sigma = np.sum(mirror * F) / np.sum(np.abs(F) ** 2)
         if abs(abs(sigma.real) - 1) > 1e-6 or abs(sigma.imag) > 1e-6:
             raise EigensolverFailure("the function lacks the mirror symmetry f(-conj k) = +-conj f(k)")
@@ -486,6 +533,8 @@ def find_zeros(f, K, y0, dx, mirror, spacing_nodes):
     """
     search = _Search(f, K, y0, dx, mirror, spacing_nodes)
     search.run()
+    if not search.total:
+        return np.zeros(0, dtype=complex), np.zeros(0, dtype=int)
     kappa = np.array(search.found, dtype=complex)
     if mirror:
         kappa = np.concatenate([kappa, -np.conj(kappa[kappa.real > 0])])

@@ -213,6 +213,39 @@ def test_find_zeros_gives_each_distinct_zero_once_with_its_multiplicity():
     assert kappa[0] == -np.conj(kappa[2]) and kappa[1].real == 0.0
 
 
+def test_forty_zeros_in_one_column_whatever_the_pass_budget(monkeypatch):
+    # 36 simple and 2 double zeros in the column 1.5 <= Re k < 2.5 of a mirror-mode search
+    # with dx = 1, heights 0.2 .. 40, and their mirror images; f = prod (k - z)/(k + 2i)
+    # stays bounded.  61 columns of 21 heights: with the default NODES_PER_PASS, 512, the
+    # first passes exceed it and halve their boxes; a budget of 0 halves in every pass,
+    # one of 1e9 cuts at every grid line at once.  The cells left, and so the zeros, are
+    # the same
+    rng = np.random.default_rng(3)
+    z = 2.0 + rng.uniform(-0.4, 0.4, 38) + 1j * np.geomspace(0.2, 40.0, 38)
+    order = np.ones(38, dtype=int)
+    order[[5, 20]] = 2
+    every = np.repeat(z, order)
+    every = np.concatenate([every, -np.conj(every)])
+
+    def f(kappa):
+        d = kappa[..., None] - every
+        value = np.prod(d / (kappa[..., None] + 2j), axis=-1)
+        return value, value * np.sum(1 / d - 1 / (kappa[..., None] + 2j), axis=-1)
+
+    found = []
+    for budget in (512, 0, 10**9):
+        monkeypatch.setattr("ptpoint.zeros.NODES_PER_PASS", budget)
+        kappa, multiplicity = find_zeros(f, 60.0, 1e-6, 1.0, True, 16)
+        right = kappa.real > 0
+        assert multiplicity.sum() == 80 and np.array_equal(kappa[~right], np.sort(-np.conj(kappa[right])))
+        by_height = np.argsort(kappa[right].imag)
+        assert multiplicity[right][by_height].tolist() == order.tolist()
+        assert np.max(np.abs(kappa[right][by_height] - z)) <= 1e-12 * 40
+        found.append((kappa, multiplicity))
+    for kappa, multiplicity in found[1:]:
+        assert np.array_equal(kappa, found[0][0]) and np.array_equal(multiplicity, found[0][1])
+
+
 @pytest.mark.parametrize("spec, before", [(DELTA_WELL, 5593), (DeltaPair(-2.0, 0.0, 1.0), 6791)])
 def test_search_evaluation_budget(spec, before, monkeypatch):
     # kappa points at which the walled search evaluates F at L = 12, N = 2400: `before`

@@ -18,6 +18,7 @@ from ptpoint.errors import (
     NotAnEigenvalue,
     PointInteractionError,
 )
+from ptpoint import spectra
 from ptpoint.finitediff import OracleConfig, oracle_discrete_spectrum
 from ptpoint.zeros import _counts
 from ptpoint.spectra import (
@@ -30,6 +31,7 @@ from ptpoint.spectra import (
     two_point_spectrum,
 )
 from ptpoint.states import (
+    KERNEL_TOL,
     eigenfunction_two_point,
     interface_residual,
     interface_system,
@@ -274,6 +276,33 @@ class TestTwoPointSpectrum:
         rep = two_point_spectrum(delta_pair_matrix(0, 2), 1.0, ContourSpec(-5, 5, 0.5, 5))
         assert [e.lam for e in rep.eigenvalues] == [-1]
 
+    def test_passes_through_the_dispersion(self, monkeypatch):
+        # the grid stage cuts at every grid line in the passes that fit NODES_PER_PASS, and
+        # one stacked call certifies every root: 17 evaluation calls (21 when every pass
+        # bisected), the same 5 roots, one certificate call
+        evaluations, certificates = [], []
+        with_slope, kernel = spectra._ScaledDispersion.with_slope, spectra.two_point_kernel
+
+        def evaluated(self, k, *args, **kwargs):
+            evaluations.append(k)
+            return with_slope(self, k, *args, **kwargs)
+
+        def certified(B, l, k):
+            certificates.append(k)
+            return kernel(B, l, k)
+
+        monkeypatch.setattr(spectra._ScaledDispersion, "with_slope", evaluated)
+        monkeypatch.setattr(spectra, "two_point_kernel", certified)
+        rep = two_point_spectrum(delta_pair_matrix(-2, 0.5), 1, relation="operator")
+        assert len(evaluations) <= 17
+        expect = [1.037775411189865j, 1.1492255912151939 + 0.6668160760924616j,
+                  2.954280575645418 + 0.5223416738520319j]
+        expect += [-np.conj(k) for k in expect[1:]]
+        got = [e.k.k for e in rep.eigenvalues]
+        assert len(got) == 5 and all(min(abs(k - g) for g in got) <= 1e-12 for k in expect)
+        assert [e.multiplicity for e in rep.eigenvalues] == [1] * 5
+        assert len(certificates) == 1 and np.shape(certificates[0]) == (5,)
+
     def test_search_failure_is_no_convergence(self, monkeypatch):
         monkeypatch.setattr("ptpoint.zeros.MAX_ROUNDS", 1)
         with pytest.raises(NoConvergence, match="cannot be resolved"):
@@ -392,6 +421,36 @@ class TestInterfaceSystem:
     def test_unknown_relation(self):
         with pytest.raises(InvalidParams):
             two_point_dispersion_value(np.eye(2), 1.0, 1j, relation="other")
+
+    @pytest.mark.parametrize("seed", [17, 18, 19])
+    def test_kernel_of_an_array_of_k_is_the_kernel_at_each_k(self, seed):
+        # seeded B with delta != 0, at its operator roots (certified) and at points off them
+        rng = np.random.default_rng(seed)
+        B = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        assert abs(B[1, 1]) > 0
+        roots = [e.k.k for e in two_point_spectrum(B, 1.0, relation="operator").eigenvalues]
+        k = np.array(roots + list(rng.normal(size=6) + 1j * rng.uniform(0.1, 3.0, 6)))
+        ratio, vectors = two_point_kernel(B, 1.0, k)
+        assert ratio.shape == k.shape and vectors.shape == k.shape + (4,)
+        for kj, r in zip(k, ratio):
+            alone = two_point_kernel(B, 1.0, kj)[0]
+            assert abs(r - alone) <= 1e-15 and (r <= KERNEL_TOL) == (alone <= KERNEL_TOL)
+        assert (ratio[:len(roots)] <= KERNEL_TOL).all() and (ratio[len(roots):] > KERNEL_TOL).all()
+
+    def test_kernel_of_an_array_of_k_with_zero_rows(self):
+        # singular B whose first row at each interface cancels at k = 10i to 3e-9 of its
+        # condition's size, under KERNEL_TOL, and counts as a zero row there, next to points
+        # where no row does
+        B = np.array([[1e9, -1e8], [0, 0]], dtype=complex)
+        k = np.array([10j, 10j + 0.1, 9.5j, 1 + 12j, 1j, 0.5 + 0.2j])
+        interfaces = two_point_interfaces(B, 1.0)
+        size = np.linalg.norm(interfaces[1][1] * [1.0, 10.0, 1.0, 10.0], axis=1)
+        assert (np.linalg.norm(interface_system(interfaces, 10j)[2:], axis=1) <= KERNEL_TOL * size).any()
+        ratio = two_point_kernel(B, 1.0, k)[0]
+        assert ratio[0] <= KERNEL_TOL < ratio[1:].min()
+        for kj, r in zip(k, ratio):
+            alone = two_point_kernel(B, 1.0, kj)[0]
+            assert abs(r - alone) <= 1e-15 and (r <= KERNEL_TOL) == (alone <= KERNEL_TOL)
 
     def test_textbook_double_delta_operator_spectrum(self):
         # self-adjoint attractive pair: derivative jump -2 psi at x = +-1;
