@@ -348,7 +348,8 @@ def oracle_discrete_spectrum(spec, cfg):
     span = (rows[-1][0] - rows[0][0]) * h
     dx = min(np.pi / span, K) if span else K / MAX_COLUMNS
     f = _Determinant(rows, cfg.N, h, walls=False)
-    kappa, multiplicity = find_zeros(f, K, BOTTOM_EDGE, dx, spec.pt_selfadjoint, BOTTOM_NODES)
+    # the matrix product of a call of f rounds by the number of points in it
+    kappa, multiplicity = find_zeros(f, K, BOTTOM_EDGE, dx, spec.pt_selfadjoint, BOTTOM_NODES, pointwise=False)
     ev = np.repeat((2.0 / h * np.sin(0.5 * h * kappa)) ** 2, multiplicity)
     keep = (ev.real < -DROP_TOL) | (np.abs(ev.imag) > DROP_TOL * np.maximum(1.0, np.abs(ev)))
     keep &= np.abs(ev) <= cfg.resolved_lambda_max

@@ -585,14 +585,17 @@ def two_point_dispersion_value(B, l, k, relation=PRINTED):
     return out[()]
 
 
-def default_contour(B, l, relation=PRINTED):
+def default_contour(B, l, relation=PRINTED, *, disp=None):
     """Cauchy-style default search rectangle from the bracket coefficient ratios.
 
-    Raises InvalidParams when the rectangle overflows: with an entry of B
-    near MAX_ENTRY a coefficient ratio can pass CONTOUR_RATIO_MAX, past
-    which the half-width K or the width 2K is not a finite float.
+    disp, when given, is the _ScaledDispersion(B, l, relation) that the
+    caller has built, so that a solve builds it once.  Raises InvalidParams
+    when the rectangle overflows: with an entry of B near MAX_ENTRY a
+    coefficient ratio can pass CONTOUR_RATIO_MAX, past which the half-width
+    K or the width 2K is not a finite float.
     """
-    disp = _ScaledDispersion(B, l, relation)
+    if disp is None:
+        disp = _ScaledDispersion(B, l, relation)
     ratios = []
     for poly in (disp.p1, disp.p2):
         mags = [abs(c) for c in poly]
@@ -629,8 +632,8 @@ def two_point_spectrum(B, l, contour=None, relation=PRINTED):
     collected here, so the report's nonphysical tuple stays empty while
     im_min >= DEFAULT_TOL.
     """
-    box = default_contour(B, l, relation=relation) if contour is None else contour
     disp = _ScaledDispersion(B, l, relation)
+    box = default_contour(B, l, relation, disp=disp) if contour is None else contour
     K = max(-box.re_min, box.re_max, box.im_max)
     dx = min(max(math.pi / (2 * disp.l), K / MAX_COLUMNS), K)
     f = disp.search_function(math.sqrt(2.0) * (K + dx))

@@ -6,9 +6,13 @@ rescaled two-point dispersion.  The zeros are counted by the argument
 principle and isolated by subdivision over a rectangle of the kappa upper
 half-plane (Kravanja & Van Barel, LNM 1727, 2000), then refined by Newton
 steps (_newton).  The subdivision first cuts a fixed grid of columns and
-heights: a pass cuts at every grid line inside its boxes when those lines
-stay within a node budget (NODES_PER_PASS), else it halves them, so that a
-solve takes few sequential passes through f.  The bottom edge may pass just
+heights, in one pass after the boundary when all its inner lines stay
+within a node budget (NODES_PER_PASS); a larger grid is cut pass by pass,
+each at every grid line inside its boxes when those lines stay within the
+budget, else at their middle lines.  The refinement runs in lockstep
+(_lockstep): each step evaluates f once, at every live iterate of the
+Newton steps and of the search on the imaginary axis, so that a solve
+takes few sequential calls of f.  The bottom edge may pass just
 above zeros, such as the two-point dispersion's real-axis spectral
 singularities or the box-truncated continuum of the tests' walled
 determinant, each of which turns the phase by about pi within that distance;
@@ -121,7 +125,7 @@ def _deflation(f, a, b, la, lb):
     """
     with np.errstate(all="ignore"):  # c and last are nan where Newton did not converge
         start = np.where(np.abs(la) >= np.abs(lb), a - 1 / la, b - 1 / lb)
-        c, last = _newton(f, start, 0.5 * (a + b), np.abs(b - a), simple=True)
+        c, last = _lockstep(f, [_newton(start, 0.5 * (a + b), np.abs(b - a), simple=True)])[0]
         away = np.abs(((c - a) * np.conj(b - a)).imag) > DEFLATE_MARGIN * last * np.abs(b - a)
     return np.where(away, c, np.nan)
 
@@ -241,40 +245,70 @@ def _converged(size, last, scale):
     return (size <= NEWTON_TOL * scale) | ((size >= 0.5 * last) & (size <= NEWTON_STALL * scale))
 
 
-def _newton(f, k, centre, reach, simple=False):
-    """Newton iteration from each k; the zeros, nan where it did not converge, and the last steps.
+def _lockstep(f, tasks):
+    """Run refinement tasks side by side, one f call per step over every point they ask for.
 
-    An iterate farther than reach from centre stops there.  With simple, so
-    does one whose step does not shrink below a quarter of the step before,
-    as near a multiple zero, where Newton steps only halve.
+    A task is a generator that yields an array of kappa, is sent (F, F') at
+    those points, and returns its result; None stands for no task and gives
+    None.  Each task keeps its own arithmetic, so it returns what it would
+    alone.  The results come in the order of tasks.  Tasks run with floating
+    point warnings off: Newton iterates may stray far below the real axis,
+    where z^N overflows.
     """
-    live = np.ones(k.shape, dtype=bool)
-    done = np.zeros(k.shape, dtype=bool)
-    last = np.full(k.shape, np.inf)
-    with np.errstate(all="ignore"):  # far below the real axis z^N overflows
-        for _ in range(MAX_NEWTON):
-            F, slope = f(k[live])
-            step = np.full(k.shape, np.nan, dtype=complex)
-            step[live] = F / slope
-            live &= np.isfinite(step)
-            k = np.where(live, k - step, k)
-            size = np.abs(step)
-            done |= live & _converged(size, last, np.abs(k))
-            slow = simple & (size > 0.25 * last)
-            last = np.where(live, size, last)
-            live &= ~done & ~slow & (np.abs(k - centre) <= reach)
-            if not live.any():
-                break
-    return np.where(done, k, np.nan), np.where(done, last, np.nan)
+    results, replies = [None] * len(tasks), [None] * len(tasks)
+    live = [i for i, task in enumerate(tasks) if task is not None]
+    with np.errstate(all="ignore"):
+        while live:
+            asking, asks = [], []
+            for i in live:
+                try:
+                    asks.append(tasks[i].send(replies[i]))
+                    asking.append(i)
+                except StopIteration as stop:
+                    results[i] = stop.value
+            if asks:
+                values, slopes = f(np.concatenate(asks) if len(asks) > 1 else asks[0])
+                end = 0
+                for i, points in zip(asking, asks):
+                    replies[i] = values[end:end + points.size], slopes[end:end + points.size]
+                    end += points.size
+            live = asking
+    return results
+
+
+def _newton(k, centre, reach, simple=False):
+    """Newton iteration from each k, a task of _lockstep; the zeros, nan where it did not converge, and the last steps.
+
+    An iterate stops where its step is not finite or it goes farther than
+    reach from its centre.  With simple, so does one whose step does not
+    shrink below a quarter of the step before, as near a multiple zero,
+    where Newton steps only halve.
+    """
+    found, steps = np.full(k.shape, np.nan, dtype=complex), np.full(k.shape, np.nan)
+    at, last = np.arange(k.size), np.full(k.shape, np.inf)
+    for _ in range(MAX_NEWTON):
+        F, slope = yield k
+        step = F / slope
+        k, size, finite = k - step, np.abs(step), np.isfinite(step)
+        done = finite & _converged(size, last, np.abs(k))
+        found[at[done]], steps[at[done]] = k[done], size[done]
+        go = finite & ~done & (np.abs(k - centre) <= reach)
+        if simple:
+            go &= ~(size > 0.25 * last)
+        if not go.any():
+            break
+        k, centre, reach, last, at = k[go], centre[go], reach[go], size[go], at[go]
+    return found, steps
 
 
 class _Search:
     """Zeros of one F in the search rectangle, by the argument principle (see find_zeros)."""
 
-    def __init__(self, f, top, y0, dx, mirror, spacing_nodes):
+    def __init__(self, f, top, y0, dx, mirror, spacing_nodes, pointwise):
         self.f, self.top, self.y0, self.dx, self.mirror = f, top, y0, dx, mirror
-        self.spacing_nodes = spacing_nodes
+        self.spacing_nodes, self.pointwise = spacing_nodes, pointwise
         self.min_size = MIN_BOX * top
+        self.phase = None  # of F on the imaginary axis, in mirror mode, once _axis_roots probes it
         self.found = []  # the zeros; in mirror mode each one off the imaginary axis stands for a pair
 
     def boxes(self, boxes, counts, sym):
@@ -283,9 +317,14 @@ class _Search:
         A box (x1, x2, y1, y2) where sym holds (mirror mode) is [-x2, x2] x
         [y1, y2], x1 = 0, and done when the sign changes on the imaginary axis
         (_axis_roots) account for its count; one off the axis is done when it
-        holds one zero that Newton steps from its centre reach.  The rest are
-        reported at their mean (_cluster) once smaller than CLUSTER |kappa|
-        and holding zeros on the axis or two or more off it, else split.
+        holds one zero that Newton steps from its centre reach.  Each round
+        refines both kinds in lockstep (_lockstep), one call of f per step
+        over the Newton iterates, the axis samples and then the bracket
+        steps, and on the first step the phase probe (_axis_phase); with
+        pointwise False, the probe and each kind in calls of their own.  The
+        rest are reported at their mean (_cluster) once smaller than CLUSTER
+        |kappa| and holding zeros on the axis or two or more off it, else
+        split.
         """
         while len(boxes):
             x1, x2, y1, y2 = boxes.T
@@ -294,20 +333,31 @@ class _Search:
             centre = np.where(sym, 0.0, 0.5 * (x1 + x2)) + 0.5j * (y1 + y2)
             done, cut = np.zeros(len(boxes), dtype=bool), 0.5 * (y1 + y2)
             single = ~sym & (counts == 1)
-            if single.any():
-                k = _newton(self.f, centre[single], centre[single], size[single])[0]
+            newton = _newton(centre[single], centre[single], size[single]) if single.any() else None
+            if sym.any() and self.phase is None and not self.pointwise:
+                self.phase = self._axis_phase(self.f(self._probe())[0])
+            axis = self._axis_roots(y1[sym], y2[sym]) if sym.any() else None
+            if self.pointwise:
+                newton, axis = _lockstep(self.f, [newton, axis])
+            else:
+                newton, axis = _lockstep(self.f, [newton])[0], _lockstep(self.f, [axis])[0]
+            if newton is not None:
+                k = newton[0]
                 inside = (k.real >= x1[single]) & (k.real < x2[single])
                 done[single] = inside & (k.imag >= y1[single]) & (k.imag < y2[single])
                 self.found += k[done[single]].tolist()
-            if sym.any():
-                roots, sign_changes, cut[sym] = self._axis_roots(y1[sym], y2[sym])
+            if axis is not None:
+                roots, sign_changes, cut[sym] = axis
                 done[sym] = _require_counts(counts[sym] - sign_changes) == 0
                 self.found += [1j * y for r, d in zip(roots, done[sym]) if d for y in r.tolist()]
             small = ~done & (sym | (counts > 1)) & (size < CLUSTER * np.abs(x2 + 1j * y2))
-            for z, d, c, s in zip(centre[small], size[small], counts[small], sym[small]):
-                mean = self._cluster(z, d, c)
-                self.found += [complex(0.0, mean.imag) if s else mean] * c
+            if small.any():
+                for z, d, c, s in zip(centre[small], size[small], counts[small], sym[small]):
+                    mean = self._cluster(z, d, c)
+                    self.found += [complex(0.0, mean.imag) if s else mean] * c
             keep = ~done & ~small
+            if not keep.any():
+                return
             if (np.minimum(x2 - x1, height)[keep] < self.min_size).any():
                 raise EigensolverFailure("the zero search cannot separate close zeros")
             wide = width >= height
@@ -352,7 +402,7 @@ class _Search:
         raise EigensolverFailure("the zero search cannot separate close zeros")
 
     def _axis_roots(self, y1, y2):
-        """Zeros of F on i [y1, y2] for each box, and a height to cut the box at.
+        """Zeros of F on i [y1, y2] for each box, and a height to cut the box at; a task of _lockstep.
 
         Each sign change of g(y) = Re(F(i y) conj(phase)) among
         2 NODES_PER_EDGE + 1 samples is refined by Newton steps on g, whose
@@ -365,11 +415,16 @@ class _Search:
         is left out of the roots and of the count.  The cut is the sample of
         the middle half where |g| is largest, so that cuts keep away from
         zeros: cutting through the middle of a box closes in on a cluster,
-        where F is rounding.
+        where F is rounding.  The phase, until known, is probed with the
+        samples (_axis_phase).
         """
         t = np.linspace(0.0, 1.0, NODES_PER_EDGE * 2 + 1)
         y = y1[:, None] + (y2 - y1)[:, None] * t
-        g, slope = self._real(y)
+        probe = self._probe() if self.phase is None else np.zeros(0)
+        F, slope = yield np.concatenate([probe, 1j * y.ravel()])
+        if probe.size:
+            self.phase = self._axis_phase(F[:probe.size])
+        g, slope = self._real(F[probe.size:].reshape(y.shape), slope[probe.size:].reshape(y.shape))
         middle = slice(NODES_PER_EDGE // 2, 3 * NODES_PER_EDGE // 2 + 1)
         cut = y[:, middle][np.arange(len(y)), np.argmax(np.abs(g[:, middle]), axis=1)]
         flips = np.signbit(g[:, 1:]) != np.signbit(g[:, :-1])
@@ -381,8 +436,7 @@ class _Search:
         live = np.arange(len(box))
         last = np.full(len(box), np.inf)
         for _ in range(MAX_NEWTON):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                point = at - g_at / slope_at
+            point = at - g_at / slope_at
             newton = (point >= lo) & (point <= hi)
             point = np.where(newton, point, 0.5 * (lo + hi))
             size = np.abs(point - at)
@@ -391,15 +445,14 @@ class _Search:
             live, lo, hi, sign, at, last = (v[~done] for v in (live, lo, hi, sign, point, size))
             if not len(live):
                 break
-            g_at, slope_at = self._real(at)
+            g_at, slope_at = self._real(*(yield 1j * at))
             same = np.signbit(g_at) == sign
             lo, hi = np.where(same, at, lo), np.where(same, hi, at)
         found = np.isfinite(roots)
         return [roots[found & (box == b)] for b in range(len(y1))], np.bincount(box[found], minlength=len(y1)), cut
 
-    def _real(self, y):
-        """g(y) = Re(F(i y) conj(phase)) and g'(y): F is real times the fixed phase on the axis."""
-        F, slope = self.f(1j * y)
+    def _real(self, F, slope):
+        """g(y) = Re(F(i y) conj(phase)) and g'(y) from F and F' at i y: F is real times the fixed phase on the axis."""
         turn = np.conj(self.phase)
         return (F * turn).real, (1j * slope * turn).real
 
@@ -410,22 +463,25 @@ class _Search:
         axis, share the bottom and top edges.  The whole boundary is tracked
         in one pass, which counts the zeros: the bottom edge from
         spacing_nodes nodes per column, the lid from the column edges alone
-        (see NODES_PER_GAP).  Boxes over a grid of columns and heights are
-        then cut pass by pass, each pass tracking all its new cuts in one
-        _track call: a box over several columns is cut at column edges over
-        the whole height, a box of one column at heights across it.  A pass
-        cuts every box at each grid line inside it when those lines start
-        from at most NODES_PER_PASS nodes in all, else halves every box, as
-        most passes of a large grid do.  Each piece but the first is counted
-        from the phase changes along its sides, which sums over tables of the
-        tracked lines give for all pieces at once, and the first holds the
-        rest, so that a box without zeros costs nothing more.  The cells left,
-        one column by one height step, are those that hold zeros whatever
-        the order of the cuts; they go to boxes.
+        (see NODES_PER_GAP).  When the grid's inner lines, its column edges
+        over the whole height and its heights across every column, start
+        from at most NODES_PER_PASS nodes in all, one _track call takes them
+        all and every cell is counted from the tables of the tracked lines.
+        A larger grid is cut pass by pass, each pass tracking all its new
+        cuts in one _track call: a box over several columns is cut at column
+        edges over the whole height, a box of one column at heights across
+        it.  A pass cuts every box at each grid line inside it when those
+        lines start from at most NODES_PER_PASS nodes in all, else halves
+        every box, as most passes of a large grid do.  Each piece but the
+        first is counted from the phase changes along its sides, which sums
+        over tables of the tracked lines give for all pieces at once, and the
+        first holds the rest, so that a box without zeros costs nothing more.
+        The cells left, one column by one height step, are those that hold
+        zeros whatever the order of the cuts; they go to boxes.
         """
         f, y0, dx, mirror = self.f, self.y0, self.dx, self.mirror
         cuts = (np.arange(math.ceil(self.top / dx - 0.5) + 1) + 0.5) * dx
-        top = float(cuts[-1])
+        top = self.lid = float(cuts[-1])  # the height of the lid, which _probe scales with
         xs = np.concatenate([[0.0], cuts]) if mirror else np.concatenate([-cuts[::-1], cuts])
         ncol = len(xs) - 1
         # heights: NODES_PER_GAP steps up to dx, then NODES_PER_GAP per factor e (top >= 1.5 dx)
@@ -441,7 +497,7 @@ class _Search:
         if not mirror:
             edges.append(xs[0] + 1j * ys[-2::-1])
         boundary = _track(f, np.concatenate(edges)[None])[0]
-        self.total = int(_whole(np.array([boundary.sum() / (np.pi if mirror else 2 * np.pi)]))[0])
+        self.total = int(_whole(boundary.sum() / (np.pi if mirror else 2 * np.pi)))
         if not self.total:
             return
         # phase changes, nan until tracked: up each column edge from y0 to each height (rise),
@@ -460,7 +516,24 @@ class _Search:
         cross = _polyline(xs[None], NODES_PER_EDGE)[0]
         cross = cross[NODES_PER_EDGE * np.arange(ncol)[:, None] + np.arange(NODES_PER_EDGE + 1)]
         # grid boxes (lo, hi, ia, ib, count): columns lo .. hi - 1 between heights ys[ia] and ys[ib]
-        grid = np.array([[0, ncol, 0, ny, self.total]])
+        if (ncol - 1) * (ny + 1) + (ny - 1) * ncol * (NODES_PER_EDGE + 1) <= NODES_PER_PASS:
+            # the whole grid in one pass: every inner column edge and every height across each
+            # column, each cell (ia, lo) counted from the tables
+            heights = (cross + 1j * ys[1:-1, None, None]).reshape(-1, NODES_PER_EDGE + 1)
+            rising, sides = _track(f, xs[1:-1, None] + 1j * ys, heights)
+            rise[1:-1, 1:] = np.cumsum(rising, axis=1)
+            across[1:-1] = sides.sum(axis=1).reshape(ny - 1, ncol)
+            up = np.diff(rise, axis=1)
+            turns = (up[1:] - up[:-1]).T + across[:-1] - across[1:]
+            # a cell of the column from the axis counts by half turns, and the others' zeros twice
+            symmetric = mirror & (np.arange(ncol) == 0)
+            counted = _whole(turns / np.where(symmetric, np.pi, 2 * np.pi))
+            if np.sum(counted * (1 + (mirror & ~symmetric))) != self.total:
+                raise EigensolverFailure("inconsistent winding numbers in the zero search")
+            ia, lo = np.nonzero(counted)
+            grid = np.stack([lo, lo + 1, ia, ia + 1, counted[ia, lo]], axis=1)
+        else:
+            grid = np.array([[0, ncol, 0, ny, self.total]])
         while True:
             grid = grid[grid[:, 4] > 0]
             wide = grid[:, 1] - grid[:, 0] > 1
@@ -502,14 +575,16 @@ class _Search:
             grid = np.concatenate([keep, pieces])
         lo, _, ia, ib, count = grid.T
         boxes = np.stack([xs[lo], xs[lo + 1], ys[ia], ys[ib]], axis=1)
-        if mirror and (lo == 0).any():
-            self.phase = self._axis_phase(top)
         self.boxes(boxes, count, mirror & (lo == 0))
 
-    def _axis_phase(self, top):
-        """The phase of F on the imaginary axis, 1 or i: F(-conj k) = +-conj F(k)."""
-        probe = np.linspace(0.3, 0.9, 7) * top * (1 + 1j)
-        F = self.f(np.concatenate([probe, -np.conj(probe)]))[0]
+    def _probe(self):
+        """Points k and then -conj k, at which _axis_phase reads F."""
+        k = np.linspace(0.3, 0.9, 7) * self.lid * (1 + 1j)
+        return np.concatenate([k, -np.conj(k)])
+
+    @staticmethod
+    def _axis_phase(F):
+        """The phase of F on the imaginary axis, 1 or i, from F at the points of _probe: F(-conj k) = +-conj F(k)."""
         F, mirror = F[:7], F[7:]
         sigma = np.sum(mirror * F) / np.sum(np.abs(F) ** 2)
         if abs(abs(sigma.real) - 1) > 1e-6 or abs(sigma.imag) > 1e-6:
@@ -517,7 +592,7 @@ class _Search:
         return 1.0 if sigma.real > 0 else 1j
 
 
-def find_zeros(f, K, y0, dx, mirror, spacing_nodes):
+def find_zeros(f, K, y0, dx, mirror, spacing_nodes, pointwise=True):
     """Zeros of f with |Re kappa| <= K and y0 <= Im kappa <= K, as (kappa, multiplicity).
 
     f maps an array of kappa to (f, df/dkappa).  dx is the width of the
@@ -527,11 +602,17 @@ def find_zeros(f, K, y0, dx, mirror, spacing_nodes):
     (_cluster).  In mirror mode (f(-conj k) = +-conj f(k)) only Re kappa >= 0
     is searched and each zero off the imaginary axis comes with its mirror
     image -conj(kappa); the zeros on the axis have a real part of exactly 0.
+    pointwise says that f gives the same value at a point whatever other
+    points share the call, so that the refinement may evaluate the iterates
+    of all its boxes in one call (_lockstep); where f's rounding depends on
+    the number of points, as in a BLAS matrix product, it refines the boxes
+    off the axis and on it in calls of their own, and its zeros do not move
+    with that grouping.
     Raises ContourThroughZero when f vanishes at a node of an edge, and
     EigensolverFailure when f overflows there, the search fails or its zeros
     do not add up to the winding count.
     """
-    search = _Search(f, K, y0, dx, mirror, spacing_nodes)
+    search = _Search(f, K, y0, dx, mirror, spacing_nodes, pointwise)
     search.run()
     if not search.total:
         return np.zeros(0, dtype=complex), np.zeros(0, dtype=int)

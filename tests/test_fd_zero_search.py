@@ -250,8 +250,9 @@ def test_forty_zeros_in_one_column_whatever_the_pass_budget(monkeypatch):
 def test_search_evaluation_budget(spec, before, monkeypatch):
     # kappa points at which the walled search evaluates F at L = 12, N = 2400: `before`
     # with every continuum zero under the bottom edge bisected for 13 rounds and 8 lid
-    # nodes per spacing; dividing those zeros out and the lid's node rule take 2779 and
-    # 4310.  The open search has no continuum under its bottom edge: 1339 and 850
+    # nodes per spacing; dividing those zeros out, the lid's node rule and grid passes
+    # within NODES_PER_PASS nodes take 3229 and 4712.  The open search has no continuum
+    # under its bottom edge: 1716 and 859
     points = []
     call = finitediff._Determinant.__call__
 

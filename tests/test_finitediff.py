@@ -80,7 +80,7 @@ def walled_discrete_spectrum(spec, cfg):
     K = SEARCH_K / h
     f = _Determinant(rows, cfg.N, h, walls=True)
     kappa, multiplicity = find_zeros(
-        f, K, DROP_TOL / (4 * K), np.pi / (2 * cfg.L), spec.pt_selfadjoint, NODES_PER_SPACING
+        f, K, DROP_TOL / (4 * K), np.pi / (2 * cfg.L), spec.pt_selfadjoint, NODES_PER_SPACING, pointwise=False
     )
     ev = np.repeat((2.0 / h * np.sin(0.5 * h * kappa)) ** 2, multiplicity)
     keep = (ev.real < -DROP_TOL) | (np.abs(ev.imag) > DROP_TOL)

@@ -20,7 +20,7 @@ from ptpoint.errors import (
 )
 from ptpoint import spectra
 from ptpoint.finitediff import OracleConfig, oracle_discrete_spectrum
-from ptpoint.zeros import _counts
+from ptpoint.zeros import _counts, _track
 from ptpoint.spectra import (
     RELATIONS,
     ContourSpec,
@@ -278,8 +278,9 @@ class TestTwoPointSpectrum:
 
     def test_passes_through_the_dispersion(self, monkeypatch):
         # the grid stage cuts at every grid line in the passes that fit NODES_PER_PASS, and
-        # one stacked call certifies every root: 17 evaluation calls (21 when every pass
-        # bisected), the same 5 roots, one certificate call
+        # one stacked call certifies every root: at most 17 evaluation calls (21 when every
+        # pass bisected, 11 with the whole grid in one pass and the refinement in lockstep),
+        # the same 5 roots, one certificate call
         evaluations, certificates = [], []
         with_slope, kernel = spectra._ScaledDispersion.with_slope, spectra.two_point_kernel
 
@@ -302,6 +303,42 @@ class TestTwoPointSpectrum:
         assert len(got) == 5 and all(min(abs(k - g) for g in got) <= 1e-12 for k in expect)
         assert [e.multiplicity for e in rep.eigenvalues] == [1] * 5
         assert len(certificates) == 1 and np.shape(certificates[0]) == (5,)
+
+    @pytest.mark.parametrize("v, calls", [(1.0, 10), (0.0, 17)])
+    def test_sequential_steps_of_a_solve(self, v, calls, monkeypatch):
+        # the whole grid is counted in one pass after the boundary, and the Newton iterates,
+        # the axis samples and bracket steps, and the axis phase probe share each call of f:
+        # 10 and 17 calls, where one pass for the column edges and another for the heights,
+        # then each refinement in calls of its own, took 16 and 24; the default contour
+        # and the search share one dispersion
+        evaluations, tracks, built = [], [], []
+        init, search_function = spectra._ScaledDispersion.__init__, spectra._ScaledDispersion.search_function
+
+        def build(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        def counted(self, K):
+            f = search_function(self, K)
+
+            def g(k):
+                evaluations.append(np.size(k))
+                return f(k)
+
+            return g
+
+        def tracked(f, *stacks):
+            tracks.append(stacks)
+            return _track(f, *stacks)
+
+        monkeypatch.setattr(spectra._ScaledDispersion, "__init__", build)
+        monkeypatch.setattr(spectra._ScaledDispersion, "search_function", counted)
+        monkeypatch.setattr("ptpoint.zeros._track", tracked)
+        rep = two_point_spectrum(delta_pair_matrix(-1.5, v), 1, relation="operator")
+        assert rep.total_multiplicity == 5
+        assert len(built) == 1
+        assert len(evaluations) == calls
+        assert len(tracks) == 2  # the boundary, then every grid line in one pass
 
     def test_search_failure_is_no_convergence(self, monkeypatch):
         monkeypatch.setattr("ptpoint.zeros.MAX_ROUNDS", 1)
