@@ -73,15 +73,42 @@ def require_length(l):
         raise InvalidParams(f"l must be finite and positive, got {l}")
 
 
+def _cmul(a, b):
+    """a * b elementwise in real arithmetic.
+
+    Bit for bit the product of two complex scalars: numpy's array complex
+    multiply may fuse multiply-adds and round differently.
+    """
+    re = a.real * b.real - a.imag * b.imag
+    out = np.empty(re.shape, dtype=complex)
+    out.real = re
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def _abs(z):
+    """|z| elementwise, bit for bit the scalar abs (np.abs of a complex array may round differently)."""
+    return np.hypot(z.real, z.imag)
+
+
+def row_sizes(M):
+    """The largest |entry| of each row, shape (..., 2), of a matrix or a (n, 2, 2) stack; each modulus is taken once."""
+    A = np.abs(M)
+    return np.maximum(A[..., 0], A[..., 1])
+
+
 def _scale(B):
     """max(1, largest |entry|): a float for one matrix, an array for a (n, 2, 2) stack."""
     scale = np.maximum(1.0, np.abs(B).max(axis=(-2, -1)))
     return float(scale) if np.ndim(scale) == 0 else scale
 
 
-def zero_coefficient_threshold(B):
-    """Size at or below which a dispersion coefficient built from the entries of B counts as zero."""
-    return 1e-14 * _scale(B)
+def zero_coefficient_threshold(rows):
+    """Size at or below which a dispersion coefficient counts as zero, for the matrices with row_sizes rows.
+
+    That is 1e-14 max(1, largest |entry|), an array of one size per matrix.
+    """
+    return 1e-14 * np.maximum(1.0, np.maximum(rows[..., 0], rows[..., 1]))
 
 
 def theta_mod_pi(theta):
@@ -90,19 +117,30 @@ def theta_mod_pi(theta):
     return np.minimum(r, np.pi - r)
 
 
-def singular(M):
-    """True where det(M) ~ 0, for a finite matrix or each matrix of a (n, 2, 2) stack.
+def _det(M):
+    """det(M) = alpha delta - beta gamma written out with _cmul, for a matrix or each matrix of a stack."""
+    return _cmul(M[..., 0, 0], M[..., 1, 1]) - _cmul(M[..., 0, 1], M[..., 1, 0])
+
+
+@np.errstate(all="ignore")  # a non-finite entry, or a det past float max, decides by comparison
+def singular(M, rows=None):
+    """True where det(M) ~ 0, for a matrix or each matrix of a (n, 2, 2) stack; rows is row_sizes(M).
 
     det(M) ~ 0 when |det M| <= DEFAULT_TOL times the product of the largest
     modulus in each row, a test that scaling a row does not change.  That
     product is at most max(1, max |M_ij|)^2, so every matrix that passes a
-    test against that square passes this one.  In a stack a matrix with an
-    entry above MAX_ENTRY counts as singular, as require_nondegenerate rejects it.
+    test against that square passes this one.  det M is written out,
+    alpha delta - beta gamma, so a stack is tested elementwise, and scaling
+    a row by a power of two changes no bit of the test short of underflow.
+    A matrix with an entry above MAX_ENTRY counts as singular, as
+    require_nondegenerate rejects it, and so does every matrix with a
+    non-finite entry.
     """
-    det = np.linalg.det(M)
-    rows = np.abs(M).max(axis=-1)
-    small = ~(np.hypot(det.real, det.imag) > DEFAULT_TOL * (rows[..., 0] * rows[..., 1]))
-    return small | (rows.max(axis=-1) > MAX_ENTRY)
+    if rows is None:
+        rows = row_sizes(M)
+    r0, r1 = rows[..., 0], rows[..., 1]
+    small = ~(_abs(_det(M)) > DEFAULT_TOL * (r0 * r1))
+    return small | (np.maximum(r0, r1) > MAX_ENTRY)
 
 
 def require_bounded(B):

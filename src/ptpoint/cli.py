@@ -288,7 +288,11 @@ def cmd_sweep(args):
         name = ax.get("name")
         if not isinstance(name, str):
             raise ModelFileError("sweep axis: missing 'name'")
+        if any(name == other for other, _ in grids):
+            raise ModelFileError(f"sweep axis {name!r}: another axis has the same name")
         lo, hi = _need(ax, "min"), _need(ax, "max")
+        if not math.isfinite(hi - lo):
+            raise ModelFileError(f"sweep axis {name!r}: max - min overflows ({_fmt(lo)} to {_fmt(hi)})")
         steps = _need(ax, "steps")
         if steps < 2 or steps != int(steps):
             raise ModelFileError(f"sweep axis {name!r}: 'steps' must be an integer >= 2, got {ax['steps']!r}")
@@ -298,33 +302,44 @@ def cmd_sweep(args):
     header = names + ["all_real", "n_eigenvalues",
                       "eig1_re", "eig1_im", "eig2_re", "eig2_im", "error"]
     chunks = [",".join(header) + "\n"]  # the CSV text, one string per chunk of rows
-    texts = [[_fmt(v) for v in g] for _, g in grids]  # each axis value is formatted once
+    texts = [np.array([_fmt(v) for v in g], dtype=object) for _, g in grids]  # each axis value formatted once
+    row_text = ",".join(["%s"] * (len(grids) + 1)) + "\n"  # the axis cells, then the result cells
     shape = tuple(len(g) for _, g in grids)
     total = math.prod(shape)
     for start in range(0, total, SWEEP_CHUNK):
-        index = [i.tolist() for i in np.unravel_index(np.arange(start, min(start + SWEEP_CHUNK, total)), shape)]
+        index = np.unravel_index(np.arange(start, min(start + SWEEP_CHUNK, total)), shape)
         values = {name: g[i] for (name, g), i in zip(grids, index)}
         results = _sweep_results(model_doc, values, len(index[0]))
-        axis_cells = [[t[j] for j in i] for t, i in zip(texts, index)]
-        chunks.append("".join(",".join(cells) + "\n" for cells in zip(*axis_cells, results)))
+        axis_cells = [t[i].tolist() for t, i in zip(texts, index)]
+        chunks.append("".join([row_text % cells for cells in zip(*axis_cells, results)]))
     _write_text(out_path, chunks, "sweep")
     print(f"wrote {total} rows to {out_path}")
     return EXIT_OK
 
 
-def _solved_cells(all_real, count, lam):
-    """The all_real ... error cells of solved sweep points, built column by column.
+# the all_real ... error cells of a solved sweep point by how many eigenvalues it shows (its
+# count, at most two): all_real, the count, and the real and imaginary parts of those eigenvalues
+# ("%.17g" is FLOAT_FORMAT)
+_SOLVED_CELLS = ("%s,%d,,,,,", "%s,%d,%.17g,%.17g,,,", "%s,%d,%.17g,%.17g,%.17g,%.17g,")
 
-    all_real and count are lists with one entry per point; lam is (n, 2)
+
+def _solved_cells(all_real, count, lam):
+    """The all_real ... error cells of solved sweep points, each from the template of its count.
+
+    all_real and count are arrays with one entry per point; lam is (n, 2)
     complex, each point's first two eigenvalues counted with multiplicity
-    (read up to count).
+    (read up to count).  Returns an object array of strings.
     """
-    cols = [["true" if r else "false" for r in all_real], list(map(str, count))]
-    for slot in (0, 1):
-        for part in (lam[:, slot].real.tolist(), lam[:, slot].imag.tolist()):
-            cols.append([format(x, FLOAT_FORMAT) if c > slot else "" for x, c in zip(part, count)])
-    cols.append([""] * len(count))
-    return list(map(",".join, zip(*cols)))
+    cells = np.empty(len(count), dtype=object)
+    truth = np.where(all_real, "true", "false")
+    shown = np.minimum(count, 2)
+    for c, template in enumerate(_SOLVED_CELLS):
+        rows = np.flatnonzero(shown == c)
+        parts = [truth[rows].tolist(), count[rows].tolist()]
+        for slot in range(c):
+            parts += [lam[rows, slot].real.tolist(), lam[rows, slot].imag.tolist()]
+        cells[rows] = [template % point for point in zip(*parts)]
+    return cells
 
 
 def _point_result(point):
@@ -336,7 +351,7 @@ def _point_result(point):
     lam = np.zeros((1, 2), dtype=complex)
     eigs = [e.lam for e in report.eigenvalues for _ in range(e.multiplicity)][:2]
     lam[0, :len(eigs)] = eigs
-    return _solved_cells([report.all_real], [report.total_multiplicity], lam)[0]
+    return _solved_cells(np.array([report.all_real]), np.array([report.total_multiplicity]), lam)[0]
 
 
 def _sweep_results(model_doc, values, n):
@@ -350,7 +365,7 @@ def _sweep_results(model_doc, values, n):
     def point(j):
         return dict(model_doc, **{name: float(col[j]) for name, col in values.items()})
 
-    results = [None] * n
+    results = np.empty(n, dtype=object)  # None until a row is solved
     mtype = model_doc.get("type")
     row = MODEL_FILE_TYPES[mtype] if mtype in MODEL_TYPES else None
     for j in range(n) if row is not None and row.solve is not None else ():
@@ -366,11 +381,11 @@ def _sweep_results(model_doc, values, n):
                 rows = np.flatnonzero(np.logical_and.reduce([holds for holds, _, _ in row.params.conditions(**cols)]))
                 rep = row.solve(row.params(**{f: col[rows] for f, col in cols.items()}))
         ok = rep.ok
-        cells = _solved_cells(rep.all_real[ok].tolist(), rep.count[ok].tolist(), rep.lam[ok])
-        for i, text in zip(rows[ok].tolist(), cells):
-            results[i] = text
+        results[rows[ok]] = _solved_cells(rep.all_real[ok], rep.count[ok], rep.lam[ok])
         break
-    return [_point_result(point(j)) if r is None else r for j, r in enumerate(results)]
+    for j in np.flatnonzero(np.equal(results, None)).tolist():
+        results[j] = _point_result(point(j))
+    return results.tolist()
 
 
 def cmd_oracle(args):

@@ -42,7 +42,7 @@ from typing import Optional
 import numpy as np
 
 from .boundary import DEFAULT_TOL, delta_pair_matrix, require_nondegenerate  # noqa: F401 (re-exported)
-from .boundary import require_bounded, require_length, singular, theta_mod_pi
+from .boundary import _abs, _cmul, require_bounded, require_length, row_sizes, singular, theta_mod_pi
 from .boundary import zero_coefficient_threshold
 from .errors import (
     ContourThroughZero,
@@ -153,24 +153,6 @@ def _sort_roots(roots):
     return sorted(roots, key=lambda z: (z.real, z.imag))
 
 
-def _cmul(a, b):
-    """a * b elementwise in real arithmetic.
-
-    Bit for bit the product of two complex scalars: numpy's array complex
-    multiply may fuse multiply-adds and round differently.
-    """
-    re = a.real * b.real - a.imag * b.imag
-    out = np.empty(re.shape, dtype=complex)
-    out.real = re
-    out.imag = a.real * b.imag + a.imag * b.real
-    return out
-
-
-def _abs(z):
-    """|z| elementwise, bit for bit the scalar abs (np.abs of a complex array may round differently)."""
-    return np.hypot(z.real, z.imag)
-
-
 def _eigenvalue_test(k):
     """For each root k: lam = k^2, whether k gives an eigenvalue and whether lam is negative real.
 
@@ -211,38 +193,38 @@ def _report_from_roots(roots, multiplicities, kernel_sv=None):
 
 
 def _report_row(k, mult):
-    """SpectrumReport of one row of root slots (k, mult) as the origin kernels return them."""
+    """SpectrumReport of one model's root slots k, mult (each of length 2) as the origin kernels return them."""
     filled = mult > 0
     return _report_from_roots(list(k[filled]), [int(m) for m in mult[filled]])
 
 
 def _sort_pairs(z, present, *more):
-    """Sort the two slots of each row of z in place: present values first, by (Re, Im), stably.
+    """Order the two slots (rows) of each column of z: present values first, by (Re, Im), stably.
 
-    The arrays in more have the same (n, 2) slots and move with z.
+    z, present and the arrays in more are (2, n); present says which slots
+    of z hold a value, and the arrays in more move with z.  Returns the
+    ordered z and more as a list.
     """
-    a, b = z[:, 0], z[:, 1]
+    a, b = z
     later = (b.real < a.real) | ((b.real == a.real) & (b.imag < a.imag))
-    swap = present[:, 1] & (~present[:, 0] | later)
-    for x in (z,) + more:
-        x[swap] = x[swap, ::-1]
+    swap = present[1] & (~present[0] | later)
+    return [np.where(swap, x[::-1], x) for x in (z,) + more]
 
 
+@np.errstate(all="ignore")
 def _origin_spectra(ok, k, mult):
-    """OriginSpectra of a stack whose rows ok have the root slots (k, mult); the other rows are empty."""
+    """OriginSpectra of a stack of n rows with the root slots (k, mult), (2, n) arrays; the rows not ok are empty.
+
+    One elementwise pass: the slots of rows not ok may hold anything.
+    """
     lam, eig, negative_real = _eigenvalue_test(k)
-    eig &= mult > 0
-    m = np.where(eig, mult, 0)
-    _sort_pairs(lam, eig, m)
+    eig &= (mult > 0) & ok
+    lam, m = _sort_pairs(lam, eig, np.where(eig, mult, 0))
     lam[m == 0] = 0.0
-    out = np.zeros((len(ok), 2), dtype=complex)
-    out[ok, 0] = lam[:, 0]
-    out[ok, 1] = np.where(m[:, 0] >= 2, lam[:, 0], lam[:, 1])
-    count = np.zeros(len(ok), dtype=int)
-    count[ok] = m.sum(axis=1)
-    all_real = np.zeros(len(ok), dtype=bool)
-    all_real[ok] = ~(eig & ~negative_real).any(axis=1)
-    return OriginSpectra(out, count, all_real, ok)
+    lam[1] = np.where(m[0] >= 2, lam[0], lam[1])
+    complex_eig = eig & ~negative_real
+    all_real = ok & ~(complex_eig[0] | complex_eig[1])
+    return OriginSpectra(lam.T, m[0] + m[1], all_real, ok)
 
 
 def type_I_discriminant(p):
@@ -286,41 +268,45 @@ def dispersion_roots_type_I(p):
     return [complex(-r, im_common), complex(r, im_common)]
 
 
-def _connected_roots(M):
-    """Roots of k^2 beta + i k (alpha + delta) - gamma = 0 for a (n, 2, 2) stack of finite nonsingular matrices.
+@np.errstate(all="ignore")  # every row runs every branch; np.where keeps its own
+def _connected_roots(M, rows):
+    """Roots of k^2 beta + i k (alpha + delta) - gamma = 0 for a (n, 2, 2) stack M with row_sizes rows.
 
-    Returns k (n, 2) sorted by (Re k, Im k), mult (n, 2) (1 for a root, 0 for
-    an empty slot) and zero (n,), True where the relation vanishes
-    identically.  The coefficient triple is normalized by a common phase
-    before solving, so matrices differing only by a global phase produce
-    (numerically) identical roots; the spectrum never depends on that phase.
-    Every product is a _cmul and every modulus an _abs, so one matrix gives
-    the same bits alone as in any stack.
+    Returns k (2, n), each column sorted by (Re k, Im k), mult (2, n) (1 for
+    a root, 0 for an empty slot) and zero (n,), True where the relation
+    vanishes identically.  A column of a matrix that is not finite, or is
+    singular, holds anything.  The coefficient triple is normalized by a
+    common phase before solving, so matrices differing only by a global
+    phase produce (numerically) identical roots; the spectrum never depends
+    on that phase.  A triple above 2^510 is then scaled by 2^-512, so no
+    row's own branch overflows.  One elementwise pass over the stack: every
+    row runs each branch, and masks keep the branch that is its own.  Every
+    product is a _cmul and every modulus an _abs, so one matrix gives the
+    same bits alone as in any stack.
     """
     n = len(M)
-    coef = np.stack([M[:, 0, 1], M[:, 0, 0] + M[:, 1, 1], M[:, 1, 0]], axis=1)  # beta, tau, gamma
+    alpha, beta, gamma, delta = M.reshape(n, 4).T
+    coef = np.stack([beta, alpha + delta, gamma])  # beta, tau, gamma: (3, n)
     size = _abs(coef)
-    scale = zero_coefficient_threshold(M)
-    zero = (size <= scale[:, None]).all(axis=1)
-    rows = np.flatnonzero(~zero)
-    pivot = np.argmax(size[rows], axis=1)  # the largest coefficient, the first of equal ones
-    phase = coef[rows, pivot] / size[rows, pivot]
-    coef = coef[rows] / phase[:, None]
+    top = np.maximum(np.maximum(size[0], size[1]), size[2])
+    scale = zero_coefficient_threshold(rows)
+    zero = top <= scale
+    # the phase of the largest coefficient, the first of equal ones
+    coef /= np.where(size[0] == top, coef[0], np.where(size[1] == top, coef[1], coef[2])) / top
     # rows real up to the rounding of the division: their roots on the imaginary axis
     # get real part +0 below, not the +-1e-16 or -0 that rounding would leave
-    real = (np.abs(coef.imag) <= 4 * np.finfo(float).eps * size[rows, pivot][:, None]).all(axis=1)
-    coef.imag[real] = 0.0
-    beta, tau, gamma = coef.T
-    scale = scale[rows]
-    k = np.zeros((n, 2), dtype=complex)
-    mult = np.zeros((n, 2), dtype=int)
-    linear = _abs(beta) <= scale
-    one = linear & (_abs(tau) > scale)
-    k[rows[one], 0] = gamma[one] / _cmul(1j, tau[one])
-    k.real[rows[one & real], 0] = 0.0
-    mult[rows[one], 0] = 1
-    quad = ~linear
-    beta, tau, gamma = beta[quad], tau[quad], gamma[quad]
+    real = (np.abs(coef.imag) <= 4 * np.finfo(float).eps * top).all(axis=0)
+    coef.imag[:, real] = 0.0
+    # a triple above 2^510 (entries near MAX_ENTRY, so at most 2^514) is scaled by 2^-512,
+    # exactly, so that tau^2 and 4 gamma beta stay finite; other rows are multiplied by 1
+    shrink = np.where(top > 2.0**510, 2.0**-512, 1.0)
+    coef.real *= shrink
+    coef.imag *= shrink
+    scale = scale * shrink
+    beta, tau, gamma = coef
+    small = _abs(coef[:2]) <= scale
+    linear = small[0]
+    one = linear & ~small[1]
     square = -_cmul(tau, tau) + _cmul(_cmul(4.0, gamma), beta)
     disc = np.sqrt(square + 0j)
     i_tau, two_beta = _cmul(-1j, tau), _cmul(2.0, beta)
@@ -329,36 +315,40 @@ def _connected_roots(M):
     # row's pair k, -conj k, a double root at 0) both keep -i tau +- disc
     dot = i_tau.real * disc.real + i_tau.imag * disc.imag
     disc = np.where(dot < 0, -disc, disc)
-    k[rows[quad], 0] = (i_tau + disc) / two_beta
-    second = (i_tau - disc) / two_beta
-    vieta = dot != 0
-    second[vieta] = _cmul(-2.0, gamma[vieta]) / (i_tau + disc)[vieta]
-    k[rows[quad], 1] = second
-    k.real[rows[quad][real[quad] & (square.real <= 0)]] = 0.0
-    mult[rows[quad]] = 1
-    _sort_pairs(k, mult > 0, mult)
+    big = i_tau + disc
+    k = np.stack([big, i_tau - disc]) / two_beta
+    np.copyto(k[1], _cmul(-2.0, gamma) / big, where=dot != 0)
+    np.copyto(k[0], gamma / _cmul(1j, tau), where=linear)
+    k.real[:, real & (linear | (square.real <= 0))] = 0.0
+    mult = np.stack([one | ~linear, ~linear]).astype(int)
+    k, mult = _sort_pairs(k, mult > 0, mult)
     return k, mult, zero
 
 
 def _one_connected(B):
-    """_connected_roots of one matrix, raising on a matrix the stack call would mark."""
-    k, mult, zero = _connected_roots(require_nondegenerate(B)[None])
+    """_connected_roots of one matrix, as (2,) slots, raising on a matrix the stack call would mark."""
+    M = require_nondegenerate(B)[None]
+    k, mult, zero = _connected_roots(M, row_sizes(M))
     if zero[0]:
         raise DegenerateIdenticallyZero("dispersion vanishes identically")
-    return k, mult
+    return k[:, 0], mult[:, 0]
 
 
 def dispersion_roots_general(B):
     """Roots of k^2 beta + i k (alpha + delta) - gamma = 0 for a connected matrix (see _connected_roots)."""
     k, mult = _one_connected(B)
-    return list(k[0, mult[0] > 0])
+    return list(k[mult > 0])
 
 
+@np.errstate(all="ignore")
 def _distinct(k, mult):
-    """Coincident roots become one root of multiplicity 1 (connected conditions admit only one decaying solution)."""
-    scale = np.maximum(np.maximum(1.0, _abs(k[:, 0])), _abs(k[:, 1]))
-    same = (mult[:, 1] > 0) & (_abs(k[:, 0] - k[:, 1]) <= 1e-12 * scale)
-    mult[same, 1] = 0
+    """Coincident roots become one root of multiplicity 1 (connected conditions admit only one decaying solution).
+
+    k and mult are the (2, ...) slots of _connected_roots; mult changes in place.
+    """
+    size = _abs(k)
+    scale = np.maximum(np.maximum(1.0, size[0]), size[1])
+    mult[1] = np.where(_abs(k[0] - k[1]) <= 1e-12 * scale, 0, mult[1])
     return k, mult
 
 
@@ -372,14 +362,13 @@ def discrete_spectrum_origin_connected(B):
     """
     M = np.asarray(B, dtype=complex)
     if M.ndim == 3 and M.shape[1:] == (2, 2):
-        ok = np.isfinite(M).all(axis=(1, 2))
-        ok[ok] = ~singular(M[ok])
-        k, mult, zero = _connected_roots(M[ok])
-        ok[ok] = ~zero
-        return _origin_spectra(ok, *_distinct(k[~zero], mult[~zero]))
-    return _report_row(*(x[0] for x in _distinct(*_one_connected(M))))
+        rows = row_sizes(M)
+        k, mult, zero = _connected_roots(M, rows)
+        return _origin_spectra(~(singular(M, rows) | zero), *_distinct(k, mult))
+    return _report_row(*_distinct(*_one_connected(M)))
 
 
+@np.errstate(all="ignore")  # a row with h0 = 0 divides by zero; its slots are empty
 def _separated_roots(theta, h0, h1):
     """Candidate wave numbers of separated-origin models with canonical TypeIIParams fields (arrays).
 
@@ -389,25 +378,18 @@ def _separated_roots(theta, h0, h1):
         k(-) = -i (h1/h0) e^{-i theta}   (left).
 
     When both coincide (theta = 0 mod pi) the common root has multiplicity 2;
-    with h0 = 0 there is none.  Returns k and mult (n, 2) as _connected_roots does.
+    with h0 = 0 there is none.  Returns k and mult (2, n) as _connected_roots
+    does, in one elementwise pass.
     """
-    n = len(theta)
-    k = np.zeros((n, 2), dtype=complex)
-    mult = np.zeros((n, 2), dtype=int)
-    rows = np.flatnonzero(h0 != 0.0)
-    theta, ratio = theta[rows], h1[rows] / h0[rows]
-    c = _cmul(-1j, ratio)
-    k[rows, 0] = _cmul(c, np.exp(_cmul(1j, theta)))
-    k[rows, 1] = _cmul(c, np.exp(_cmul(-1j, theta)))
-    mult[rows] = 1
+    ratio = h1 / h0
+    k = _cmul(_cmul(-1j, ratio), np.exp(_cmul(np.array([[1j], [-1j]]), theta)))
     double = theta_mod_pi(theta) <= 1e-14
     sign = np.where(np.abs(theta - np.pi) < np.pi / 2, -1.0, 1.0)  # e^{i theta} = +-1 exactly
-    rows = rows[double]
-    k[rows] = 0.0
-    k.imag[rows, 0] = -ratio[double] * sign[double]
-    mult[rows] = (2, 0)
-    _sort_pairs(k, mult > 0, mult)
-    return k, mult
+    axis = np.zeros_like(k)
+    axis.imag[0] = -ratio * sign
+    k = np.where(double, axis, k)
+    mult = np.where(h0 != 0.0, np.where(double, [[2], [0]], 1), 0)
+    return _sort_pairs(k, mult > 0, mult)
 
 
 def discrete_spectrum_separated(p):
@@ -419,8 +401,8 @@ def discrete_spectrum_separated(p):
     fields = np.broadcast_arrays(p.theta, p.h0, p.h1)
     k, mult = _separated_roots(*(np.atleast_1d(x) for x in fields))
     if fields[0].ndim:
-        return _origin_spectra(np.ones(len(k), dtype=bool), k, mult)
-    return _report_row(k[0], mult[0])
+        return _origin_spectra(np.ones(k.shape[1], dtype=bool), k, mult)
+    return _report_row(k[:, 0], mult[:, 0])
 
 
 @dataclass(frozen=True)

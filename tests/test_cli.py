@@ -461,6 +461,36 @@ class TestInvalidInput:
         assert "'sweep'" in capsys.readouterr().err
         assert not (tmp_path / "map.csv").exists()
 
+    def test_sweep_axes_with_one_name(self, tmp_path, capsys):
+        """Two axes named b would print the first axis's b and solve every row at the second's."""
+        sweep = {
+            "model": {"type": "type_I", "theta": 0.0, "phi": 2.0, "c": 0.5},
+            "sweep": [{"name": "b", "min": 0, "max": 2, "steps": 3}, {"name": "b", "min": 5, "max": 6, "steps": 2}],
+            "output": str(tmp_path / "map.csv"),
+        }
+        assert main(["sweep", write_json(tmp_path / "s.json", sweep)]) == EXIT_PARSE
+        assert "sweep axis 'b': another axis has the same name" in capsys.readouterr().err
+        assert not (tmp_path / "map.csv").exists()
+
+    @pytest.mark.parametrize("lo, hi", [(-1e308, 1e308), (1e308, -1e308), (-1.7e308, 1e308)])
+    def test_sweep_axis_whose_range_overflows(self, tmp_path, capsys, lo, hi):
+        """max - min past float max: np.linspace would warn and write nan and inf axis cells."""
+        sweep = {"model": DELTA_DOC, "sweep": [{"name": "c", "min": lo, "max": hi, "steps": 3}],
+                 "output": str(tmp_path / "map.csv")}
+        assert main(["sweep", write_json(tmp_path / "s.json", sweep)]) == EXIT_PARSE
+        assert "sweep axis 'c': max - min overflows" in capsys.readouterr().err
+        assert not (tmp_path / "map.csv").exists()
+
+    def test_sweep_axis_with_a_wide_finite_range(self, tmp_path, capsys):
+        """max - min = 1.6e308 is finite: every row is written, the huge ones as error cells."""
+        sweep = {"model": DELTA_DOC, "sweep": [{"name": "c", "min": -8e307, "max": 8e307, "steps": 3}],
+                 "output": str(tmp_path / "map.csv")}
+        assert main(["sweep", write_json(tmp_path / "s.json", sweep)]) == EXIT_OK
+        capsys.readouterr()
+        rows = (tmp_path / "map.csv").read_text().splitlines()[1:]
+        assert [float(r.split(",")[0]) for r in rows] == [-8e307, 0.0, 8e307]
+        assert "must not exceed" in rows[0] and "must not exceed" in rows[2] and rows[1].endswith(",")
+
     @pytest.mark.parametrize("n", ["-5", "0", "1", "2.5"])
     def test_eigenfunction_grid_count(self, tmp_path, capsys, n):
         path = write_json(tmp_path / "m.json", DELTA_DOC)

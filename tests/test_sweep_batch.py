@@ -14,7 +14,15 @@ import numpy as np
 import pytest
 
 from ptpoint import cli, spectra
-from ptpoint.boundary import ConnectedOrigin, TypeIIParams, TypeIParams, matrix_from_type_I
+from ptpoint.boundary import (
+    DEFAULT_TOL,
+    MAX_ENTRY,
+    ConnectedOrigin,
+    TypeIIParams,
+    TypeIParams,
+    matrix_from_type_I,
+    singular,
+)
 from ptpoint.errors import PointInteractionError
 
 PI = np.pi
@@ -135,6 +143,23 @@ def assert_row_is_report(rep, i, one):
     lams = [e.lam for e in one.eigenvalues for _ in range(e.multiplicity)]
     assert rep.ok[i] and rep.count[i] == len(lams) and rep.all_real[i] == one.all_real
     assert rep.lam[i].tolist() == (lams + [0j, 0j])[:2]
+    # == takes -0 for +0: the signs of zero must match too
+    expected = np.array((lams + [0j, 0j])[:2])
+    assert np.signbit(rep.lam[i].real).tolist() == np.signbit(expected.real).tolist()
+    assert np.signbit(rep.lam[i].imag).tolist() == np.signbit(expected.imag).tolist()
+
+
+def assert_stack_rows_are_single_calls(mats):
+    """Each row of the stack call reports what the single call reports, or is not ok where it raises."""
+    rep = spectra.discrete_spectrum_origin_connected(np.array(mats, dtype=complex))
+    for i, B in enumerate(mats):
+        try:
+            one = spectra.discrete_spectrum_origin_connected(B)
+        except PointInteractionError:
+            assert not rep.ok[i]
+            continue
+        assert_row_is_report(rep, i, one)
+    return rep
 
 
 def test_connected_stack_rows_equal_single_calls():
@@ -168,3 +193,105 @@ def test_separated_stack_broadcasts_scalar_fields():
         rep = spectra.discrete_spectrum_separated(TypeIIParams(theta, h0, h1))
         for i, t in enumerate(theta):
             assert_row_is_report(rep, i, spectra.discrete_spectrum_separated(TypeIIParams(t, h0, h1)))
+
+
+def _near_threshold(side):
+    """[[1, 1], [1, 1 + e]], whose det is e exactly, one to two ulps of 1 from the singularity threshold.
+
+    The threshold is DEFAULT_TOL times the row maxima 1 and 1 + e; e is above
+    it for side > 0 and below it otherwise, by at most 4.4e-6 of it.
+    """
+    ulp = np.finfo(float).eps
+    e = (np.floor(DEFAULT_TOL / ulp) + (2 if side > 0 else -2)) * ulp
+    return np.array([[1, 1], [1, 1 + e]], dtype=complex)
+
+
+def test_connected_stack_rows_at_the_edges_equal_single_calls():
+    """Rows at each edge of the closed form: the singularity test, MAX_ENTRY, a NaN, beta = 0, a vanishing
+    relation, and a triple whose imaginary parts sit either side of 4 ulps of its largest coefficient."""
+    eps = np.finfo(float).eps
+    above, below = _near_threshold(+1), _near_threshold(-1)
+    mats = [
+        above, below, 1j * above, 1j * below,
+        np.array([[MAX_ENTRY, 0], [0, 1]]), np.array([[np.nextafter(MAX_ENTRY, np.inf), 0], [0, 1]]),
+        np.array([[1, 0], [MAX_ENTRY, 1]]), np.array([[MAX_ENTRY, 0], [0, MAX_ENTRY]]),
+        np.array([[np.nan, 0], [0, 1]]), np.array([[1, 0], [0, np.nan]]),
+        np.array([[2j, 0], [1, 1]]), np.array([[1, 0], [-3, -1]]), np.array([[1j, 0], [0, 1j]]),
+        np.array([[1, 1e-15], [1e-15, -1]]), np.array([[1, 2e-14], [0, -1]]),
+        np.array([[1, 1], [-2 + 6j * eps, 1]]), np.array([[1, 1], [-2 + 10j * eps, 1]]),
+        np.array([[1, 1], [2 + 6j * eps, 1]]), np.array([[1, 1], [2 + 10j * eps, 1]]),
+    ]
+    rep = assert_stack_rows_are_single_calls(mats)
+    assert singular(below) and not singular(above)
+    assert rep.ok.tolist() == [True, False, True, False, True, False, False, True, False, False,
+                               True, True, True, False, True, True, True, True, True]
+    # tau = 2 is the largest coefficient: 6 eps is within 4 ulps of it, so the root k = (sqrt 3 - 1) i
+    # has real part +0 and lambda = k^2 is exactly real; 10 eps is not, and leaves lambda off the axis
+    assert rep.lam[15, 0].imag == 0.0 and not np.signbit(rep.lam[15, 0].imag) and rep.lam[16, 0].imag != 0.0
+
+
+def test_separated_stack_rows_at_the_edges_equal_single_calls():
+    """theta within 1e-14 of pi gives one double root, 2e-14 away two; h0 = 0 none; h0 < 0 is flipped."""
+    theta = np.pi + np.array([-2e-14, -5e-15, 0.0, 5e-15, 2e-14])
+    for h0, h1 in [(1.0, -1.0), (1.0, 1.0), (0.0, 1.0), (-2.0, 0.5), (-1.0, -3.0)]:
+        rep = spectra.discrete_spectrum_separated(TypeIIParams(theta, h0, h1))
+        for i, t in enumerate(theta):
+            assert_row_is_report(rep, i, spectra.discrete_spectrum_separated(TypeIIParams(t, h0, h1)))
+        if h0 == 1.0 and h1 == 1.0:  # k = -i e^{+-i theta}: near i, both eigenvalues
+            assert rep.count.tolist() == [2, 2, 2, 2, 2] and (rep.lam[1:4, 0] == rep.lam[1:4, 1]).all()
+            assert (rep.lam[[0, 4], 0] != rep.lam[[0, 4], 1]).all()
+        if h0 == 0.0:
+            assert rep.count.tolist() == [0] * 5
+
+
+def test_solved_cells_print_each_float_as_float_format():
+    """The % templates of the result cells print what format(x, FLOAT_FORMAT) prints, signs of zero included."""
+    specials = [0.0, -0.0, 5e-324, -1.5611282634915153e-16, 1 / 3, 1e308, -np.inf, np.nan]
+    rng = np.random.default_rng(8)
+    parts = np.array(specials + list(rng.normal(size=16) * 10.0 ** rng.integers(-20, 20, 16)))
+    lam = np.empty(len(parts), dtype=complex)
+    lam.real, lam.imag = parts, parts[::-1]
+    lam = lam.reshape(-1, 2)
+    count = np.arange(len(lam)) % 5  # a count above 2 prints the first two eigenvalues
+    all_real = np.arange(len(lam)) % 2 == 0
+    for row, cells in enumerate(cli._solved_cells(all_real, count, lam)):
+        want = [str(bool(all_real[row])).lower(), str(count[row])]
+        for slot in range(2):
+            z = lam[row, slot]
+            shown = slot < count[row]
+            want += [format(z.real, cli.FLOAT_FORMAT), format(z.imag, cli.FLOAT_FORMAT)] if shown else ["", ""]
+        assert cells == ",".join(want + [""])
+
+
+def test_two_point_sweep_rows_with_more_than_two_eigenvalues(tmp_path, capsys):
+    """A point with three eigenvalues prints its count and the first two, as a row of the full width."""
+    out = tmp_path / "map.csv"
+    path = tmp_path / "sweep.json"
+    doc = {"model": {"type": "delta_pair", "u": -1.5, "l": 3.0},
+           "sweep": [{"name": "v", "min": 0.0, "max": 1.0, "steps": 2}], "output": str(out)}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(["sweep", str(path)]) == cli.EXIT_OK
+    capsys.readouterr()
+    rows = out.read_text(encoding="utf-8").splitlines()[1:]
+    for v, line in zip((0.0, 1.0), rows):
+        report = cli._spectrum_for(cli.model_from_dict(dict(doc["model"], v=v)))
+        lams = [e.lam for e in report.eigenvalues for _ in range(e.multiplicity)]
+        assert report.total_multiplicity == 3
+        want = [cli._fmt(v), str(report.all_real).lower(), "3"]
+        want += [format(x, cli.FLOAT_FORMAT) for lam in lams[:2] for x in (lam.real, lam.imag)]
+        assert line == ",".join(want + [""])
+
+
+def test_connected_roots_near_max_entry():
+    """Coefficients near MAX_ENTRY, whose discriminant would overflow, keep their roots."""
+    # beta = 1e141, tau = -2.4e154, gamma = 0: the roots 0 and -i tau / beta = 2.4e13 i
+    M = np.array([[-1.2e154, 1e141], [0, -1.2e154]], dtype=complex)
+    one = spectra.discrete_spectrum_origin_connected(M)
+    assert [e.k.k for e in one.eigenvalues] == [pytest.approx(2.4e13j, rel=1e-15)]
+    assert one.eigenvalues[0].lam.real == pytest.approx(-5.76e26, rel=1e-15)
+    # tau^2 is 7e308 here: every root equals that of the same matrix scaled down by 2^300
+    N = np.array([[1.2e154, 1e150], [-1e150, 1.2e154]], dtype=complex)
+    assert spectra.dispersion_roots_general(N) == spectra.dispersion_roots_general(N * 2.0**-300)
+    rep = assert_stack_rows_are_single_calls([M, N, N * 2.0**-300, matrix_from_type_I(TypeIParams(0.5, 2.5, 1, 0))])
+    assert rep.ok.all() and rep.count.tolist() == [1, 1, 1, 1]
+    assert rep.lam[1].tolist() == rep.lam[2].tolist()
